@@ -10,9 +10,9 @@ GO ?= go
 
 # Benchmarks tracked as the perf baseline: the Figure 5 scaling workloads
 # (serial vs parallel kernels), the isolated zero-alloc power-loop body,
-# the pooled parallel dispatch path, CSR and block-diagonal assembly, the
-# Engine serving paths, the sharded-router scaling curves, the batched
-# multi-tenant ranking path, the warm re-rank allocation profile under
+# the pooled parallel dispatch path, CSR assembly, the Engine serving
+# paths, the sharded-router scaling curves, the multi-tenant RankBatch
+# path, the warm re-rank allocation profile under
 # the generation-keyed Update cache (vs. its WithUpdateCache(false)
 # escape-hatch baseline), the durable WAL append path per fsync
 # policy (always / interval / off) — the write-path overhead record —
@@ -21,7 +21,7 @@ GO ?= go
 # warm-update path (CertifiedWarmRerank: certified hit vs full warm
 # solve vs mixed answer-changing traffic with hit/fallback ratios, plus
 # the pooled zero-alloc CertifyKernel attempt itself).
-BENCH_PATTERN ?= Fig5aScaleUsers|Fig5bScaleQuestions|HNDPowerInnerLoop|EngineSnapshot|EngineWarmVsCold|NewCSRAssembly|MulVecParallel|ParallelDoPooled|ShardedObserve|ShardedRank|BatchedRank|BlockDiag|WarmRerankAllocs|WALAppend|StaleRank|CertifiedWarmRerank|CertifyKernel
+BENCH_PATTERN ?= Fig5aScaleUsers|Fig5bScaleQuestions|HNDPowerInnerLoop|EngineSnapshot|EngineWarmVsCold|NewCSRAssembly|MulVecParallel|ParallelDoPooled|ShardedObserve|ShardedRank|BatchedRank|WarmRerankAllocs|WALAppend|StaleRank|CertifiedWarmRerank|CertifyKernel
 BENCH_TIME ?= 1x
 BENCH_OUT ?= BENCH_pr10.json
 

@@ -2,6 +2,7 @@ package hitsndiffs
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -149,24 +150,103 @@ func TestRankBatchDuplicateAndFallback(t *testing.T) {
 }
 
 // TestRankBatchErrorNamesCallerIndex: a failing tenant must be named by
-// its position in the caller's slice, not its position inside the
-// stale-only chunk the batcher actually solves.
+// its position in the caller's slice, not its position among the stale
+// tenants actually solved — for HnD-power and for any other method.
 func TestRankBatchErrorNamesCallerIndex(t *testing.T) {
 	ctx := context.Background()
 	good := engineWorkload(t, 20, 10, 1)
-	bad := NewResponseMatrix(5, 3, 2) // nobody answered anything
+	bad := NewResponseMatrix(1, 3, 2) // one user: no method can rank it
+	for _, method := range []string{"HnD-power", "HITS"} {
+		eng, err := NewEngine(NewResponseMatrix(2, 1, 2), WithMethod(method), WithRankOptions(WithSeed(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cache the good tenant so the failing call's stale set holds only
+		// the bad one (stale index 0, caller index 2).
+		if _, err := eng.RankBatch(ctx, []*ResponseMatrix{good}); err != nil {
+			t.Fatal(err)
+		}
+		_, err = eng.RankBatch(ctx, []*ResponseMatrix{good, good, bad})
+		if err == nil || !strings.Contains(err.Error(), "RankBatch tenant 2") {
+			t.Fatalf("%s: want error naming tenant 2, got %v", method, err)
+		}
+	}
+}
+
+// TestRankBatchDegenerateTenants ranks a two-user tenant and an annihilated
+// tenant (every user answered identically, so U_diff has no signal) next
+// to a healthy one: each must equal its solo solve bitwise.
+func TestRankBatchDegenerateTenants(t *testing.T) {
+	ctx := context.Background()
+	two := NewResponseMatrix(2, 3, 2)
+	for i := 0; i < 3; i++ {
+		two.SetAnswer(0, i, 0)
+	}
+	two.SetAnswer(1, 0, 1)
+	flat := NewResponseMatrix(4, 3, 2)
+	for u := 0; u < 4; u++ {
+		for i := 0; i < 3; i++ {
+			flat.SetAnswer(u, i, 0)
+		}
+	}
+	tenants := []*ResponseMatrix{two, flat, engineWorkload(t, 30, 20, 7)}
+	base := []Option{WithSeed(1), WithParallelism(1)}
+	eng, err := NewEngine(NewResponseMatrix(2, 1, 2), WithRankOptions(base...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.RankBatch(ctx, tenants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range tenants {
+		want, err := HND(base...).Rank(ctx, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !scoresEqualBits(got[i].Scores, want.Scores) || got[i].Iterations != want.Iterations {
+			t.Fatalf("tenant %d: batched %+v, solo %+v", i, got[i], want)
+		}
+	}
+	for _, s := range got[1].Scores {
+		if s != 0 {
+			t.Fatalf("annihilated tenant scored %v, want all zero", got[1].Scores)
+		}
+	}
+}
+
+// TestRankBatchHonorsContext: a canceled context fails the call with an
+// error that still matches context.Canceled and names the tenant, and
+// caches nothing — the next live call solves every tenant.
+func TestRankBatchHonorsContext(t *testing.T) {
+	tenants := tenantWorkloads(t, 2, 5)
 	eng, err := NewEngine(NewResponseMatrix(2, 1, 2), WithRankOptions(WithSeed(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cache the good tenant so the failing batch's stale set holds only the
-	// bad one (chunk-local index 0, caller index 2).
-	if _, err := eng.RankBatch(ctx, []*ResponseMatrix{good}); err != nil {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = eng.RankBatch(ctx, tenants)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "RankBatch tenant 0") {
+		t.Fatalf("want context.Canceled naming tenant 0, got %v", err)
+	}
+	if _, err := eng.RankBatch(context.Background(), tenants); err != nil {
 		t.Fatal(err)
 	}
-	_, err = eng.RankBatch(ctx, []*ResponseMatrix{good, good, bad})
-	if err == nil || !strings.Contains(err.Error(), "tenant 2") {
-		t.Fatalf("want error naming tenant 2, got %v", err)
+	if eng.batchSolves != 2 {
+		t.Fatalf("live call after cancellation solved %d tenants, want 2", eng.batchSolves)
+	}
+}
+
+// TestRankBatchEmptyBatch: no tenants, no results, no error.
+func TestRankBatchEmptyBatch(t *testing.T) {
+	eng, err := NewEngine(NewResponseMatrix(2, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.RankBatch(context.Background(), nil)
+	if err != nil || res != nil {
+		t.Fatalf("empty batch: got %v, %v", res, err)
 	}
 }
 
@@ -211,9 +291,10 @@ func TestObserveRankAvoidsFullCSRRebuild(t *testing.T) {
 	}
 }
 
-// TestShardedRankAllBatchedMatchesFanOut: the batched RankAll must return
-// exactly what the concurrent per-shard fan-out returns (serial kernels,
-// fixed seed), shard by shard.
+// TestShardedRankAllBatchedMatchesFanOut: RankAll must return exactly what
+// each shard's engine returns when ranked on its own (serial kernels,
+// fixed seed), shard by shard, a foreign write must leave the other
+// shards' cached results untouched, and a failure must name its shard.
 func TestShardedRankAllBatchedMatchesFanOut(t *testing.T) {
 	ctx := context.Background()
 	m := engineWorkload(t, 200, 40, 31)
@@ -226,62 +307,146 @@ func TestShardedRankAllBatchedMatchesFanOut(t *testing.T) {
 		return eng
 	}
 	a, b := mk(), mk()
-	batched, err := a.RankAll(ctx)
+	// A failure names the first failing shard in index order.
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := a.RankAll(canceled); !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "RankAll shard 0") {
+		t.Fatalf("want context.Canceled naming shard 0, got %v", err)
+	}
+	all, err := a.RankAll(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fanout, err := b.rankAllFanOut(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batched) != len(fanout) {
+	if len(all) != b.Shards() {
 		t.Fatal("shard count mismatch")
 	}
-	for i := range batched {
-		if !scoresEqualBits(batched[i].Scores, fanout[i].Scores) {
-			t.Fatalf("shard %d: batched RankAll differs from fan-out", i)
+	for i := range all {
+		alone, err := b.engines[i].Rank(ctx)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if batched[i].Iterations != fanout[i].Iterations {
+		if !scoresEqualBits(all[i].Scores, alone.Scores) {
+			t.Fatalf("shard %d: RankAll differs from the shard ranked alone", i)
+		}
+		if all[i].Iterations != alone.Iterations {
 			t.Fatalf("shard %d: iteration counts differ", i)
 		}
 	}
 
 	// After a single-user write, only the owning shard re-solves; the other
-	// shards answer from the caches the batched path populated.
+	// shards answer from their caches.
 	if err := a.Observe(0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	sh := a.ShardFor(0)
 	versions := make([]uint64, a.Shards())
+	misses := make([]uint64, a.Shards())
 	for i, e := range a.engines {
 		versions[i] = e.Version()
+		misses[i] = e.Metrics().CacheMisses
 	}
-	rebatched, err := a.RankAll(ctx)
+	again, err := a.RankAll(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range rebatched {
-		if i != sh && !scoresEqualBits(rebatched[i].Scores, batched[i].Scores) {
+	for i := range again {
+		if i != sh && !scoresEqualBits(again[i].Scores, all[i].Scores) {
 			t.Fatalf("unwritten shard %d changed scores after foreign write", i)
 		}
 		if a.engines[i].Version() != versions[i] {
 			t.Fatalf("RankAll bumped shard %d's version", i)
 		}
-	}
-
-	// WithBatchSize chunking must not change results.
-	c, err := NewShardedEngine(m, WithShards(4), WithBatchSize(2),
-		WithRankOptions(WithSeed(5), WithParallelism(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunked, err := c.RankAll(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range chunked {
-		if !scoresEqualBits(chunked[i].Scores, fanout[i].Scores) {
-			t.Fatalf("shard %d: WithBatchSize(2) changed RankAll results", i)
+		want := misses[i]
+		if i == sh {
+			want++
+		}
+		if got := a.engines[i].Metrics().CacheMisses; got != want {
+			t.Fatalf("shard %d: %d cache misses after a write to shard %d, want %d", i, got, sh, want)
 		}
 	}
+}
+
+// TestMultiTenantPathsMatchEngineRankParallel pins the in-place solves at
+// WithParallelism(4) on tenants above the parallel kernels' nnz cutoff:
+// RankBatch, RankAll and RefreshEngines must return bitwise what each
+// tenant's own Engine.Rank returns — cold, then warm after a write. A
+// packed solve would fail this, because one block-diagonal matrix splits
+// into different kernel chunks than each tenant alone.
+func TestMultiTenantPathsMatchEngineRankParallel(t *testing.T) {
+	ctx := context.Background()
+	opts := WithRankOptions(WithSeed(7), WithParallelism(4))
+	newEngines := func(ms []*ResponseMatrix) []*Engine {
+		out := make([]*Engine, len(ms))
+		for i, m := range ms {
+			if nnz := m.Binary().NNZ(); nnz <= 8192 {
+				t.Fatalf("tenant %d has %d non-zeros, want above the 8192 parallel cutoff", i, nnz)
+			}
+			eng, err := NewEngine(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = eng
+		}
+		return out
+	}
+	// run calls path cold, then again after write applied the same
+	// observation to each tenant on the path's side and to its engine in
+	// alone, comparing every result with alone[i].Rank.
+	run := func(name string, alone []*Engine, write func(i int, o Observation) error, path func() ([]Result, error)) {
+		t.Helper()
+		for round := 0; round < 2; round++ {
+			if round > 0 {
+				for i, e := range alone {
+					o := Observation{User: 3 + i, Item: 5, Option: i % 2}
+					if err := write(i, o); err != nil {
+						t.Fatal(err)
+					}
+					if err := e.Observe(o.User, o.Item, o.Option); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			got, err := path()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, e := range alone {
+				want, err := e.Rank(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !scoresEqualBits(got[i].Scores, want.Scores) || got[i].Iterations != want.Iterations {
+					t.Fatalf("%s round %d: tenant %d differs from its engine ranked alone", name, round, i)
+				}
+			}
+		}
+	}
+
+	tenants := make([]*ResponseMatrix, 4)
+	owned := make([]*ResponseMatrix, len(tenants))
+	for i := range tenants {
+		tenants[i] = engineWorkload(t, 400, 60, 70+int64(i))
+		owned[i] = tenants[i].Clone()
+	}
+	batcher, err := NewEngine(NewResponseMatrix(2, 1, 2), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run("RankBatch", newEngines(tenants),
+		func(i int, o Observation) error { owned[i].SetAnswer(o.User, o.Item, o.Option); return nil },
+		func() ([]Result, error) { return batcher.RankBatch(ctx, owned) })
+
+	refreshed := newEngines(tenants)
+	run("RefreshEngines", newEngines(tenants),
+		func(i int, o Observation) error { return refreshed[i].Observe(o.User, o.Item, o.Option) },
+		func() ([]Result, error) { return RefreshEngines(ctx, refreshed) })
+
+	se, err := NewShardedEngine(engineWorkload(t, 1600, 60, 77), WithShards(4), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, _ := se.View()
+	run("RankAll", newEngines(views),
+		func(sh int, o Observation) error { return se.Observe(se.UsersOf(sh)[o.User], o.Item, o.Option) },
+		func() ([]Result, error) { return se.RankAll(ctx) })
 }

@@ -555,22 +555,20 @@ func BenchmarkShardedRank(b *testing.B) {
 }
 
 // BenchmarkBatchedRank measures multi-tenant ranking at 16 tenants in the
-// serving regime the batched path targets: every operation writes one
-// response and then refreshes all tenants' rankings.
+// serving regime RankBatch targets: every operation writes one response and
+// then refreshes all tenants' rankings.
 //
-//   - per-tenant-sequential is the pre-batching loop: one solo cold solve
-//     per tenant per refresh, no caches (the acceptance baseline).
-//   - batched-all-stale writes to every tenant first, so each refresh is
-//     one 16-tenant block-diagonal solve (warm-started) — it isolates the
-//     packed-solve machinery itself.
+//   - per-tenant-sequential is the cache-free loop: one solo cold solve per
+//     tenant per refresh (the acceptance baseline).
+//   - batched-all-stale writes to every tenant first, so each refresh is 16
+//     warm re-solves, one tenant at a time on pooled solve buffers — it
+//     isolates the per-tenant solve path itself. CI caps its B/op.
 //   - batched-steady writes to one tenant, so a refresh is 15 per-tenant
-//     cache hits plus one warm packed re-solve of the written tenant with
-//     a delta (touched-rows) CSR rebuild — the steady-state serving cost.
+//     cache hits plus one warm re-solve of the written tenant with a delta
+//     (touched-rows) CSR rebuild — the steady-state serving cost.
 //
 // The committed acceptance bar is batched-steady ≥ 2x the throughput of
-// per-tenant-sequential; on multi-core hosts batched-all-stale additionally
-// beats sequential because the packed system clears the parallel kernels'
-// size cutoff that each small tenant misses alone.
+// per-tenant-sequential.
 func BenchmarkBatchedRank(b *testing.B) {
 	const nTenants = 16
 	ctx := context.Background()

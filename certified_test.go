@@ -107,7 +107,7 @@ func TestCertifiedGoldenEquivalence(t *testing.T) {
 				t.Fatalf("escape hatch attempted certification (%d hits, %d fallbacks)",
 					fm.CertifiedHits, fm.CertifiedFallbacks)
 			}
-			if method == batchableMethod {
+			if method == hndPowerMethod {
 				// The idempotent rewrite leaves the matrix bit-identical, so
 				// the warm scores are exactly converged and the first
 				// certification step must accept.
@@ -128,10 +128,9 @@ func TestCertifiedGoldenEquivalence(t *testing.T) {
 // TestCertifiedShardedGoldenEquivalence extends the golden suite to the
 // 4-shard router: merged Rank results must be bitwise identical with
 // certification on vs. off across cold start, single writes, a retraction,
-// an idempotent rewrite and a cross-shard burst. With serial kernels the
-// packed block-diagonal solve is bitwise equal to solving each shard alone,
-// and a certified hit is bitwise the solo solve, so the two configurations
-// can never diverge.
+// an idempotent rewrite and a cross-shard burst. Each shard is solved
+// alone, and a certified hit is bitwise the solo solve, so the two
+// configurations can never diverge.
 func TestCertifiedShardedGoldenEquivalence(t *testing.T) {
 	ctx := context.Background()
 	m := engineWorkload(t, 80, 40, 13)
@@ -550,8 +549,8 @@ func TestCertifiedShardedConcurrentStress(t *testing.T) {
 // TestCertifiedRefreshEnginesEquivalence pins the bulk refresh path: a
 // fleet of engines refreshed together must produce bitwise-identical
 // results with certification on vs. off, and an idempotently rewritten
-// engine must be served through a certified hit instead of joining the
-// packed batch solve.
+// engine must be served through a certified hit instead of a full warm
+// solve.
 func TestCertifiedRefreshEnginesEquivalence(t *testing.T) {
 	ctx := context.Background()
 	mk := func(certified bool) []*Engine {
@@ -570,11 +569,11 @@ func TestCertifiedRefreshEnginesEquivalence(t *testing.T) {
 	on, off := mk(true), mk(false)
 	step := func(phase string) {
 		t.Helper()
-		ores, err := RefreshEngines(ctx, on, 0)
+		ores, err := RefreshEngines(ctx, on)
 		if err != nil {
 			t.Fatalf("%s: certified: %v", phase, err)
 		}
-		fres, err := RefreshEngines(ctx, off, 0)
+		fres, err := RefreshEngines(ctx, off)
 		if err != nil {
 			t.Fatalf("%s: uncertified: %v", phase, err)
 		}

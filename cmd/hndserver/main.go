@@ -7,7 +7,7 @@
 // Usage:
 //
 //	hndserver [-addr :8788] [-method HnD-power] [-shards 1] [-ring]
-//	          [-parallel 0] [-batch 0] [-tol 1e-5] [-maxiter 20000] [-seed 0]
+//	          [-parallel 0] [-tol 1e-5] [-maxiter 20000] [-seed 0]
 //	          [-maxwrites 64] [-maxlag 0] [-maxtenants 1024]
 //	          [-max-staleness 0] [-refresh-interval 25ms]
 //	          [-drain-timeout 15s]
@@ -91,7 +91,6 @@ func main() {
 	shards := flag.Int("shards", 1, "engine shards per tenant (>1 hashes each tenant's users across a ShardedEngine)")
 	ring := flag.Bool("ring", false, "partition sharded tenants by consistent-hash ring instead of contiguous ranges (recorded per tenant; affects new tenants only)")
 	parallel := flag.Int("parallel", 0, "chunks per sparse kernel apply, run on the worker pool (0 = GOMAXPROCS, 1 = serial)")
-	batch := flag.Int("batch", 0, "max tenants/shards per packed block-diagonal solve (0 = unbounded)")
 	tol := flag.Float64("tol", 1e-5, "convergence tolerance for iterative methods")
 	maxIter := flag.Int("maxiter", 20000, "iteration budget for iterative methods")
 	seed := flag.Int64("seed", 0, "random seed for the spectral starting vector")
@@ -117,7 +116,6 @@ func main() {
 		Method:        *method,
 		Shards:        *shards,
 		RingPartition: *ring,
-		BatchSize:     *batch,
 		RankOptions: []hitsndiffs.Option{
 			hitsndiffs.WithTol(*tol),
 			hitsndiffs.WithMaxIter(*maxIter),

@@ -36,11 +36,10 @@ import (
 //
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	method    string
-	base      []Option
-	warm      bool
-	batchSize int
-	updCache  bool
+	method   string
+	base     []Option
+	warm     bool
+	updCache bool
 	// updateBacked is the served method's MethodInfo.UpdateBacked flag,
 	// resolved at construction: only those methods receive the cached (or
 	// escape-hatch scratch) Update machinery.
@@ -75,8 +74,8 @@ type Engine struct {
 
 	// cacheHits / cacheMisses feed Metrics: requests served from the
 	// version-keyed result cache vs solves actually started. Atomics so
-	// the read paths (rank's RLock section, peekCached) can bump them
-	// without upgrading to the write lock.
+	// the read path (rank's RLock section) can bump them without upgrading
+	// to the write lock.
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
 
@@ -149,7 +148,6 @@ type engineSettings struct {
 	cold         bool
 	shards       int
 	poolSize     int
-	batchSize    int
 	updateCache  bool
 	certified    bool
 	maxStale     uint64
@@ -241,7 +239,6 @@ func NewEngine(m *ResponseMatrix, opts ...EngineOption) (*Engine, error) {
 		method:       s.method,
 		base:         s.base,
 		warm:         !s.cold,
-		batchSize:    s.batchSize,
 		updCache:     s.updateCache,
 		certified:    s.certified,
 		updateBacked: info.UpdateBacked,
@@ -606,59 +603,20 @@ func (e *Engine) rank(ctx context.Context, needSnapshot, exact bool) (Result, ui
 		return res, version, snapshot, nil
 	}
 
-	var extra []Option
-	if warmScores != nil {
-		extra = append(extra, WithWarmStart(warmScores))
+	var upd *core.Update
+	if e.updateBacked && e.updCache {
+		upd = e.preparedUpdate(snapshot)
 	}
-	if e.updateBacked {
-		if e.updCache {
-			extra = append(extra, withUpdate(e.preparedUpdate(snapshot)))
-		} else {
-			extra = append(extra, withScratchUpdate())
-		}
-	}
-	var sc *core.SolveScratch
-	if e.method == batchableMethod {
-		sc = e.scratchGet()
-		extra = append(extra, withSolveScratch(sc))
-	}
-	opts := e.base
-	if len(extra) > 0 {
-		opts = append(append([]Option(nil), e.base...), extra...)
-	}
-	r, err := New(e.method, opts...)
-	if err != nil {
-		if sc != nil {
-			e.scratchPut(sc)
-		}
-		return Result{}, 0, nil, err
-	}
-	res, err := r.Rank(ctx, snapshot)
-	if sc != nil {
-		// The solved scores may alias scratch memory — detach before the
-		// scratch serves another solve.
-		if err == nil {
-			res.Scores = append(mat.Vector(nil), res.Scores...)
-		}
-		e.scratchPut(sc)
-	}
+	res, err := e.solve(ctx, snapshot, warmScores, upd)
 	if err != nil {
 		return Result{}, 0, nil, err
 	}
 	res.Generation = snapshot.Generation()
 	res.Staleness = 0
-
-	e.mu.Lock()
-	e.lastScores = append([]float64(nil), res.Scores...)
-	if e.version == version {
-		e.cached = &engineCache{version: version, gen: res.Generation, res: res}
-	}
-	e.mu.Unlock()
-	casMax(&e.servedGen, res.Generation)
-
-	out := res
-	out.Scores = append([]float64(nil), res.Scores...)
-	return out, version, snapshot, nil
+	// storeSolved copies the scores into the warm-start and cache state, so
+	// the returned slice stays exclusively the caller's.
+	e.storeSolved(version, res)
+	return res, version, snapshot, nil
 }
 
 // tenantEntry caches one tenant matrix's last batched result, keyed by the
@@ -670,12 +628,10 @@ type tenantEntry struct {
 }
 
 // RankBatch scores several caller-owned tenant matrices with the engine's
-// method and options, one Result per tenant in input order. Stale tenants
-// are solved together: their matrices are packed into one block-diagonal
-// system (core.BatchRanker), so every power step services all of them with
-// a single pass through the persistent kernel worker pool instead of one
-// fan-out per tenant. WithBatchSize caps how many tenants one packed solve
-// takes.
+// method and options, one Result per tenant in input order. Each stale
+// tenant gets the same warm solve Engine.Rank runs, one tenant at a time,
+// so the results are bitwise identical to ranking each tenant alone with
+// the same options, at any kernel parallelism.
 //
 // Results are cached per tenant, keyed by the matrix pointer and its
 // write-generation counter (ResponseMatrix.Generation): a tenant that was
@@ -687,9 +643,9 @@ type tenantEntry struct {
 // contract as Ranker.Rank); writes between calls are what the generation
 // key tracks. Under a WithMaxStaleness bound a re-written tenant keeps
 // serving its previous solve — tagged with Generation and Staleness —
-// until its staleness exceeds the bound. With serial kernels the results
-// are bitwise identical to ranking each tenant alone. Concurrent
-// RankBatch calls serialize.
+// until its staleness exceeds the bound. A failing tenant fails the call
+// with an error naming its index in tenants. Concurrent RankBatch calls
+// serialize.
 func (e *Engine) RankBatch(ctx context.Context, tenants []*ResponseMatrix) ([]Result, error) {
 	return e.rankBatch(ctx, tenants, false)
 }
@@ -772,63 +728,23 @@ type batchSlot struct {
 	ent  *tenantEntry
 }
 
-// solveTenants ranks the stale tenants — batched through the block-diagonal
-// solver when the engine's method supports it, sequentially through the
-// registry otherwise — and installs fresh cache entries into slots. The
-// slots map is keyed by tenant; its entries carry the generation each
-// tenant was read at. Callers hold batchMu.
+// solveTenants solves the stale tenants one at a time and installs fresh
+// cache entries into slots, warm-starting each from its previous cached
+// scores. The slots map is keyed by tenant; its entries carry the
+// generation each tenant was read at and the caller's indices, the first
+// of which names a failing tenant. Callers hold batchMu.
 func (e *Engine) solveTenants(ctx context.Context, stale []*ResponseMatrix, slots map[*ResponseMatrix]*batchSlot) error {
-	if len(stale) == 0 {
-		return nil
-	}
-	warmFor := func(m *ResponseMatrix) mat.Vector {
-		if !e.warm {
-			return nil
-		}
-		if old := e.tenants[m]; old != nil && len(old.res.Scores) == m.Users() {
-			return old.res.Scores
-		}
-		return nil
-	}
-	if e.method == batchableMethod {
-		items := make([]core.BatchItem, len(stale))
-		for k, m := range stale {
-			items[k] = core.BatchItem{M: m, WarmStart: warmFor(m)}
-		}
-		return runBatches(ctx, e.base, e.updCache, e.batchSize, items,
-			func(k int) string {
-				return fmt.Sprintf("RankBatch tenant %d", slots[stale[k]].idxs[0])
-			},
-			func(k int, res Result) {
-				e.batchSolves++
-				res.Generation = slots[stale[k]].gen
-				slots[stale[k]].ent = &tenantEntry{gen: res.Generation, res: res}
-			})
-	}
-	// Methods without a batched form keep the same caching contract, one
-	// tenant at a time. With the update cache off, the solves fall back to
-	// from-scratch normalized-matrix construction; tenant matrices are
-	// caller-owned, so with it on, each tenant's generation-keyed memo is
-	// its cache.
 	for _, m := range stale {
-		var extra []Option
-		if warm := warmFor(m); warm != nil {
-			extra = append(extra, WithWarmStart(warm))
+		var warm []float64
+		if old := e.tenants[m]; e.warm && old != nil && len(old.res.Scores) == m.Users() {
+			warm = old.res.Scores
 		}
-		if !e.updCache && e.updateBacked {
-			extra = append(extra, withScratchUpdate())
-		}
-		opts := e.base
-		if len(extra) > 0 {
-			opts = append(append([]Option(nil), e.base...), extra...)
-		}
-		r, err := New(e.method, opts...)
+		// Tenant matrices are caller-owned, so there is no engine-level
+		// Update to hand in: each solve builds its machinery through the
+		// tenant's own generation-keyed normalization memo.
+		res, err := e.solve(ctx, m, warm, nil)
 		if err != nil {
-			return err
-		}
-		res, err := r.Rank(ctx, m)
-		if err != nil {
-			return err
+			return fmt.Errorf("hitsndiffs: RankBatch tenant %d: %w", slots[m].idxs[0], err)
 		}
 		e.batchSolves++
 		res.Generation = slots[m].gen
@@ -837,143 +753,79 @@ func (e *Engine) solveTenants(ctx context.Context, stale []*ResponseMatrix, slot
 	return nil
 }
 
-// batchableMethod is the registered method with a block-diagonal batched
-// solve path (core.BatchRanker implements exactly the HND power iteration).
-const batchableMethod = "HnD-power"
+// solve runs one solve of m with the engine's method and base options,
+// warm-started from warm when it is non-nil. A non-nil upd is the prebuilt
+// update machinery for m (the engine's per-version cache); with it nil,
+// update-backed methods build their own — through m's normalization memo,
+// or from scratch under WithUpdateCache(false). HnD-power solves bind a
+// pooled core.SolveScratch. The returned scores are the caller's.
+func (e *Engine) solve(ctx context.Context, m *ResponseMatrix, warm []float64, upd *core.Update) (Result, error) {
+	var extra []Option
+	if warm != nil {
+		extra = append(extra, WithWarmStart(warm))
+	}
+	switch {
+	case upd != nil:
+		extra = append(extra, withUpdate(upd))
+	case e.updateBacked && !e.updCache:
+		extra = append(extra, withScratchUpdate())
+	}
+	var sc *core.SolveScratch
+	if e.method == hndPowerMethod {
+		sc = e.scratchGet()
+		defer e.scratchPut(sc)
+		extra = append(extra, withSolveScratch(sc))
+	}
+	opts := e.base
+	if len(extra) > 0 {
+		opts = append(append([]Option(nil), e.base...), extra...)
+	}
+	r, err := New(e.method, opts...)
+	if err != nil {
+		return Result{}, err
+	}
+	res, err := r.Rank(ctx, m)
+	if err != nil {
+		return Result{}, err
+	}
+	if sc != nil {
+		// The solved scores may alias scratch memory — detach before the
+		// deferred put lets the scratch serve another solve.
+		res.Scores = append(mat.Vector(nil), res.Scores...)
+	}
+	return res, nil
+}
 
-// RefreshEngines refreshes several independent Engines together: every
-// engine whose version moved since its last solve contributes its matrix
-// (an O(1) copy-on-write view, warm-started from its previous scores) to
-// one block-diagonal packed system, so a refresh round over N stale
-// tenants pays one lockstep power iteration instead of N kernel fan-outs —
-// the same protocol ShardedEngine.RankAll runs over its shards. Engines
-// already exact answer from their caches; engines serving a method without
-// a batched form refresh individually. batchSize caps tenants per packed
-// solve (0 = all in one). Results are returned per engine in input order
-// and installed into each engine's cache and warm-start state.
+// hndPowerMethod is the registered method whose solves bind pooled
+// core.SolveScratch buffers and may take the certified fast path.
+const hndPowerMethod = "HnD-power"
+
+// RefreshEngines refreshes several independent Engines in one call: each
+// engine runs Refresh in input order, so an engine already exact answers
+// from its cache and a stale one re-solves warm-started from its previous
+// scores, with the result installed into its cache and warm-start state.
+// Results are returned per engine in input order.
 //
-// The packed solve runs under the first stale engine's options, so the
-// engines should share their construction options — the contract the
-// serving tier's per-server configuration already guarantees. A failing
-// engine (e.g. one with fewer than two answering users) fails the call
-// with no cache poisoned; callers wanting per-engine isolation refresh
-// individually via Refresh. It is the bulk path the background refresh
-// scheduler (internal/refresh) feeds stale tenants into.
-func RefreshEngines(ctx context.Context, engines []*Engine, batchSize int) ([]Result, error) {
-	results := make([]Result, len(engines))
-	var items []core.BatchItem
-	var stale []int
-	var versions []uint64
+// A nil engine fails the call before any refresh. A failing engine (e.g.
+// one with fewer than two answering users) fails the call with an error
+// naming its index; the engines before it keep their refreshed results.
+// It is the path the background refresh scheduler (internal/refresh)
+// feeds stale plain-engine tenants into.
+func RefreshEngines(ctx context.Context, engines []*Engine) ([]Result, error) {
 	for i, e := range engines {
 		if e == nil {
 			return nil, fmt.Errorf("hitsndiffs: RefreshEngines engine %d is nil", i)
 		}
-		if e.method != batchableMethod {
-			res, err := e.Refresh(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("hitsndiffs: RefreshEngines engine %d: %w", i, err)
-			}
-			results[i] = res
-			continue
-		}
-		if res, ok := e.peekCached(); ok {
-			results[i] = res
-			continue
-		}
-		m, version, warm := e.solveInput()
-		// Certified fast path per stale engine: a write whose warm scores
-		// certify at the tolerance never reaches the packed batch solve.
-		if res, ok := e.certifiedSolve(ctx, m, version, warm); ok {
-			results[i] = res
-			continue
-		}
-		items = append(items, core.BatchItem{M: m, WarmStart: warm})
-		stale = append(stale, i)
-		versions = append(versions, version)
 	}
-	if len(items) == 0 {
-		return results, nil
-	}
-	first := engines[stale[0]]
-	err := runBatches(ctx, first.base, first.updCache, batchSize, items,
-		func(k int) string { return fmt.Sprintf("RefreshEngines engine %d", stale[k]) },
-		func(k int, res Result) {
-			res.Generation = items[k].M.Generation()
-			engines[stale[k]].storeSolved(versions[k], res)
-			results[stale[k]] = res
-		})
-	if err != nil {
-		return nil, err
+	results := make([]Result, len(engines))
+	for i, e := range engines {
+		res, err := e.Refresh(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("hitsndiffs: RefreshEngines engine %d: %w", i, err)
+		}
+		results[i] = res
 	}
 	return results, nil
-}
-
-// runBatches drives core.BatchRanker over the stale tenants in chunks of at
-// most batchSize (≤ 0 = one batch), delivering each result through install
-// with the tenant's index into items. updateCache false forces from-scratch
-// normalized-matrix construction per tenant (the WithUpdateCache escape
-// hatch); true lets each tenant's generation-keyed memo serve. Per-tenant
-// failures are remapped from chunk-local positions to the caller's naming
-// via label. It is the one chunking loop behind Engine.RankBatch and
-// ShardedEngine.RankAll.
-func runBatches(ctx context.Context, base []Option, updateCache bool, batchSize int, items []core.BatchItem,
-	label func(k int) string, install func(k int, res Result)) error {
-	br := core.BatchRanker{Opts: newSettings(base).coreOptions()}
-	br.Opts.ScratchUpdate = !updateCache
-	chunk := batchSize
-	if chunk <= 0 || chunk > len(items) {
-		chunk = len(items)
-	}
-	for lo := 0; lo < len(items); lo += chunk {
-		hi := min(lo+chunk, len(items))
-		solved, err := br.RankBatch(ctx, items[lo:hi])
-		if err != nil {
-			var te *core.TenantError
-			if errors.As(err, &te) {
-				return fmt.Errorf("hitsndiffs: %s: %w", label(lo+te.Tenant), te.Err)
-			}
-			return err
-		}
-		for j, res := range solved {
-			install(lo+j, res)
-		}
-	}
-	return nil
-}
-
-// peekCached returns a copy of the cached ranking when it is fresh for the
-// engine's current version, without solving, snapshotting, or poisoning the
-// copy-on-write state. The sharded router uses it to collect warm shards
-// before batch-solving the stale ones.
-func (e *Engine) peekCached() (Result, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if c := e.cached; c != nil && c.version == e.version {
-		res := c.res
-		res.Scores = append(mat.Vector(nil), c.res.Scores...)
-		res.Generation = c.gen
-		res.Staleness = 0
-		e.cacheHits.Add(1)
-		casMax(&e.servedGen, c.gen)
-		return res, true
-	}
-	return Result{}, false
-}
-
-// solveInput snapshots what an external solver needs to rank this engine's
-// matrix: the O(1) copy-on-write view, the version it corresponds to, and
-// the warm-start vector (nil when cold-starting). Like View, it marks the
-// matrix shared.
-func (e *Engine) solveInput() (m *ResponseMatrix, version uint64, warm mat.Vector) {
-	e.cacheMisses.Add(1) // callers only reach here to solve (peekCached missed)
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	m, version = e.m, e.version
-	e.shared.Store(true)
-	if e.warm && len(e.lastScores) == e.m.Users() {
-		warm = append(mat.Vector(nil), e.lastScores...)
-	}
-	return m, version, warm
 }
 
 // preparedUpdate returns the AVGHITS update machinery for the given
@@ -1001,10 +853,11 @@ func (e *Engine) preparedUpdate(m *ResponseMatrix) *core.Update {
 	return u
 }
 
-// storeSolved installs an externally computed ranking for the matrix
-// version it was solved at (res.Generation carries the matching write
-// generation): the scores become the next warm start, and the result is
-// cached unless the engine has been written since.
+// storeSolved installs a solved ranking for the matrix version it was
+// solved at (res.Generation carries the matching write generation): the
+// scores become the next warm start, and the result is cached unless the
+// engine has been written since. Both copy the scores, so res.Scores stays
+// the caller's.
 func (e *Engine) storeSolved(version uint64, res Result) {
 	e.mu.Lock()
 	e.lastScores = append([]float64(nil), res.Scores...)
@@ -1040,7 +893,7 @@ func (e *Engine) scratchPut(sc *core.SolveScratch) { e.scratchPool.Put(sc) }
 // reproduces the uncertified path bit for bit (only rejections after an
 // eligible attempt count as CertifiedFallbacks).
 func (e *Engine) certifiedSolve(ctx context.Context, m *ResponseMatrix, version uint64, warm []float64) (Result, bool) {
-	if !e.certified || !e.updCache || !e.updateBacked || e.method != batchableMethod || len(warm) == 0 {
+	if !e.certified || !e.updCache || !e.updateBacked || e.method != hndPowerMethod || len(warm) == 0 {
 		return Result{}, false
 	}
 	opts := newSettings(e.base).coreOptions()

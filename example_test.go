@@ -195,9 +195,9 @@ func ExampleShardedEngine() {
 	// ranked 6 users, converged: true
 }
 
-// Rank many small tenant matrices in one batched block-diagonal solve:
-// stale tenants are packed and solved together, unchanged tenants are
-// served from the per-tenant cache keyed by their write generation.
+// Rank many small tenant matrices in one call: stale tenants are solved
+// one at a time, unchanged tenants are served from the per-tenant cache
+// keyed by their write generation.
 func ExampleEngine_RankBatch() {
 	classroomA := hitsndiffs.FromChoices([][]int{
 		{0, 0, 0},
@@ -238,9 +238,9 @@ func ExampleEngine_RankBatch() {
 	// cached tenant 0 order: [0 1 2 3]
 }
 
-// Read the raw per-shard rankings: stale shards are batch-solved together
-// in one block-diagonal system, warm shards answer from their caches, and
-// scores come back in shard-local indexing.
+// Read the raw per-shard rankings: stale shards are re-solved
+// concurrently, warm shards answer from their caches, and scores come
+// back in shard-local indexing.
 func ExampleShardedEngine_RankAll() {
 	m := hitsndiffs.FromChoices([][]int{
 		{0, 0, 0}, // user 0: best option everywhere

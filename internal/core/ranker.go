@@ -133,12 +133,15 @@ func (o *Options) defaults() {
 }
 
 // validateInput rejects inputs no spectral method can rank meaningfully.
+// The scan stops at the second answering user — on a typical matrix after
+// two rows — so only a rejected matrix is scanned in full, which keeps the
+// count in its error exact.
 func validateInput(m *response.Matrix) error {
 	if m.Users() < 2 {
 		return fmt.Errorf("core: need at least 2 users, got %d", m.Users())
 	}
 	answered := 0
-	for u := 0; u < m.Users(); u++ {
+	for u := 0; u < m.Users() && answered < 2; u++ {
 		if m.AnswerCount(u) > 0 {
 			answered++
 		}

@@ -21,11 +21,11 @@ type BatchedConfig struct {
 
 // BatchedServing measures multi-tenant ranking latency across tenant
 // counts in the steady-state serving pattern (one tenant written, every
-// tenant's ranking refreshed): the pre-batching loop of solo cold solves
+// tenant's ranking refreshed): the cache-free loop of solo cold solves
 // against Engine.RankBatch, whose refresh serves the unwritten tenants
 // from the per-tenant version cache and re-solves the written one
-// warm-started in the packed block-diagonal system. It is the
-// experiments-harness twin of BenchmarkBatchedRank.
+// warm-started. It is the experiments-harness twin of
+// BenchmarkBatchedRank.
 func BatchedServing(ctx context.Context, cfg BatchedConfig) (*Table, error) {
 	users, items, refreshes := 120, 60, 12
 	if cfg.Quick {

@@ -26,75 +26,6 @@ func csrEqual(a, b *CSR) bool {
 	return true
 }
 
-func TestBlockDiagMatchesDenseConstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	blocks := []*CSR{
-		randomCSR(rng, 4, 7, 0.4),
-		randomCSR(rng, 1, 3, 0.9),
-		randomCSR(rng, 6, 2, 0.3),
-		randomCSR(rng, 3, 5, 0), // empty block
-	}
-	packed := BlockDiag(blocks)
-
-	rows, cols := 0, 0
-	var entries []Coord
-	for _, b := range blocks {
-		for r := 0; r < b.Rows(); r++ {
-			bc, bv := b.RowNNZ(r)
-			for i := range bc {
-				entries = append(entries, Coord{Row: rows + r, Col: cols + bc[i], Val: bv[i]})
-			}
-		}
-		rows += b.Rows()
-		cols += b.Cols()
-	}
-	want := NewCSR(rows, cols, entries)
-	if !csrEqual(packed, want) {
-		t.Fatal("BlockDiag disagrees with coordinate assembly")
-	}
-}
-
-// The packed matvec must equal the concatenation of per-block matvecs —
-// the property the batched multi-tenant solve rests on.
-func TestBlockDiagMulVecIsPerBlock(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	blocks := []*CSR{
-		randomCSR(rng, 10, 8, 0.5),
-		randomCSR(rng, 7, 12, 0.4),
-		randomCSR(rng, 5, 5, 0.6),
-	}
-	packed := BlockDiag(blocks)
-	x := NewVector(packed.Cols())
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-
-	got := NewVector(packed.Rows())
-	packed.MulVec(got, x)
-	gotT := NewVector(packed.Cols())
-	packed.MulVecT(gotT, got)
-
-	rowOff, colOff := 0, 0
-	for _, b := range blocks {
-		dst := NewVector(b.Rows())
-		b.MulVec(dst, x[colOff:colOff+b.Cols()])
-		for r, v := range dst {
-			if got[rowOff+r] != v {
-				t.Fatalf("row %d of block: packed %v, per-block %v", r, got[rowOff+r], v)
-			}
-		}
-		dstT := NewVector(b.Cols())
-		b.MulVecT(dstT, got[rowOff:rowOff+b.Rows()])
-		for c, v := range dstT {
-			if gotT[colOff+c] != v {
-				t.Fatalf("col %d of block: packed %v, per-block %v", c, gotT[colOff+c], v)
-			}
-		}
-		rowOff += b.Rows()
-		colOff += b.Cols()
-	}
-}
-
 func TestReplaceRowsMatchesScratchRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	old := randomCSR(rng, 20, 15, 0.3)
@@ -166,20 +97,4 @@ func TestReplaceRowsRejectsBadInput(t *testing.T) {
 			emit(0, 0)
 		})
 	})
-}
-
-// BenchmarkBlockDiag tracks the packing cost of the batched solve path.
-func BenchmarkBlockDiag(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	blocks := make([]*CSR, 16)
-	for i := range blocks {
-		blocks[i] = randomCSR(rng, 120, 300, 0.3)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if m := BlockDiag(blocks); m == nil {
-			b.Fatal("nil")
-		}
-	}
 }

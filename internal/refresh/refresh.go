@@ -14,12 +14,11 @@
 // stale tenants refresh first, but idle stale tenants are never starved
 // (the +1). Stale targets are refreshed in priority order (descending,
 // ties broken by name ascending). Targets that expose a plain engine are
-// packed into one block-diagonal solve (hitsndiffs.RefreshEngines),
-// ordered by expected iteration count ascending so short solves are never
-// held hostage by long ones inside a chunk; targets whose last solve
-// exceeded the straggler threshold are evicted from the pack to solo
-// solves until a solve brings them back under it. A failed or canceled
-// refresh never advances the target's progress watermark.
+// refreshed together through one hitsndiffs.RefreshEngines call; targets
+// whose last solve exceeded the straggler threshold are evicted from that
+// packed group to solo solves until a solve brings them back under it. A
+// failed or canceled refresh never advances the target's progress
+// watermark.
 //
 // Time is injected through internal/testclock, so every scheduling test
 // drives rounds deterministically with a fake clock.
@@ -58,10 +57,10 @@ type Target interface {
 }
 
 // PackedTarget is an optional Target refinement: a target that exposes a
-// plain engine joins the scheduler's block-diagonal packed refresh rounds
-// (hitsndiffs.RefreshEngines) instead of solo Refresh calls. Return nil to
-// decline packing (e.g. a sharded backend, whose Refresh already packs its
-// own shards).
+// plain engine joins the scheduler's packed group, refreshed through one
+// hitsndiffs.RefreshEngines call per round, instead of solo Refresh calls.
+// Return nil to decline packing (e.g. a sharded backend, whose Refresh
+// already fans out over its own shards).
 type PackedTarget interface {
 	Target
 	// PackedEngine returns the engine to pack, or nil.
@@ -86,9 +85,6 @@ type Config struct {
 	Clock testclock.Clock
 	// Interval is the scheduling round cadence (default DefaultInterval).
 	Interval time.Duration
-	// BatchSize caps tenants per packed block-diagonal solve, forwarded to
-	// hitsndiffs.RefreshEngines (0 = all in one).
-	BatchSize int
 	// MaxPerRound caps how many targets one round refreshes — the rest
 	// stay queued (and counted in Metrics.QueueDepth) for later rounds.
 	// Zero or negative = unlimited.
@@ -104,7 +100,6 @@ type Config struct {
 type Scheduler struct {
 	clock          testclock.Clock
 	interval       time.Duration
-	batchSize      int
 	maxPerRound    int
 	stragglerIters int
 
@@ -139,10 +134,9 @@ type target struct {
 
 	pending atomic.Uint64 // NoteTraffic ticks since the last round
 
-	traffic   uint64 // decayed request traffic (halved per round)
-	lastGen   uint64 // generation last refreshed to — the progress watermark
-	lastIters int    // iterations of the last solve — the expected cost
-	evicted   bool   // straggler: solo solves until back under threshold
+	traffic uint64 // decayed request traffic (halved per round)
+	lastGen uint64 // generation last refreshed to — the progress watermark
+	evicted bool   // straggler: solo solves until back under threshold
 }
 
 // New builds a Scheduler and starts its background round loop. Callers
@@ -164,7 +158,6 @@ func New(cfg Config) *Scheduler {
 	s := &Scheduler{
 		clock:          clk,
 		interval:       interval,
-		batchSize:      cfg.BatchSize,
 		maxPerRound:    cfg.MaxPerRound,
 		stragglerIters: straggler,
 		ctx:            ctx,
@@ -237,10 +230,9 @@ func (s *Scheduler) loop() {
 	}
 }
 
-// roundPlan is one round's refresh schedule: the packed group in solve
-// order (expected iterations ascending) and the solo group in priority
-// order, with depth the total stale-target count before MaxPerRound
-// capping.
+// roundPlan is one round's refresh schedule: the packed and solo groups,
+// each in priority order, with depth the total stale-target count before
+// MaxPerRound capping.
 type roundPlan struct {
 	packed []*target
 	solo   []*target
@@ -288,20 +280,10 @@ func (s *Scheduler) plan() roundPlan {
 			plan.solo = append(plan.solo, c.tg)
 		}
 	}
-	// Inside the packed system, order by expected iteration count (the
-	// last observed solve cost) ascending so WithBatchSize chunks group
-	// cheap solves together instead of padding every chunk to its slowest
-	// member.
-	sort.SliceStable(plan.packed, func(i, j int) bool {
-		if plan.packed[i].lastIters != plan.packed[j].lastIters {
-			return plan.packed[i].lastIters < plan.packed[j].lastIters
-		}
-		return plan.packed[i].name < plan.packed[j].name
-	})
 	return plan
 }
 
-// runRound executes one scheduling round: plan, packed solve, solo solves.
+// runRound executes one scheduling round: plan, packed refresh, solo solves.
 func (s *Scheduler) runRound(ctx context.Context) {
 	start := s.clock.Now()
 	plan := s.plan()
@@ -313,9 +295,9 @@ func (s *Scheduler) runRound(ctx context.Context) {
 		for i, tg := range plan.packed {
 			engines[i] = tg.eng
 		}
-		results, err := hitsndiffs.RefreshEngines(ctx, engines, s.batchSize)
+		results, err := hitsndiffs.RefreshEngines(ctx, engines)
 		if err != nil {
-			// The packed solve is all-or-nothing; demote the pack to solo
+			// The packed call is all-or-nothing; demote the pack to solo
 			// refreshes so one failing tenant cannot starve the round.
 			s.errCount.Add(1)
 			solo = append(append([]*target(nil), solo...), plan.packed...)
@@ -342,13 +324,12 @@ func (s *Scheduler) runRound(ctx context.Context) {
 	s.rounds.Add(1)
 }
 
-// finish records one successful refresh: watermark, expected cost,
-// straggler state, counters, and the target's completion hook.
+// finish records one successful refresh: watermark, straggler state,
+// counters, and the target's completion hook.
 func (s *Scheduler) finish(tg *target, res hitsndiffs.Result, packed bool) {
 	if res.Generation > tg.lastGen {
 		tg.lastGen = res.Generation
 	}
-	tg.lastIters = res.Iterations
 	if s.stragglerIters > 0 {
 		switch {
 		case !tg.evicted && res.Iterations > s.stragglerIters:
@@ -381,11 +362,11 @@ type Metrics struct {
 	Rounds uint64 `json:"rounds"`
 	// Refreshes counts successful target refreshes (packed + solo).
 	Refreshes uint64 `json:"refreshes"`
-	// PackedRefreshes counts refreshes served through the block-diagonal
-	// packed path.
+	// PackedRefreshes counts refreshes served through the packed group's
+	// RefreshEngines call.
 	PackedRefreshes uint64 `json:"packed_refreshes"`
 	// SoloRefreshes counts refreshes served through individual Refresh
-	// calls (sharded targets, evicted stragglers, packed-solve fallbacks).
+	// calls (sharded targets, evicted stragglers, packed-call fallbacks).
 	SoloRefreshes uint64 `json:"solo_refreshes"`
 	// StragglerEvictions counts packed targets evicted to solo solves for
 	// exceeding the iteration threshold.

@@ -136,36 +136,6 @@ func equal(a, b []string) bool {
 	return true
 }
 
-// TestPlanPackedOrdering pins the packed-group ordering: expected
-// iteration count ascending, name ascending on ties, so batch chunks
-// group cheap solves together.
-func TestPlanPackedOrdering(t *testing.T) {
-	s, _ := newTestSched(t, Config{})
-	eng := testEngine(t, 1)
-
-	for _, name := range []string{"slow", "cheapB", "cheapA"} {
-		pt := &packedEngine{eng: eng}
-		s.Register(name, pt)
-	}
-	s.mu.Lock()
-	s.targets["slow"].lastIters = 50
-	s.targets["cheapB"].lastIters = 10
-	s.targets["cheapA"].lastIters = 10
-	s.mu.Unlock()
-
-	p := s.plan()
-	if len(p.solo) != 0 {
-		t.Fatalf("solo = %d targets, want 0", len(p.solo))
-	}
-	var got []string
-	for _, tg := range p.packed {
-		got = append(got, tg.name)
-	}
-	if want := []string{"cheapA", "cheapB", "slow"}; !equal(got, want) {
-		t.Fatalf("packed order = %v, want %v", got, want)
-	}
-}
-
 // TestPlanMaxPerRound checks the cap keeps the highest-priority targets
 // and that depth still reports the full stale backlog.
 func TestPlanMaxPerRound(t *testing.T) {
@@ -286,7 +256,7 @@ func TestFailedRefreshKeepsWatermark(t *testing.T) {
 }
 
 // TestCanceledContextNeverPoisonsWatermark drives a real packed engine
-// through a round under a canceled context: the packed solve fails, the
+// through a round under a canceled context: the packed refresh fails, the
 // solo fallback fails, and the watermark stays put — then a live context
 // refreshes it for real.
 func TestCanceledContextNeverPoisonsWatermark(t *testing.T) {
@@ -304,7 +274,7 @@ func TestCanceledContextNeverPoisonsWatermark(t *testing.T) {
 		t.Fatalf("canceled round advanced watermark to %d", tg.lastGen)
 	}
 	m := s.Metrics()
-	// One error for the packed solve, one for the demoted solo retry.
+	// One error for the packed refresh, one for the demoted solo retry.
 	if m.Errors != 2 || m.Refreshes != 0 {
 		t.Fatalf("errors=%d refreshes=%d, want 2/0", m.Errors, m.Refreshes)
 	}
@@ -323,8 +293,8 @@ func TestCanceledContextNeverPoisonsWatermark(t *testing.T) {
 }
 
 // TestPackedRoundRefreshesEngines runs a real packed round over two
-// engines and checks both are refreshed through the block-diagonal path,
-// leaving their caches at the write frontier.
+// engines and checks both are refreshed through RefreshEngines, leaving
+// their caches at the write frontier.
 func TestPackedRoundRefreshesEngines(t *testing.T) {
 	s, _ := newTestSched(t, Config{})
 	engA := testEngine(t, 5, hitsndiffs.WithMaxStaleness(1000))

@@ -42,46 +42,29 @@ const maxSnapshotCells = 1 << 32
 
 // WriteBinary serializes m in the binary snapshot format, including the
 // current write generation. The encoding is deterministic: equal matrices
-// at equal generations produce identical bytes.
+// at equal generations produce identical bytes. The blob is encoded into
+// one buffer and handed to w in a single Write call, so a snapshot file
+// costs one write(2) whatever the matrix size.
 func (m *Matrix) WriteBinary(w io.Writer) error {
-	crc := crc32.New(crcTable)
-	out := io.MultiWriter(w, crc)
-
-	if _, err := out.Write([]byte(binaryMagic)); err != nil {
-		return fmt.Errorf("response: write snapshot magic: %w", err)
-	}
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := out.Write(buf[:n])
-		return err
-	}
 	m.binMu.Lock()
 	gen := m.gen
 	m.binMu.Unlock()
-	if err := put(uint64(m.users)); err != nil {
-		return fmt.Errorf("response: write snapshot header: %w", err)
-	}
-	if err := put(uint64(m.items)); err != nil {
-		return fmt.Errorf("response: write snapshot header: %w", err)
-	}
+	// A cell encodes in one byte while its item has at most 127 options;
+	// wider items only grow the buffer.
+	buf := make([]byte, 0, len(binaryMagic)+(3+len(m.options))*binary.MaxVarintLen64+len(m.choices)+4)
+	buf = append(buf, binaryMagic...)
+	buf = binary.AppendUvarint(buf, uint64(m.users))
+	buf = binary.AppendUvarint(buf, uint64(m.items))
 	for _, k := range m.options {
-		if err := put(uint64(k)); err != nil {
-			return fmt.Errorf("response: write snapshot options: %w", err)
-		}
+		buf = binary.AppendUvarint(buf, uint64(k))
 	}
-	if err := put(gen); err != nil {
-		return fmt.Errorf("response: write snapshot generation: %w", err)
-	}
+	buf = binary.AppendUvarint(buf, gen)
 	for _, h := range m.choices {
-		if err := put(uint64(h + 1)); err != nil { // Unanswered (-1) → 0
-			return fmt.Errorf("response: write snapshot choices: %w", err)
-		}
+		buf = binary.AppendUvarint(buf, uint64(h+1)) // Unanswered (-1) → 0
 	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc.Sum32())
-	if _, err := w.Write(trailer[:]); err != nil {
-		return fmt.Errorf("response: write snapshot checksum: %w", err)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("response: write snapshot: %w", err)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package response
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"strings"
 	"testing"
@@ -51,6 +52,16 @@ func codecFixtures(t *testing.T) map[string]*Matrix {
 	dirty.SetAnswer(0, 0, 2)
 	dirty.SetAnswer(3, 1, 0)
 	fixtures["post-setanswer-dirty"] = dirty
+
+	// Header fields and cells of 128 and up take two varint bytes: 128
+	// users, an item of 129 options with its top option chosen, and a
+	// generation past 128 from rewriting one cell.
+	wide := New(128, 1, 129)
+	wide.SetAnswer(127, 0, 128)
+	for i := 0; i < 140; i++ {
+		wide.SetAnswer(1, 0, i%2)
+	}
+	fixtures["multi-byte-varints"] = wide
 
 	return fixtures
 }
@@ -163,6 +174,52 @@ func TestBinaryAgreesWithCSV(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		sameContent(t, name, fromCSV, fromBin)
+	}
+}
+
+// binaryGolden is every codec fixture's snapshot encoding, captured from
+// the streaming encoder that wrote one varint per Write call. Data dirs
+// and handoff bundles written by any release must stay readable, so the
+// bytes must never change for the same content and generation.
+var binaryGolden = map[string]string{
+	"all-unanswered":       "484e44534e41503103020404000000000000006e42df96",
+	"multi-byte-varints":   "484e44534e41503180010181018d01000200000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000008101fae930df",
+	"post-setanswer-dirty": "484e44534e4150310402030304030000030000000191379199",
+	"retracted-cells":      "484e44534e41503103030303030a010203020001030102a9d03b1f",
+	"single-item":          "484e44534e41503104010302030001009ff3562a",
+	"zero-answer-users":    "484e44534e415031050302030403020004000000000000000100000000c6893af4",
+}
+
+// countingBuffer is a bytes.Buffer that counts Write calls.
+type countingBuffer struct {
+	bytes.Buffer
+	writes int
+}
+
+func (b *countingBuffer) Write(p []byte) (int, error) {
+	b.writes++
+	return b.Buffer.Write(p)
+}
+
+// TestBinaryGoldenBytes pins the snapshot encoding byte for byte, and that
+// the blob reaches its writer in one Write call — one write(2) per
+// snapshot file, whatever its size.
+func TestBinaryGoldenBytes(t *testing.T) {
+	fixtures := codecFixtures(t)
+	if len(fixtures) != len(binaryGolden) {
+		t.Fatalf("%d fixtures, %d goldens: capture the new fixture's bytes", len(fixtures), len(binaryGolden))
+	}
+	for name, m := range fixtures {
+		var w countingBuffer
+		if err := m.WriteBinary(&w); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(w.Bytes()); got != binaryGolden[name] {
+			t.Fatalf("%s: encoding changed\n got %s\nwant %s", name, got, binaryGolden[name])
+		}
+		if w.writes != 1 {
+			t.Fatalf("%s: WriteBinary made %d Write calls, want 1", name, w.writes)
+		}
 	}
 }
 

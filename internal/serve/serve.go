@@ -64,9 +64,6 @@ type Config struct {
 	// Shards > 1 backs every tenant with a ShardedEngine hashing its
 	// users across that many independent engine shards.
 	Shards int
-	// BatchSize caps tenants/shards per packed block-diagonal solve
-	// (hitsndiffs.WithBatchSize); 0 packs everything into one batch.
-	BatchSize int
 	// RankOptions are the base solve options (tolerance, seed, kernel
 	// parallelism, ...) applied to every tenant engine.
 	RankOptions []hitsndiffs.Option
@@ -192,10 +189,11 @@ func (t *tenant) noteServed(version uint64) {
 }
 
 // refreshTarget adapts a tenant for the background refresh scheduler: it
-// exposes the backend's write frontier and exact re-solve, joins packed
-// block-diagonal rounds when the tenant is unsharded (a ShardedEngine's
-// Refresh already packs its own shards), and rides the admission
-// refresh-lag watermark on scheduler progress through RefreshDone.
+// exposes the backend's write frontier and exact re-solve, joins the
+// packed RefreshEngines group when the tenant is unsharded (a
+// ShardedEngine's Refresh already fans out over its own shards), and rides
+// the admission refresh-lag watermark on scheduler progress through
+// RefreshDone.
 type refreshTarget struct {
 	t *tenant
 }
@@ -252,9 +250,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxStaleness > 0 {
 		s.refresher = refresh.New(refresh.Config{
-			Clock:     cfg.RefreshClock,
-			Interval:  cfg.RefreshInterval,
-			BatchSize: cfg.BatchSize,
+			Clock:    cfg.RefreshClock,
+			Interval: cfg.RefreshInterval,
 		})
 	}
 	if cfg.DataDir != "" {
@@ -390,9 +387,6 @@ func (s *Server) buildTenant(req CreateTenantRequest, shards int, ring bool) (*t
 	opts := []hitsndiffs.EngineOption{
 		hitsndiffs.WithMethod(s.cfg.Method),
 		hitsndiffs.WithRankOptions(s.cfg.RankOptions...),
-	}
-	if s.cfg.BatchSize > 0 {
-		opts = append(opts, hitsndiffs.WithBatchSize(s.cfg.BatchSize))
 	}
 	if s.cfg.MaxStaleness > 0 {
 		opts = append(opts, hitsndiffs.WithMaxStaleness(s.cfg.MaxStaleness))

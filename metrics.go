@@ -52,7 +52,7 @@ type EngineMetrics struct {
 	// CacheMisses counts solves actually started (cache cold or stale).
 	CacheMisses uint64 `json:"cache_misses"`
 	// BatchSolves counts tenants solved (not served cached) through
-	// Engine.RankBatch's block-diagonal batching path.
+	// Engine.RankBatch.
 	BatchSolves uint64 `json:"batch_solves"`
 	// CertifiedHits counts cache misses served through the certified
 	// warm-update fast path (WithCertifiedUpdates): one or two power steps

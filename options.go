@@ -119,16 +119,6 @@ func WithParallelism(n int) Option {
 	return func(s *settings) { s.workers = n }
 }
 
-// WithBatchSize caps how many stale tenants one batched solve packs into a
-// single block-diagonal system (Engine.RankBatch, ShardedEngine.RankAll):
-// larger batches amortize kernel fan-out across more tenants, smaller ones
-// bound the packed system's working-set size. Zero or negative (the
-// default) packs every stale tenant into one batch. Plain per-matrix
-// ranking ignores it.
-func WithBatchSize(n int) EngineOption {
-	return func(s *engineSettings) { s.batchSize = n }
-}
-
 // WithMaxStaleness lets Rank and RankBatch serve the last solved scores
 // while the matrix is at most n write generations
 // (ResponseMatrix.Generation ticks, one per observation) ahead of the

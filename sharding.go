@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hitsndiffs/internal/core"
 	"hitsndiffs/internal/mat"
 	"hitsndiffs/internal/shard"
 )
@@ -40,14 +39,11 @@ import (
 // Construct with NewShardedEngine; the zero value is not usable. All
 // methods are safe for concurrent use.
 type ShardedEngine struct {
-	method      string
-	base        []Option
-	batchSize   int
-	updateCache bool
-	maxStale    uint64 // WithMaxStaleness bound, enforced at the router's merged cache
-	engines     []*Engine
-	users       *shard.Map
-	options     []int // per-item option counts, identical across shards
+	method   string
+	maxStale uint64 // WithMaxStaleness bound, enforced at the router's merged cache
+	engines  []*Engine
+	users    *shard.Map
+	options  []int // per-item option counts, identical across shards
 
 	// mu guards the router's two memos: sparse, the per-shard
 	// too-few-users verdict keyed by shard version (recomputing it per
@@ -119,23 +115,20 @@ func NewShardedEngine(m *ResponseMatrix, opts ...EngineOption) (*ShardedEngine, 
 	}
 
 	se := &ShardedEngine{
-		method:      s.method,
-		base:        s.base,
-		batchSize:   s.batchSize,
-		updateCache: s.updateCache,
-		maxStale:    s.maxStale,
-		engines:     make([]*Engine, n),
-		users:       users,
-		options:     options,
-		sparse:      make([]sparseMemo, n),
+		method:   s.method,
+		maxStale: s.maxStale,
+		engines:  make([]*Engine, n),
+		users:    users,
+		options:  options,
+		sparse:   make([]sparseMemo, n),
 	}
 	// Forward the caller's options so the shard engines see the full
 	// NewEngine option surface, present and future; NewEngine ignores the
 	// router-only WithShards. With several shards the staleness bound is
 	// enforced once, at the router's merged-result cache — the shard
-	// engines stay exact so the refresh fan-out (RankAll's peekCached /
-	// solveInput protocol) always observes each shard's true frontier. A
-	// single shard delegates Rank wholesale, so it keeps the bound.
+	// engines stay exact so the refresh fan-out (RankAll) always observes
+	// each shard's true frontier. A single shard delegates Rank wholesale,
+	// so it keeps the bound.
 	shardOpts := opts
 	if n > 1 && s.maxStale > 0 {
 		shardOpts = append(append([]EngineOption(nil), opts...), WithMaxStaleness(0))
@@ -538,7 +531,7 @@ func (s *ShardedEngine) Refresh(ctx context.Context) (Result, error) {
 }
 
 // solveMerged is the merged-cache miss path shared by Rank and Refresh:
-// rank every shard (cached or batch-solved), normalize, merge, and install
+// rank every shard (cached or re-solved), normalize, merge, and install
 // the merged result keyed by the cluster version read before the fan-out.
 func (s *ShardedEngine) solveMerged(ctx context.Context, version uint64) (Result, error) {
 	results, err := s.RankAll(ctx)
@@ -569,65 +562,15 @@ func (s *ShardedEngine) solveMerged(ctx context.Context, version uint64) (Result
 
 // RankAll ranks every shard and returns the raw per-shard results in shard
 // order, scores in shard-local user indexing (translate with LocalFor /
-// UsersOf). Shards whose version is unchanged answer from their caches;
-// the stale shards are solved together in one batched block-diagonal
-// system (core.BatchRanker, warm-started per shard), so each power step
-// services every stale shard's matvec with a single pass through the
-// persistent kernel worker pool instead of one goroutine fan-out per
-// shard. WithBatchSize caps how many shards one packed solve takes;
-// methods without a batched form rank their shards concurrently instead.
-// Shards left with fewer than two answering users — possible under hash
-// imbalance on tiny populations — report a flat, converged result instead
-// of failing the whole call. On error, the first failing shard in index
-// order wins, deterministically.
+// UsersOf). The shards rank concurrently, each through its own engine's
+// exact Refresh path: a shard whose version is unchanged answers from its
+// cache, and a written shard gets the same warm solve Engine.Rank runs, so
+// every result is bitwise what the shard engine alone would return. Shards
+// left with fewer than two answering users — possible under hash imbalance
+// on tiny populations — report a flat, converged result instead of
+// failing the whole call. On error, the first failing shard in index order
+// wins, deterministically, and the error names it.
 func (s *ShardedEngine) RankAll(ctx context.Context) ([]Result, error) {
-	if s.method != batchableMethod {
-		return s.rankAllFanOut(ctx)
-	}
-	results := make([]Result, len(s.engines))
-	var items []core.BatchItem
-	var stale []int
-	var versions []uint64
-	for i, eng := range s.engines {
-		if len(s.engines) > 1 && s.shardTooSparse(i) {
-			results[i] = Result{Scores: mat.NewVector(eng.Users()), Converged: true, Generation: eng.Generation()}
-			continue
-		}
-		if res, ok := eng.peekCached(); ok {
-			results[i] = res
-			continue
-		}
-		m, version, warm := eng.solveInput()
-		// Certified fast path per shard: a written shard whose warm scores
-		// certify at the tolerance is served without joining the packed
-		// batch solve (see Engine.certifiedSolve).
-		if res, ok := eng.certifiedSolve(ctx, m, version, warm); ok {
-			results[i] = res
-			continue
-		}
-		items = append(items, core.BatchItem{M: m, WarmStart: warm})
-		stale = append(stale, i)
-		versions = append(versions, version)
-	}
-	if len(items) == 0 {
-		return results, nil
-	}
-	err := runBatches(ctx, s.base, s.updateCache, s.batchSize, items,
-		func(k int) string { return fmt.Sprintf("RankAll shard %d", stale[k]) },
-		func(k int, res Result) {
-			res.Generation = items[k].M.Generation()
-			s.engines[stale[k]].storeSolved(versions[k], res)
-			results[stale[k]] = res
-		})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// rankAllFanOut ranks every shard concurrently through its own Engine —
-// the path for methods the block-diagonal batcher cannot express.
-func (s *ShardedEngine) rankAllFanOut(ctx context.Context) ([]Result, error) {
 	results := make([]Result, len(s.engines))
 	errs := make([]error, len(s.engines))
 	var wg sync.WaitGroup
@@ -639,23 +582,26 @@ func (s *ShardedEngine) rankAllFanOut(ctx context.Context) ([]Result, error) {
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("hitsndiffs: RankAll shard %d: %w", i, err)
 		}
 	}
 	return results, nil
 }
 
-// rankShard ranks one shard, mapping the too-few-users degenerate case to a
-// flat result when the shard is only a slice of a wider population. (The
-// merge maps the flat scores to 0.5 — "no signal" — for every user there.)
+// rankShard ranks one shard exactly, mapping the too-few-users degenerate
+// case to a flat result when the shard is only a slice of a wider
+// population. (The merge maps the flat scores to 0.5 — "no signal" — for
+// every user there.) It refreshes rather than ranks because a single
+// shard engine keeps the WithMaxStaleness bound, and RankAll never serves
+// stale shards.
 func (s *ShardedEngine) rankShard(ctx context.Context, i int) (Result, error) {
 	eng := s.engines[i]
 	if len(s.engines) > 1 && s.shardTooSparse(i) {
 		return Result{Scores: mat.NewVector(eng.Users()), Converged: true, Generation: eng.Generation()}, nil
 	}
-	return eng.Rank(ctx)
+	return eng.Refresh(ctx)
 }
 
 // Metrics returns the aggregate observability snapshot of the cluster: the

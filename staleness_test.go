@@ -398,9 +398,8 @@ func TestRankBatchStalenessBound(t *testing.T) {
 }
 
 // TestRefreshEnginesPacked checks the scheduler's packed entry point:
-// stale batchable engines refresh through one block-diagonal solve,
-// already-fresh engines serve their cache, non-batchable engines fall
-// back to solo refreshes, and every result lands exact.
+// stale engines re-solve, already-fresh engines serve their cache, other
+// methods refresh the same way, and every result lands exact.
 func TestRefreshEnginesPacked(t *testing.T) {
 	ctx := context.Background()
 	mk := func(method string, seed int64) *Engine {
@@ -429,7 +428,7 @@ func TestRefreshEnginesPacked(t *testing.T) {
 		}
 	}
 	engines := []*Engine{staleEng, freshEng, soloEng}
-	results, err := RefreshEngines(ctx, engines, 0)
+	results, err := RefreshEngines(ctx, engines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +445,7 @@ func TestRefreshEnginesPacked(t *testing.T) {
 			t.Fatalf("engine %d: rank after RefreshEngines not the refreshed result", i)
 		}
 	}
-	if _, err := RefreshEngines(ctx, []*Engine{staleEng, nil}, 0); err == nil {
+	if _, err := RefreshEngines(ctx, []*Engine{staleEng, nil}); err == nil {
 		t.Fatal("nil engine accepted")
 	}
 }
