@@ -17,11 +17,9 @@ GO ?= go
 # escape-hatch baseline), the durable WAL append path per fsync
 # policy (always / interval / off) — the write-path overhead record —
 # the staleness-bounded read path under steady writes (StaleRank:
-# bound=0 inline baseline vs bounded stale serving), and the certified
-# warm-update path (CertifiedWarmRerank: certified hit vs full warm
-# solve vs mixed answer-changing traffic with hit/fallback ratios, plus
-# the pooled zero-alloc CertifyKernel attempt itself).
-BENCH_PATTERN ?= Fig5aScaleUsers|Fig5bScaleQuestions|HNDPowerInnerLoop|EngineSnapshot|EngineWarmVsCold|NewCSRAssembly|MulVecParallel|ParallelDoPooled|ShardedObserve|ShardedRank|BatchedRank|WarmRerankAllocs|WALAppend|StaleRank|CertifiedWarmRerank|CertifyKernel
+# bound=0 inline baseline vs bounded stale serving), and the pooled
+# zero-alloc warm HnD-power solve itself (WarmSolveKernel).
+BENCH_PATTERN ?= Fig5aScaleUsers|Fig5bScaleQuestions|HNDPowerInnerLoop|EngineSnapshot|EngineWarmVsCold|NewCSRAssembly|MulVecParallel|ParallelDoPooled|ShardedObserve|ShardedRank|BatchedRank|WarmRerankAllocs|WALAppend|StaleRank|WarmSolveKernel
 BENCH_TIME ?= 1x
 BENCH_OUT ?= BENCH_pr10.json
 

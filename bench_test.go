@@ -763,93 +763,13 @@ func BenchmarkEngineSnapshot(b *testing.B) {
 	})
 }
 
-// BenchmarkCertifiedWarmRerank measures the certified warm-update fast
-// path on the single-write serving regime: each op is one Observe followed
-// by a full Rank, over two workloads — "class" (200×60, a class-sized
-// tenant) and "cohort" (500×150, the EngineWarmVsCold / BENCH_pr5 workload,
-// where the per-write copy-on-write clone alone costs ~1ms and dominates
-// every mode).
-//
-//   - certified-hit is the committed acceptance row (the class workload
-//     must stay ≤ 250µs/op): the write is an idempotent rewrite — matrix
-//     unchanged, warm scores exactly converged — so every re-rank is served
-//     by the certificate in one power step.
-//   - mixed-writes flips a real answer per op; the reported
-//     certified-hits/op and certified-fallbacks/op are the path's hit and
-//     fallback ratios under answer-changing traffic (noisy flips rarely
-//     certify — the default-safe fallback carries them).
-//   - certified-off is the WithCertifiedUpdates(false) escape hatch on the
-//     idempotent workload — the full-warm-solve baseline the hit row is
-//     compared against.
-func BenchmarkCertifiedWarmRerank(b *testing.B) {
-	ctx := context.Background()
-	sizes := []struct {
-		name         string
-		users, items int
-	}{
-		{"class", 200, 60},
-		{"cohort", 500, 150},
-	}
-	modes := []struct {
-		name                  string
-		certified, idempotent bool
-	}{
-		{"certified-hit", true, true},
-		{"mixed-writes", true, false},
-		{"certified-off", false, true},
-	}
-	for _, sz := range sizes {
-		cfg := irt.DefaultConfig(irt.ModelSamejima)
-		cfg.Users, cfg.Items, cfg.Seed = sz.users, sz.items, 42
-		cfg.DiscriminationMax = 2 // noisy: narrow spectral gap, many iterations
-		d, err := irt.Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, mode := range modes {
-			mode := mode
-			b.Run(fmt.Sprintf("%s/%s", mode.name, sz.name), func(b *testing.B) {
-				eng, err := NewEngine(d.Responses, WithRankOptions(WithSeed(1)),
-					WithCertifiedUpdates(mode.certified))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Rank(ctx); err != nil { // common cold start
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					user, item := i%sz.users, i%sz.items
-					opt := d.Responses.Answer(user, item)
-					if !mode.idempotent {
-						k := d.Responses.OptionCount(item)
-						opt = (opt + 1 + k) % k
-					}
-					if err := eng.Observe(user, item, opt); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := eng.Rank(ctx); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				m := eng.Metrics()
-				b.ReportMetric(float64(m.CertifiedHits)/float64(b.N), "certified-hits/op")
-				b.ReportMetric(float64(m.CertifiedFallbacks)/float64(b.N), "certified-fallbacks/op")
-			})
-		}
-	}
-}
-
-// BenchmarkCertifyKernel isolates one certification attempt of the
-// certified fast path — the CertifyWarm call Engine.Rank makes on a cache
-// miss, with the Update machinery and the pooled solve scratch prepared the
-// way the engine prepares them. The iterate is the converged score vector
-// of an idempotently rewritten matrix, so every attempt is a step-1
-// certified hit; with the bound scratch it must report 0 allocs/op — the
-// CI-guarded steady-state of the hit path.
-func BenchmarkCertifyKernel(b *testing.B) {
+// BenchmarkWarmSolveKernel isolates one warm HnD-power solve the way
+// Engine.Rank runs it on a cache miss: the Update machinery prebuilt with
+// one worker, the pooled solve scratch bound, and the previous scores as
+// the warm start. The matrix was idempotently rewritten, so every solve
+// converges in one power step; with the bound scratch it must report 0
+// allocs/op — the CI-guarded steady state of the warm re-rank.
+func BenchmarkWarmSolveKernel(b *testing.B) {
 	cfg := irt.DefaultConfig(irt.ModelSamejima)
 	cfg.Users, cfg.Items, cfg.Seed = 500, 150, 42
 	cfg.DiscriminationMax = 2
@@ -863,31 +783,31 @@ func BenchmarkCertifyKernel(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Idempotent rewrite: bumps the generation and records a dirty row
-	// without changing any matrix value, the guaranteed-hit write.
+	// without changing any matrix value.
 	d.Responses.SetAnswer(0, 0, d.Responses.Answer(0, 0))
 	u := core.NewUpdate(d.Responses)
-	u.SetWorkers(1) // match Options.Workers so the attempt adopts, not rewraps
-	opts := core.Options{
+	u.SetWorkers(1) // match Options.Workers so the solve adopts, not rewraps
+	h := core.HNDPower{Opts: core.Options{
 		Workers:   1,
 		WarmStart: solved.Scores,
 		Update:    u,
 		Scratch:   &core.SolveScratch{},
+	}}
+	if _, err := h.Rank(ctx, d.Responses); err != nil { // binds the scratch
+		b.Fatal(err)
 	}
-	h := core.HNDPower{Opts: opts}
-	if cert, err := h.CertifyWarm(ctx, d.Responses); err != nil || !cert.Certified {
-		b.Fatalf("warm-up certification failed (certified=%v err=%v)", cert.Certified, err)
-	}
+	iters := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cert, err := h.CertifyWarm(ctx, d.Responses)
+		res, err := h.Rank(ctx, d.Responses)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !cert.Certified {
-			b.Fatal("certification rejected a converged iterate")
-		}
+		iters += res.Iterations
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 }
 
 // BenchmarkStaleRank measures the read path under steady write pressure

@@ -258,11 +258,15 @@ func backpressured(code int) bool {
 
 // backoff picks the sleep before retry number attempt (0-based): the
 // server's hint when it gave one, else retryBase doubled per attempt,
-// capped at retryCap, plus up to 50% jitter when rng is non-nil.
+// capped at retryCap, plus up to 50% jitter when rng is non-nil. The
+// doubling stops at the cap, so no attempt count can overflow the ladder.
 func backoff(rng *rand.Rand, attempt int, hinted time.Duration) time.Duration {
 	d := hinted
 	if d <= 0 {
-		d = retryBase << attempt
+		d = retryBase
+		for i := 0; i < attempt && d < retryCap; i++ {
+			d *= 2
+		}
 	}
 	if d > retryCap {
 		d = retryCap
@@ -516,13 +520,15 @@ func (c *client) write(rng *rand.Rand, tenant string, users, items, options, bat
 	return c.retryPost(rng, "/v1/observebatch", serve.ObserveBatchRequest{Tenant: tenant, Observations: obs}, nil)
 }
 
-// percentile returns the q-quantile of sorted latencies (nearest-rank).
+// percentile returns the q-quantile of sorted latencies by nearest rank:
+// the smallest sample with at least a q fraction of the samples at or
+// below it, so a small run's p99 is its maximum.
 func percentile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[min(max(i, 0), len(sorted)-1)]
 }
 
 // report prints go-bench-format result lines to bench (one per operation
@@ -588,9 +594,8 @@ func report(bench, human io.Writer, st *stats, duration time.Duration, before, a
 		if before.Refresh != nil {
 			rb = *before.Refresh
 		}
-		fmt.Fprintf(human, "refresh: %d rounds, %d refreshes (%d packed, %d solo), queue depth %d, %d errors\n",
+		fmt.Fprintf(human, "refresh: %d rounds, %d refreshes, queue depth %d, %d errors\n",
 			delta(r.Rounds, rb.Rounds), delta(r.Refreshes, rb.Refreshes),
-			delta(r.PackedRefreshes, rb.PackedRefreshes), delta(r.SoloRefreshes, rb.SoloRefreshes),
 			r.QueueDepth, delta(r.Errors, rb.Errors))
 	}
 }

@@ -46,24 +46,11 @@ type Engine struct {
 	updateBacked bool
 	workers      int    // kernel fan-out from the base options, applied to cached Updates
 	maxStale     uint64 // WithMaxStaleness bound in write generations; 0 = always exact
-	// certified enables the certified warm-update fast path: a cache miss
-	// with a warm start first tries core.HNDPower.CertifyWarm, serving the
-	// previous scores without the iterative solver when one or two power
-	// steps prove them converged at the solve tolerance
-	// (WithCertifiedUpdates; requires the update cache).
-	certified bool
 
-	// certHits / certFallbacks count certification attempts that served a
-	// result vs fell back to the full warm solve. Certified hits are a
-	// subset of CacheMisses: the request missed the version-keyed cache and
-	// the certificate replaced the solve it would have run.
-	certHits      atomic.Uint64
-	certFallbacks atomic.Uint64
-
-	// scratchPool recycles core.SolveScratch buffers across solves and
-	// certification attempts, so the steady-state certified hit allocates
-	// only its returned score slice. Scores are copied out of the scratch
-	// before it is pooled again (core.Options.Scratch contract).
+	// scratchPool recycles core.SolveScratch buffers across HnD-power
+	// solves, so a steady-state warm solve allocates only its returned score
+	// slice. Scores are copied out of the scratch before it is pooled again
+	// (core.Options.Scratch contract).
 	scratchPool sync.Pool
 
 	// batchMu serializes RankBatch calls and guards the per-tenant result
@@ -149,16 +136,15 @@ type engineSettings struct {
 	shards       int
 	poolSize     int
 	updateCache  bool
-	certified    bool
 	maxStale     uint64
 	ringReplicas int
 }
 
 // defaultEngineSettings seeds the option-merge state NewEngine and
 // NewShardedEngine share: HnD-power with the generation-keyed Update cache
-// and the certified warm-update fast path enabled.
+// enabled.
 func defaultEngineSettings() engineSettings {
-	return engineSettings{method: "HnD-power", updateCache: true, certified: true}
+	return engineSettings{method: "HnD-power", updateCache: true}
 }
 
 // WithMethod selects the registered ranking method the engine serves
@@ -240,7 +226,6 @@ func NewEngine(m *ResponseMatrix, opts ...EngineOption) (*Engine, error) {
 		base:         s.base,
 		warm:         !s.cold,
 		updCache:     s.updateCache,
-		certified:    s.certified,
 		updateBacked: info.UpdateBacked,
 		workers:      newSettings(s.base).workers,
 		maxStale:     s.maxStale,
@@ -595,14 +580,6 @@ func (e *Engine) rank(ctx context.Context, needSnapshot, exact bool) (Result, ui
 	}
 	e.mu.RUnlock()
 
-	// Certified fast path: try to prove the warm scores already converged
-	// for the written matrix before paying the iterative solve. A hit is
-	// bitwise the solve it replaces; a rejection falls through to exactly
-	// one full warm solve.
-	if res, ok := e.certifiedSolve(ctx, snapshot, version, warmScores); ok {
-		return res, version, snapshot, nil
-	}
-
 	var upd *core.Update
 	if e.updateBacked && e.updCache {
 		upd = e.preparedUpdate(snapshot)
@@ -797,7 +774,7 @@ func (e *Engine) solve(ctx context.Context, m *ResponseMatrix, warm []float64, u
 }
 
 // hndPowerMethod is the registered method whose solves bind pooled
-// core.SolveScratch buffers and may take the certified fast path.
+// core.SolveScratch buffers.
 const hndPowerMethod = "HnD-power"
 
 // RefreshEngines refreshes several independent Engines in one call: each
@@ -809,8 +786,6 @@ const hndPowerMethod = "HnD-power"
 // A nil engine fails the call before any refresh. A failing engine (e.g.
 // one with fewer than two answering users) fails the call with an error
 // naming its index; the engines before it keep their refreshed results.
-// It is the path the background refresh scheduler (internal/refresh)
-// feeds stale plain-engine tenants into.
 func RefreshEngines(ctx context.Context, engines []*Engine) ([]Result, error) {
 	for i, e := range engines {
 		if e == nil {
@@ -872,7 +847,7 @@ func (e *Engine) storeSolved(version uint64, res Result) {
 
 // scratchGet borrows pooled solve buffers; scratchPut returns them. The
 // buffers grow to the engine's matrix once and are reused by every
-// subsequent solve and certification attempt on this engine.
+// subsequent solve on this engine.
 func (e *Engine) scratchGet() *core.SolveScratch {
 	if sc, ok := e.scratchPool.Get().(*core.SolveScratch); ok {
 		return sc
@@ -881,47 +856,6 @@ func (e *Engine) scratchGet() *core.SolveScratch {
 }
 
 func (e *Engine) scratchPut(sc *core.SolveScratch) { e.scratchPool.Put(sc) }
-
-// certifiedSolve attempts the certified warm-update fast path for one cache
-// miss: given the snapshot to rank, the version it corresponds to and the
-// warm-start scores, it runs core.HNDPower.CertifyWarm and, on a certified
-// hit, installs and returns the solver-equivalent result without entering
-// the iterative solver. The returned Result owns its scores. ok=false means
-// the caller must run the full solve — either the path is not eligible
-// (flag off, no update cache, not HnD-power, cold start) or the certificate
-// was rejected, in which case the fallback solve from the same warm start
-// reproduces the uncertified path bit for bit (only rejections after an
-// eligible attempt count as CertifiedFallbacks).
-func (e *Engine) certifiedSolve(ctx context.Context, m *ResponseMatrix, version uint64, warm []float64) (Result, bool) {
-	if !e.certified || !e.updCache || !e.updateBacked || e.method != hndPowerMethod || len(warm) == 0 {
-		return Result{}, false
-	}
-	opts := newSettings(e.base).coreOptions()
-	opts.WarmStart = warm
-	opts.Update = e.preparedUpdate(m)
-	sc := e.scratchGet()
-	opts.Scratch = sc
-	cert, err := core.HNDPower{Opts: opts}.CertifyWarm(ctx, m)
-	if err != nil || !cert.Certified {
-		e.scratchPut(sc)
-		e.certFallbacks.Add(1)
-		// Errors (context cancellation, invalid input) are not swallowed:
-		// the fallback solve hits the identical condition and surfaces it.
-		return Result{}, false
-	}
-	res := cert.Result
-	// The certified scores may alias scratch memory — detach before the
-	// scratch can serve another solve.
-	res.Scores = append(mat.Vector(nil), cert.Result.Scores...)
-	e.scratchPut(sc)
-	res.Generation = m.Generation()
-	res.Staleness = 0
-	// storeSolved copies the scores into the warm-start and cache state, so
-	// the detached slice is exclusively the caller's.
-	e.storeSolved(version, res)
-	e.certHits.Add(1)
-	return res, true
-}
 
 // InferLabels serves the truth-discovery direction: it ranks (or reuses
 // the cached ranking) and estimates each item's correct option by
@@ -980,11 +914,9 @@ func (e *Engine) Metrics() EngineMetrics {
 		CacheHits:          e.cacheHits.Load(),
 		CacheMisses:        e.cacheMisses.Load(),
 		BatchSolves:        batchSolves,
-		CertifiedHits:      e.certHits.Load(),
-		CertifiedFallbacks: e.certFallbacks.Load(),
 		CSRFullRebuilds:    cf,
 		CSRDeltaRebuilds:   cd,
 		NormFullRebuilds:   nf,
-		NormDeltaRebuilds:  nd,
+		NormSpliceRebuilds: nd,
 	}
 }

@@ -104,6 +104,59 @@ func TestEngineRankMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestWarmSolveGoldenEquivalence pins the engine's re-rank to one warm
+// solve: after a write, a retraction and a rewrite of the same answer,
+// Engine.Rank must reproduce, bit for bit, the plain registry solver run
+// over the same snapshots with the same warm-start sequence.
+func TestWarmSolveGoldenEquivalence(t *testing.T) {
+	ctx := context.Background()
+	m := engineWorkload(t, 45, 30, 11)
+	eng, err := NewEngine(m, WithRankOptions(WithSeed(3), WithParallelism(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev []float64
+	step := func(phase string) {
+		t.Helper()
+		misses := eng.Metrics().CacheMisses
+		res, err := eng.Rank(ctx)
+		if err != nil {
+			t.Fatalf("%s: engine: %v", phase, err)
+		}
+		if d := eng.Metrics().CacheMisses - misses; d != 1 {
+			t.Fatalf("%s: rank took %d cache misses, want 1", phase, d)
+		}
+		view, _ := eng.View()
+		opts := []Option{WithSeed(3), WithParallelism(1)}
+		if prev != nil {
+			opts = append(opts, WithWarmStart(prev))
+		}
+		ref, err := HND(opts...).Rank(ctx, view)
+		if err != nil {
+			t.Fatalf("%s: direct solver: %v", phase, err)
+		}
+		if !scoresEqualBits(res.Scores, ref.Scores) {
+			t.Fatalf("%s: engine scores diverge from the direct warm solve", phase)
+		}
+		if res.Iterations != ref.Iterations || res.Converged != ref.Converged || res.Flipped != ref.Flipped {
+			t.Fatalf("%s: solve metadata diverged (it %d vs %d, conv %v vs %v, flip %v vs %v)", phase,
+				res.Iterations, ref.Iterations, res.Converged, ref.Converged, res.Flipped, ref.Flipped)
+		}
+		prev = res.Scores
+	}
+	step("cold")
+	for i, o := range []Observation{
+		{User: 2, Item: 4, Option: 1},
+		{User: 8, Item: 9, Option: Unanswered},
+		{User: 2, Item: 4, Option: 1},
+	} {
+		if err := eng.Observe(o.User, o.Item, o.Option); err != nil {
+			t.Fatal(err)
+		}
+		step([]string{"warm-write", "warm-retract", "warm-rewrite"}[i])
+	}
+}
+
 func TestEngineCachesPerVersion(t *testing.T) {
 	m := engineWorkload(t, 80, 50, 13)
 	eng, err := NewEngine(m)

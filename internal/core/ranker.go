@@ -89,9 +89,8 @@ type Options struct {
 	// equivalence tests compare against. Ignored when Update is set.
 	ScratchUpdate bool
 	// Scratch, when non-nil, supplies pooled solve buffers (iteration
-	// vectors, apply workspace, orientation indices) that HnD-power and its
-	// certification path bind instead of allocating — the engine-level
-	// scratch pool sets it. A scratch must not be shared by concurrent
+	// vectors, apply workspace, orientation indices) that HnD-power binds
+	// instead of allocating — the engine-level scratch pool sets it. A scratch must not be shared by concurrent
 	// solves, and Result.Scores may alias scratch memory: copy the scores
 	// out before reusing the scratch. Binding changes no floating-point
 	// operation; other methods ignore the field.
@@ -111,7 +110,7 @@ func (o Options) newUpdate(m *response.Matrix) *Update {
 		}
 		// Same matrices, different kernel fan-out: rewrap the immutable CSRs
 		// instead of mutating the shared Update behind concurrent appliers.
-		return &Update{C: u.C, Crow: u.Crow, Ccol: u.Ccol, Delta: u.Delta, workers: w}
+		return &Update{C: u.C, Crow: u.Crow, Ccol: u.Ccol, workers: w}
 	}
 	var u *Update
 	if o.ScratchUpdate {

@@ -2,11 +2,10 @@ package core
 
 import "hitsndiffs/internal/mat"
 
-// SolveScratch owns every buffer an HnD-power solve or certification attempt
-// needs: the four iteration vectors, an apply workspace, the orientation
-// index buffers and the certification screen's support lists. Binding one
-// via Options.Scratch makes a warm re-rank — and in particular a certified
-// hit — allocation-free in steady state; the engines keep a pool of these.
+// SolveScratch owns every buffer an HnD-power solve needs: the four
+// iteration vectors, an apply workspace and the orientation index buffers.
+// Binding one via Options.Scratch makes a warm re-rank allocation-free in
+// steady state; the engines keep a pool of these.
 //
 // A SolveScratch must not be shared by concurrent solves. When Options.
 // Scratch is set, Result.Scores may alias scratch memory: the caller must
@@ -18,7 +17,6 @@ type SolveScratch struct {
 	ws                 Workspace
 	order, sortBuf     []int
 	counts             []int
-	supDiff, supUsers  []int
 }
 
 // bind sizes every buffer for u and points the workspace at it. Buffers keep

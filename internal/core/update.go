@@ -24,10 +24,6 @@ type Update struct {
 	// Crow and Ccol are the row- and column-normalized forms of C.
 	Crow, Ccol *mat.CSR
 
-	// Delta is the perturbation support this build's normalization refresh
-	// touched (the memo's dirty rows/columns); see UpdateDelta.
-	Delta UpdateDelta
-
 	// workers caps the goroutines each sparse kernel may fan out to;
 	// 0 defers to mat.DefaultWorkers() at apply time.
 	workers int
@@ -43,30 +39,8 @@ type Update struct {
 // the touched rows (and affected column scales) are respliced — the path
 // that keeps a warm re-rank free of full O(nnz) normalization rebuilds.
 func NewUpdate(m *response.Matrix) *Update {
-	c, crow, ccol, d := m.NormalizedDelta()
-	u := &Update{C: c, Crow: crow, Ccol: ccol}
-	if !d.Full {
-		u.Delta = UpdateDelta{Known: true, Rows: d.Rows, Cols: d.Cols}
-	}
-	return u
-}
-
-// UpdateDelta records the perturbation support an Update's normalization
-// refresh touched relative to the previous one — the generation-keyed memo's
-// dirty rows and columns (response.Matrix.NormalizedDelta). The certified
-// warm-update path restricts its early residual screen to this support.
-// Known is false when no delta exists (from-scratch builds, full memo
-// rebuilds); a missing or stale support only costs screen efficiency, never
-// soundness — acceptance is always decided by the full-support gap test.
-type UpdateDelta struct {
-	// Known reports whether Rows/Cols describe a real write delta.
-	Known bool
-	// Rows lists the user rows rewritten since the previous normalization,
-	// sorted ascending and deduplicated.
-	Rows []int
-	// Cols lists the option columns whose normalization scale changed,
-	// sorted ascending.
-	Cols []int
+	c, crow, ccol := m.Normalized()
+	return &Update{C: c, Crow: crow, Ccol: ccol}
 }
 
 // NewUpdateScratch builds the update machinery with from-scratch

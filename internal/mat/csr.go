@@ -395,27 +395,6 @@ func (m *CSR) MulVec(dst, x Vector) Vector {
 	return dst
 }
 
-// MulVecRows computes dst[i] = (m·x)[i] for the listed rows only, leaving
-// every other entry of dst untouched. The per-row accumulation is the same
-// loop as MulVec, so the written entries are bitwise identical to the full
-// product's — the contract the certified-update screen relies on when it
-// inspects a perturbed support without paying a full row sweep. Rows must
-// be in [0, Rows()); duplicates are harmless (the same value is rewritten).
-// dst must not alias x.
-func (m *CSR) MulVecRows(dst, x Vector, rows []int) Vector {
-	if len(x) != m.cols || len(dst) != m.rows {
-		panic(fmt.Sprintf("mat: CSR MulVecRows shape mismatch (%dx%d)·%d -> %d", m.rows, m.cols, len(x), len(dst)))
-	}
-	for _, i := range rows {
-		var s float64
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			s += m.val[p] * x[m.colIdx[p]]
-		}
-		dst[i] = s
-	}
-	return dst
-}
-
 // MulVecT computes dst = mᵀ·x without materializing the transpose.
 // dst must not alias x.
 func (m *CSR) MulVecT(dst, x Vector) Vector {

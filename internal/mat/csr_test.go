@@ -208,54 +208,3 @@ func TestRowNNZViews(t *testing.T) {
 		t.Fatal("empty row should have no entries")
 	}
 }
-
-func TestMulVecRowsMatchesMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		rows := 2 + rng.Intn(8)
-		cols := 2 + rng.Intn(8)
-		d := NewDense(rows, cols)
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				if rng.Intn(3) != 0 {
-					d.Set(i, j, rng.NormFloat64())
-				}
-			}
-		}
-		c := CSRFromDense(d)
-		x := NewVector(cols)
-		for j := range x {
-			x[j] = rng.NormFloat64()
-		}
-		full := c.MulVec(NewVector(rows), x)
-
-		sub := []int{0, rows - 1, rng.Intn(rows), rng.Intn(rows), 0} // dups harmless
-		const sentinel = -987.25
-		dst := Constant(rows, sentinel)
-		c.MulVecRows(dst, x, sub)
-
-		listed := make(map[int]bool)
-		for _, i := range sub {
-			listed[i] = true
-		}
-		for i := 0; i < rows; i++ {
-			if listed[i] {
-				if math.Float64bits(dst[i]) != math.Float64bits(full[i]) {
-					t.Fatalf("trial %d row %d: MulVecRows = %v, MulVec = %v", trial, i, dst[i], full[i])
-				}
-			} else if dst[i] != sentinel {
-				t.Fatalf("trial %d row %d: unlisted entry overwritten (%v)", trial, i, dst[i])
-			}
-		}
-	}
-}
-
-func TestMulVecRowsShapeMismatch(t *testing.T) {
-	c := CSRFromDense(NewDense(2, 3))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MulVecRows with wrong dst length must panic")
-		}
-	}()
-	c.MulVecRows(NewVector(3), NewVector(3), []int{0})
-}

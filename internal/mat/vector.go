@@ -268,8 +268,8 @@ func (v Vector) ArgSort() []int {
 // ArgSortInto is ArgSort with caller-provided buffers: idx receives the
 // permutation and buf is merge scratch; both must have length len(v). The
 // ordering is identical to ArgSort (same stable merge), and the call
-// performs no allocations — the variant the pooled orientation path of the
-// certified warm-update fast path uses.
+// performs no allocations — the variant the pooled orientation pass of a
+// scratch-backed HnD-power solve uses.
 func (v Vector) ArgSortInto(idx, buf []int) []int {
 	if len(idx) != len(v) || len(buf) != len(v) {
 		panic(fmt.Sprintf("mat: ArgSortInto buffer length mismatch %d/%d vs %d", len(idx), len(buf), len(v)))

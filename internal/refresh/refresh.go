@@ -12,13 +12,10 @@
 //
 // where traffic is a per-round-halved decay of NoteTraffic ticks — hot
 // stale tenants refresh first, but idle stale tenants are never starved
-// (the +1). Stale targets are refreshed in priority order (descending,
-// ties broken by name ascending). Targets that expose a plain engine are
-// refreshed together through one hitsndiffs.RefreshEngines call; targets
-// whose last solve exceeded the straggler threshold are evicted from that
-// packed group to solo solves until a solve brings them back under it. A
-// failed or canceled refresh never advances the target's progress
-// watermark.
+// (the +1). Stale targets are refreshed one at a time through
+// Target.Refresh, in priority order (descending, ties broken by name
+// ascending). A failed or canceled refresh never advances the target's
+// progress watermark.
 //
 // Time is injected through internal/testclock, so every scheduling test
 // drives rounds deterministically with a fake clock.
@@ -39,11 +36,6 @@ import (
 // zero.
 const DefaultInterval = 25 * time.Millisecond
 
-// DefaultStragglerIters is the straggler-eviction threshold when
-// Config.StragglerIters is zero: a packed tenant whose solve exceeds this
-// many iterations is evicted to solo solves.
-const DefaultStragglerIters = 2000
-
 // Target is one refreshable serving engine. Both *hitsndiffs.Engine and
 // *hitsndiffs.ShardedEngine satisfy it; the serving tier registers
 // wrappers that also advance its admission watermark (see Completer).
@@ -56,23 +48,12 @@ type Target interface {
 	Refresh(ctx context.Context) (hitsndiffs.Result, error)
 }
 
-// PackedTarget is an optional Target refinement: a target that exposes a
-// plain engine joins the scheduler's packed group, refreshed through one
-// hitsndiffs.RefreshEngines call per round, instead of solo Refresh calls.
-// Return nil to decline packing (e.g. a sharded backend, whose Refresh
-// already fans out over its own shards).
-type PackedTarget interface {
-	Target
-	// PackedEngine returns the engine to pack, or nil.
-	PackedEngine() *hitsndiffs.Engine
-}
-
 // Completer is an optional Target refinement: after every successful
-// scheduler-driven refresh — solo or packed — RefreshDone is called with
-// the refreshed result from the scheduling goroutine. The serving tier
-// uses it to ride its admission refresh-lag watermark on the scheduler's
-// progress. It is never called for a failed or canceled refresh, so a
-// poisoned solve cannot advance a watermark.
+// scheduler-driven refresh, RefreshDone is called with the refreshed
+// result from the scheduling goroutine. The serving tier uses it to ride
+// its admission refresh-lag watermark on the scheduler's progress. It is
+// never called for a failed or canceled refresh, so a poisoned solve
+// cannot advance a watermark.
 type Completer interface {
 	RefreshDone(res hitsndiffs.Result)
 }
@@ -89,19 +70,14 @@ type Config struct {
 	// stay queued (and counted in Metrics.QueueDepth) for later rounds.
 	// Zero or negative = unlimited.
 	MaxPerRound int
-	// StragglerIters is the eviction threshold: a packed target whose last
-	// solve exceeded this many iterations solves solo until it comes back
-	// under. Zero = DefaultStragglerIters; negative = never evict.
-	StragglerIters int
 }
 
 // Scheduler runs the background refresh loop. Construct with New; the
 // zero value is not usable. All methods are safe for concurrent use.
 type Scheduler struct {
-	clock          testclock.Clock
-	interval       time.Duration
-	maxPerRound    int
-	stragglerIters int
+	clock       testclock.Clock
+	interval    time.Duration
+	maxPerRound int
 
 	// ctx is the context refreshes solve under: canceled only by Close,
 	// after the in-flight round has been waited out.
@@ -116,9 +92,6 @@ type Scheduler struct {
 
 	rounds       atomic.Uint64
 	refreshes    atomic.Uint64
-	packedCount  atomic.Uint64
-	soloCount    atomic.Uint64
-	evictions    atomic.Uint64
 	errCount     atomic.Uint64
 	queueDepth   atomic.Int64
 	lastRoundNs  atomic.Int64
@@ -130,13 +103,11 @@ type Scheduler struct {
 type target struct {
 	name string
 	t    Target
-	eng  *hitsndiffs.Engine // packable engine; nil = always solo
 
 	pending atomic.Uint64 // NoteTraffic ticks since the last round
 
 	traffic uint64 // decayed request traffic (halved per round)
 	lastGen uint64 // generation last refreshed to — the progress watermark
-	evicted bool   // straggler: solo solves until back under threshold
 }
 
 // New builds a Scheduler and starts its background round loop. Callers
@@ -150,35 +121,25 @@ func New(cfg Config) *Scheduler {
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
-	straggler := cfg.StragglerIters
-	if straggler == 0 {
-		straggler = DefaultStragglerIters
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Scheduler{
-		clock:          clk,
-		interval:       interval,
-		maxPerRound:    cfg.MaxPerRound,
-		stragglerIters: straggler,
-		ctx:            ctx,
-		cancel:         cancel,
-		stop:           make(chan struct{}),
-		done:           make(chan struct{}),
-		targets:        make(map[string]*target),
+		clock:       clk,
+		interval:    interval,
+		maxPerRound: cfg.MaxPerRound,
+		ctx:         ctx,
+		cancel:      cancel,
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
+		targets:     make(map[string]*target),
 	}
 	go s.loop()
 	return s
 }
 
-// Register adds (or replaces) a named target. Targets implementing
-// PackedTarget with a non-nil engine join packed refresh rounds. A
-// replaced name restarts its progress watermark, so the next round
-// refreshes it.
+// Register adds (or replaces) a named target. A replaced name restarts
+// its progress watermark, so the next round refreshes it.
 func (s *Scheduler) Register(name string, t Target) {
 	tg := &target{name: name, t: t}
-	if pt, ok := t.(PackedTarget); ok {
-		tg.eng = pt.PackedEngine()
-	}
 	s.mu.Lock()
 	s.targets[name] = tg
 	s.mu.Unlock()
@@ -230,19 +191,11 @@ func (s *Scheduler) loop() {
 	}
 }
 
-// roundPlan is one round's refresh schedule: the packed and solo groups,
-// each in priority order, with depth the total stale-target count before
-// MaxPerRound capping.
-type roundPlan struct {
-	packed []*target
-	solo   []*target
-	depth  int
-}
-
 // plan computes the current round's schedule: decay traffic, measure
 // staleness, order by priority = staleness × (traffic+1) descending (name
-// ascending on ties), cap at MaxPerRound, and split packed from solo.
-func (s *Scheduler) plan() roundPlan {
+// ascending on ties) and cap at MaxPerRound. depth is the stale-target
+// count before capping.
+func (s *Scheduler) plan() (order []*target, depth int) {
 	s.mu.RLock()
 	all := make([]*target, 0, len(s.targets))
 	for _, tg := range s.targets {
@@ -269,45 +222,23 @@ func (s *Scheduler) plan() roundPlan {
 		}
 		return stale[i].tg.name < stale[j].tg.name
 	})
-	plan := roundPlan{depth: len(stale)}
+	depth = len(stale)
 	if s.maxPerRound > 0 && len(stale) > s.maxPerRound {
 		stale = stale[:s.maxPerRound]
 	}
 	for _, c := range stale {
-		if c.tg.eng != nil && !c.tg.evicted {
-			plan.packed = append(plan.packed, c.tg)
-		} else {
-			plan.solo = append(plan.solo, c.tg)
-		}
+		order = append(order, c.tg)
 	}
-	return plan
+	return order, depth
 }
 
-// runRound executes one scheduling round: plan, packed refresh, solo solves.
+// runRound executes one scheduling round: plan, then refresh every planned
+// target in priority order.
 func (s *Scheduler) runRound(ctx context.Context) {
 	start := s.clock.Now()
-	plan := s.plan()
-	s.queueDepth.Store(int64(plan.depth))
-
-	solo := plan.solo
-	if len(plan.packed) > 0 {
-		engines := make([]*hitsndiffs.Engine, len(plan.packed))
-		for i, tg := range plan.packed {
-			engines[i] = tg.eng
-		}
-		results, err := hitsndiffs.RefreshEngines(ctx, engines)
-		if err != nil {
-			// The packed call is all-or-nothing; demote the pack to solo
-			// refreshes so one failing tenant cannot starve the round.
-			s.errCount.Add(1)
-			solo = append(append([]*target(nil), solo...), plan.packed...)
-		} else {
-			for i, tg := range plan.packed {
-				s.finish(tg, results[i], true)
-			}
-		}
-	}
-	for _, tg := range solo {
+	order, depth := s.plan()
+	s.queueDepth.Store(int64(depth))
+	for _, tg := range order {
 		res, err := tg.t.Refresh(ctx)
 		if err != nil {
 			// The watermark stays put: a failed or canceled solve is retried
@@ -315,39 +246,19 @@ func (s *Scheduler) runRound(ctx context.Context) {
 			s.errCount.Add(1)
 			continue
 		}
-		s.finish(tg, res, false)
+		if res.Generation > tg.lastGen {
+			tg.lastGen = res.Generation
+		}
+		s.refreshes.Add(1)
+		if c, ok := tg.t.(Completer); ok {
+			c.RefreshDone(res)
+		}
 	}
 
 	elapsed := s.clock.Now().Sub(start).Nanoseconds()
 	s.lastRoundNs.Store(elapsed)
 	s.totalRoundNs.Add(elapsed)
 	s.rounds.Add(1)
-}
-
-// finish records one successful refresh: watermark, straggler state,
-// counters, and the target's completion hook.
-func (s *Scheduler) finish(tg *target, res hitsndiffs.Result, packed bool) {
-	if res.Generation > tg.lastGen {
-		tg.lastGen = res.Generation
-	}
-	if s.stragglerIters > 0 {
-		switch {
-		case !tg.evicted && res.Iterations > s.stragglerIters:
-			tg.evicted = true
-			s.evictions.Add(1)
-		case tg.evicted && res.Iterations <= s.stragglerIters:
-			tg.evicted = false
-		}
-	}
-	s.refreshes.Add(1)
-	if packed {
-		s.packedCount.Add(1)
-	} else {
-		s.soloCount.Add(1)
-	}
-	if c, ok := tg.t.(Completer); ok {
-		c.RefreshDone(res)
-	}
 }
 
 // Metrics is a point-in-time snapshot of the scheduler's counters, shaped
@@ -360,17 +271,8 @@ type Metrics struct {
 	QueueDepth int64 `json:"queue_depth"`
 	// Rounds counts completed scheduling rounds.
 	Rounds uint64 `json:"rounds"`
-	// Refreshes counts successful target refreshes (packed + solo).
+	// Refreshes counts successful target refreshes.
 	Refreshes uint64 `json:"refreshes"`
-	// PackedRefreshes counts refreshes served through the packed group's
-	// RefreshEngines call.
-	PackedRefreshes uint64 `json:"packed_refreshes"`
-	// SoloRefreshes counts refreshes served through individual Refresh
-	// calls (sharded targets, evicted stragglers, packed-call fallbacks).
-	SoloRefreshes uint64 `json:"solo_refreshes"`
-	// StragglerEvictions counts packed targets evicted to solo solves for
-	// exceeding the iteration threshold.
-	StragglerEvictions uint64 `json:"straggler_evictions"`
 	// Errors counts failed refresh attempts (the targets stay queued).
 	Errors uint64 `json:"errors"`
 	// LastRoundNanos is the wall time of the most recent round.
@@ -386,15 +288,12 @@ func (s *Scheduler) Metrics() Metrics {
 	n := len(s.targets)
 	s.mu.RUnlock()
 	return Metrics{
-		Targets:            n,
-		QueueDepth:         s.queueDepth.Load(),
-		Rounds:             s.rounds.Load(),
-		Refreshes:          s.refreshes.Load(),
-		PackedRefreshes:    s.packedCount.Load(),
-		SoloRefreshes:      s.soloCount.Load(),
-		StragglerEvictions: s.evictions.Load(),
-		Errors:             s.errCount.Load(),
-		LastRoundNanos:     s.lastRoundNs.Load(),
-		TotalRoundNanos:    s.totalRoundNs.Load(),
+		Targets:         n,
+		QueueDepth:      s.queueDepth.Load(),
+		Rounds:          s.rounds.Load(),
+		Refreshes:       s.refreshes.Load(),
+		Errors:          s.errCount.Load(),
+		LastRoundNanos:  s.lastRoundNs.Load(),
+		TotalRoundNanos: s.totalRoundNs.Load(),
 	}
 }

@@ -36,17 +36,6 @@ type completerTarget struct {
 
 func (c *completerTarget) RefreshDone(res hitsndiffs.Result) { c.done = append(c.done, res) }
 
-// packedEngine adapts a real engine into a PackedTarget.
-type packedEngine struct {
-	eng *hitsndiffs.Engine
-}
-
-func (p *packedEngine) Generation() uint64 { return p.eng.Generation() }
-func (p *packedEngine) Refresh(ctx context.Context) (hitsndiffs.Result, error) {
-	return p.eng.Refresh(ctx)
-}
-func (p *packedEngine) PackedEngine() *hitsndiffs.Engine { return p.eng }
-
 // testEngine builds a small solvable engine with every user answering.
 func testEngine(t *testing.T, seed int64, opts ...hitsndiffs.EngineOption) *hitsndiffs.Engine {
 	t.Helper()
@@ -101,27 +90,28 @@ func TestPlanPriorityOrdering(t *testing.T) {
 		s.NoteTraffic("c")
 	}
 
-	names := func(p roundPlan) []string {
-		var out []string
-		for _, tg := range p.solo {
-			out = append(out, tg.name)
-		}
-		return out
-	}
-	p := s.plan()
-	if got, want := names(p), []string{"b", "c", "a"}; !equal(got, want) {
+	order, depth := s.plan()
+	if got, want := names(order), []string{"b", "c", "a"}; !equal(got, want) {
 		t.Fatalf("round 1 order = %v, want %v", got, want)
 	}
-	if p.depth != 3 {
-		t.Fatalf("depth = %d, want 3", p.depth)
+	if depth != 3 {
+		t.Fatalf("depth = %d, want 3", depth)
 	}
 
 	// Nothing refreshed; traffic decays: b 5→2 (priority 3), c 2→1
 	// (priority 4), a stays 3. Tie a/b breaks by name.
-	p = s.plan()
-	if got, want := names(p), []string{"c", "a", "b"}; !equal(got, want) {
+	order, _ = s.plan()
+	if got, want := names(order), []string{"c", "a", "b"}; !equal(got, want) {
 		t.Fatalf("round 2 order = %v, want %v", got, want)
 	}
+}
+
+func names(order []*target) []string {
+	var out []string
+	for _, tg := range order {
+		out = append(out, tg.name)
+	}
+	return out
 }
 
 func equal(a, b []string) bool {
@@ -148,74 +138,16 @@ func TestPlanMaxPerRound(t *testing.T) {
 		f.gen.Store(tc.gen)
 		s.Register(tc.name, f)
 	}
-	p := s.plan()
-	if p.depth != 5 {
-		t.Fatalf("depth = %d, want 5", p.depth)
+	order, depth := s.plan()
+	if depth != 5 {
+		t.Fatalf("depth = %d, want 5", depth)
 	}
-	var got []string
-	for _, tg := range p.solo {
-		got = append(got, tg.name)
-	}
-	if want := []string{"p5", "p4"}; !equal(got, want) {
+	if got, want := names(order), []string{"p5", "p4"}; !equal(got, want) {
 		t.Fatalf("capped round = %v, want %v", got, want)
 	}
 }
 
-// TestStragglerEvictionSticky checks eviction fires above the iteration
-// threshold, stays (without recounting) while the target remains slow,
-// and lifts once a solve comes back under.
-func TestStragglerEvictionSticky(t *testing.T) {
-	s, _ := newTestSched(t, Config{StragglerIters: 100})
-	eng := testEngine(t, 2)
-	s.Register("x", &packedEngine{eng: eng})
-	s.mu.RLock()
-	tg := s.targets["x"]
-	s.mu.RUnlock()
-
-	if p := s.plan(); len(p.packed) != 1 {
-		t.Fatalf("fresh target not packed: %+v", p)
-	}
-	s.finish(tg, hitsndiffs.Result{Iterations: 150}, true)
-	if !tg.evicted {
-		t.Fatal("150 iters at threshold 100 did not evict")
-	}
-	if got := s.Metrics().StragglerEvictions; got != 1 {
-		t.Fatalf("evictions = %d, want 1", got)
-	}
-	if p := s.plan(); len(p.packed) != 0 || len(p.solo) != 1 {
-		t.Fatalf("evicted target not solo: packed=%d solo=%d", len(p.packed), len(p.solo))
-	}
-
-	s.finish(tg, hitsndiffs.Result{Iterations: 150}, false)
-	if got := s.Metrics().StragglerEvictions; got != 1 {
-		t.Fatalf("sticky eviction recounted: %d", got)
-	}
-
-	s.finish(tg, hitsndiffs.Result{Iterations: 80}, false)
-	if tg.evicted {
-		t.Fatal("80 iters under threshold 100 did not un-evict")
-	}
-	if p := s.plan(); len(p.packed) != 1 {
-		t.Fatal("un-evicted target not packed again")
-	}
-}
-
-// TestStragglerNeverEvictsWhenDisabled checks a negative threshold
-// disables eviction entirely.
-func TestStragglerNeverEvictsWhenDisabled(t *testing.T) {
-	s, _ := newTestSched(t, Config{StragglerIters: -1})
-	eng := testEngine(t, 3)
-	s.Register("x", &packedEngine{eng: eng})
-	s.mu.RLock()
-	tg := s.targets["x"]
-	s.mu.RUnlock()
-	s.finish(tg, hitsndiffs.Result{Iterations: 1 << 20}, true)
-	if tg.evicted {
-		t.Fatal("eviction fired with StragglerIters < 0")
-	}
-}
-
-// TestFailedRefreshKeepsWatermark checks a failing solo refresh leaves the
+// TestFailedRefreshKeepsWatermark checks a failing refresh leaves the
 // progress watermark untouched (the target is retried at full staleness)
 // and counts an error; a later success advances it.
 func TestFailedRefreshKeepsWatermark(t *testing.T) {
@@ -250,19 +182,18 @@ func TestFailedRefreshKeepsWatermark(t *testing.T) {
 	if tg.lastGen != 5 {
 		t.Fatalf("watermark = %d after success, want 5", tg.lastGen)
 	}
-	if p := s.plan(); p.depth != 0 {
-		t.Fatalf("refreshed target still planned: depth %d", p.depth)
+	if _, depth := s.plan(); depth != 0 {
+		t.Fatalf("refreshed target still planned: depth %d", depth)
 	}
 }
 
-// TestCanceledContextNeverPoisonsWatermark drives a real packed engine
-// through a round under a canceled context: the packed refresh fails, the
-// solo fallback fails, and the watermark stays put — then a live context
-// refreshes it for real.
+// TestCanceledContextNeverPoisonsWatermark drives a real engine through a
+// round under a canceled context: the refresh fails and the watermark
+// stays put — then a live context refreshes it for real.
 func TestCanceledContextNeverPoisonsWatermark(t *testing.T) {
 	s, _ := newTestSched(t, Config{})
 	eng := testEngine(t, 4)
-	s.Register("x", &packedEngine{eng: eng})
+	s.Register("x", eng)
 	s.mu.RLock()
 	tg := s.targets["x"]
 	s.mu.RUnlock()
@@ -274,9 +205,8 @@ func TestCanceledContextNeverPoisonsWatermark(t *testing.T) {
 		t.Fatalf("canceled round advanced watermark to %d", tg.lastGen)
 	}
 	m := s.Metrics()
-	// One error for the packed refresh, one for the demoted solo retry.
-	if m.Errors != 2 || m.Refreshes != 0 {
-		t.Fatalf("errors=%d refreshes=%d, want 2/0", m.Errors, m.Refreshes)
+	if m.Errors != 1 || m.Refreshes != 0 {
+		t.Fatalf("errors=%d refreshes=%d, want 1/0", m.Errors, m.Refreshes)
 	}
 
 	s.runRound(context.Background())
@@ -292,20 +222,20 @@ func TestCanceledContextNeverPoisonsWatermark(t *testing.T) {
 	}
 }
 
-// TestPackedRoundRefreshesEngines runs a real packed round over two
-// engines and checks both are refreshed through RefreshEngines, leaving
-// their caches at the write frontier.
+// TestPackedRoundRefreshesEngines runs one real round over two plainly
+// registered engines and checks both are refreshed, leaving their caches at
+// the write frontier.
 func TestPackedRoundRefreshesEngines(t *testing.T) {
 	s, _ := newTestSched(t, Config{})
 	engA := testEngine(t, 5, hitsndiffs.WithMaxStaleness(1000))
 	engB := testEngine(t, 6, hitsndiffs.WithMaxStaleness(1000))
-	s.Register("a", &packedEngine{eng: engA})
-	s.Register("b", &packedEngine{eng: engB})
+	s.Register("a", engA)
+	s.Register("b", engB)
 
 	s.runRound(context.Background())
 	m := s.Metrics()
-	if m.PackedRefreshes != 2 || m.SoloRefreshes != 0 {
-		t.Fatalf("packed=%d solo=%d, want 2/0", m.PackedRefreshes, m.SoloRefreshes)
+	if m.Refreshes != 2 || m.Errors != 0 {
+		t.Fatalf("refreshes=%d errors=%d, want 2/0", m.Refreshes, m.Errors)
 	}
 	for name, eng := range map[string]*hitsndiffs.Engine{"a": engA, "b": engB} {
 		res, err := eng.Rank(context.Background())
@@ -317,8 +247,8 @@ func TestPackedRoundRefreshesEngines(t *testing.T) {
 				name, res.Generation, res.Staleness, eng.Generation())
 		}
 	}
-	if p := s.plan(); p.depth != 0 {
-		t.Fatalf("refreshed engines still stale: depth %d", p.depth)
+	if _, depth := s.plan(); depth != 0 {
+		t.Fatalf("refreshed engines still stale: depth %d", depth)
 	}
 }
 
@@ -397,7 +327,7 @@ func TestCloseWaitsOutInflightRound(t *testing.T) {
 func TestFakeClockDrivesRounds(t *testing.T) {
 	s, clk := newTestSched(t, Config{Interval: 50 * time.Millisecond})
 	eng := testEngine(t, 7, hitsndiffs.WithMaxStaleness(1000))
-	s.Register("e", &packedEngine{eng: eng})
+	s.Register("e", eng)
 
 	if got := s.Metrics().Rounds; got != 0 {
 		t.Fatalf("rounds before any tick = %d", got)
@@ -425,20 +355,20 @@ func TestRegisterDeregisterNoteTraffic(t *testing.T) {
 	f := &fakeTarget{}
 	f.gen.Store(2)
 	s.Register("f", f)
-	if p := s.plan(); p.depth != 1 {
-		t.Fatalf("depth = %d, want 1", p.depth)
+	if _, depth := s.plan(); depth != 1 {
+		t.Fatalf("depth = %d, want 1", depth)
 	}
 	s.runRound(context.Background())
-	if p := s.plan(); p.depth != 0 {
+	if _, depth := s.plan(); depth != 0 {
 		t.Fatal("refreshed target still stale")
 	}
 	s.Register("f", f) // replace: watermark restarts
-	if p := s.plan(); p.depth != 1 {
+	if _, depth := s.plan(); depth != 1 {
 		t.Fatal("re-registered target not stale again")
 	}
 	s.Deregister("f")
 	s.Deregister("f") // idempotent
-	if p := s.plan(); p.depth != 0 {
+	if _, depth := s.plan(); depth != 0 {
 		t.Fatal("deregistered target still planned")
 	}
 	if got := s.Metrics().Targets; got != 0 {

@@ -2,12 +2,8 @@ package response
 
 import (
 	"bytes"
-	"math"
-	"sort"
 	"strings"
 	"testing"
-
-	"hitsndiffs/internal/mat"
 )
 
 // FuzzMemoInvariants drives an arbitrary byte-coded sequence of writes,
@@ -16,9 +12,9 @@ import (
 // exactly once per SetAnswer, the memoized one-hot encoding and its
 // normalized forms are never stale after SetAnswer or Clone (always bitwise
 // identical to from-scratch derivation), a clone's writes never move its
-// parent's generation or memo, and the NormDelta handed to certification is
-// exactly the memo's dirty support: the rows written since the previous
-// normalization and the columns whose sums changed bitwise.
+// parent's generation or memo, and after the first from-scratch derivation
+// every normalization that follows writes is one touched-rows splice, never
+// a rebuild, while one with no writes since the last is a pure memo hit.
 func FuzzMemoInvariants(f *testing.F) {
 	f.Add([]byte{0x00, 0x41, 0x13, 0x7f, 0x20})
 	f.Add([]byte("write-clone-write"))
@@ -31,43 +27,27 @@ func FuzzMemoInvariants(f *testing.F) {
 			ops = ops[:64]
 		}
 		gen := m.Generation()
-		written := make(map[int]bool) // rows written since the last normalization
-		normed := false               // whether m.Normalized has ever run
-		var prevSums mat.Vector
-		checkDelta := func(pc int) {
-			c, _, _, d := m.NormalizedDelta()
-			sums := c.ColSums()
+		written := false // rows written since the last normalization
+		normed := false  // whether m.Normalized has ever run
+		checkSplice := func(pc int) {
+			full0, delta0 := m.NormRebuilds()
+			m.Normalized()
+			full, delta := m.NormRebuilds()
 			switch {
 			case !normed:
-				if !d.Full {
-					t.Fatalf("op %d: first normalization must report Full", pc)
+				if full != full0+1 || delta != delta0 {
+					t.Fatalf("op %d: first normalization must build from scratch (full %d->%d, delta %d->%d)",
+						pc, full0, full, delta0, delta)
 				}
-			case d.Full:
+			case full != full0:
 				t.Fatalf("op %d: unexpected full normalization rebuild", pc)
-			default:
-				wantRows := make([]int, 0, len(written))
-				for r := range written {
-					wantRows = append(wantRows, r)
-				}
-				sort.Ints(wantRows)
-				if !intsEqual(d.Rows, wantRows) {
-					t.Fatalf("op %d: delta rows %v, want written rows %v", pc, d.Rows, wantRows)
-				}
-				var wantCols []int
-				for j := range sums {
-					if math.Float64bits(sums[j]) != math.Float64bits(prevSums[j]) {
-						wantCols = append(wantCols, j)
-					}
-				}
-				if !intsEqual(d.Cols, wantCols) {
-					t.Fatalf("op %d: delta cols %v, want changed-sum cols %v", pc, d.Cols, wantCols)
-				}
+			case written && delta != delta0+1:
+				t.Fatalf("op %d: writes must be spliced exactly once (delta %d->%d)", pc, delta0, delta)
+			case !written && delta != delta0:
+				t.Fatalf("op %d: unchanged matrix re-normalized (delta %d->%d)", pc, delta0, delta)
 			}
 			normed = true
-			prevSums = sums
-			for r := range written {
-				delete(written, r)
-			}
+			written = false
 		}
 		for pc, op := range ops {
 			u, i := int(op>>4)%users, int(op>>2)%items
@@ -75,14 +55,14 @@ func FuzzMemoInvariants(f *testing.F) {
 			case 0: // answer
 				m.SetAnswer(u, i, int(op)%k)
 				gen++
-				written[u] = true
+				written = true
 			case 1: // retract
 				m.SetAnswer(u, i, Unanswered)
 				gen++
-				written[u] = true
+				written = true
 			case 2: // materialize the memos mid-sequence
 				m.Binary()
-				checkDelta(pc)
+				checkSplice(pc)
 			case 3: // copy-on-write fork: clone writes must not leak back
 				clone := m.Clone()
 				if clone.Generation() != gen {
@@ -103,7 +83,7 @@ func FuzzMemoInvariants(f *testing.F) {
 		if got, want := m.Binary(), scratchBinary(m); !csrBitwiseEqual(got, want) {
 			t.Fatal("memoized encoding stale at end of sequence")
 		}
-		checkDelta(len(ops))
+		checkSplice(len(ops))
 		_, crow, ccol := m.Normalized()
 		wantRow, wantCol := scratchNormalized(m)
 		if !csrBitwiseEqual(crow, wantRow) || !csrBitwiseEqual(ccol, wantCol) {
@@ -113,20 +93,6 @@ func FuzzMemoInvariants(f *testing.F) {
 			t.Fatal("unchanged matrix must serve the identical memo pointers")
 		}
 	})
-}
-
-// intsEqual reports whether two index lists hold the same values, treating
-// nil and empty as equal.
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // FuzzReadCSV asserts that arbitrary input never panics the parser and that

@@ -2,7 +2,6 @@ package response
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"hitsndiffs/internal/mat"
@@ -181,64 +180,5 @@ func TestNormalizedPermuteUsersDropsMemo(t *testing.T) {
 	wantRow, wantCol := scratchNormalized(p)
 	if !csrBitwiseEqual(crow, wantRow) || !csrBitwiseEqual(ccol, wantCol) {
 		t.Fatal("PermuteUsers served a stale normalized memo")
-	}
-}
-
-// TestNormalizedDelta pins the perturbation-support contract certification
-// builds on: the first derivation is Full, an unchanged matrix yields the
-// zero delta, writes surface exactly the touched rows and scale-changed
-// columns, and the returned slices survive later write bursts (no aliasing
-// of the memo's dirty buffers).
-func TestNormalizedDelta(t *testing.T) {
-	m := New(4, 3, 3)
-	m.SetAnswer(0, 0, 1)
-	m.SetAnswer(1, 0, 1)
-	m.SetAnswer(2, 1, 2)
-	m.SetAnswer(3, 2, 0)
-
-	_, _, _, d := m.NormalizedDelta()
-	if !d.Full || d.Rows != nil || d.Cols != nil {
-		t.Fatalf("first derivation: got %+v, want Full with no support", d)
-	}
-	if _, _, _, d = m.NormalizedDelta(); d.Full || len(d.Rows) != 0 || len(d.Cols) != 0 {
-		t.Fatalf("unchanged matrix: got %+v, want zero delta", d)
-	}
-
-	// User 2 moves item 1 from option 2 to option 0, user 3 retracts item 2:
-	// rows {2, 3}; the sums of item 1's options 0 and 2 and item 2's option 0
-	// all change.
-	m.SetAnswer(2, 1, 0)
-	m.SetAnswer(3, 2, Unanswered)
-	c, _, _, d := m.NormalizedDelta()
-	if d.Full {
-		t.Fatal("write burst must take the delta path")
-	}
-	if !intsEqual(d.Rows, []int{2, 3}) {
-		t.Fatalf("delta rows %v, want [2 3]", d.Rows)
-	}
-	wantCols := []int{m.Column(1, 0), m.Column(1, 2), m.Column(2, 0)}
-	sort.Ints(wantCols)
-	if !intsEqual(d.Cols, wantCols) {
-		t.Fatalf("delta cols %v, want %v", d.Cols, wantCols)
-	}
-	if c != m.Binary() {
-		t.Fatal("NormalizedDelta must return the current encoding")
-	}
-
-	// A rewrite of the same value is still a dirty row, but no column sum
-	// moves — and the previous delta's slices must be unaffected by it.
-	rows, cols := d.Rows, d.Cols
-	m.SetAnswer(2, 1, 0)
-	if _, _, _, d = m.NormalizedDelta(); !intsEqual(d.Rows, []int{2}) || len(d.Cols) != 0 {
-		t.Fatalf("idempotent rewrite: got %+v, want rows [2] and no cols", d)
-	}
-	if !intsEqual(rows, []int{2, 3}) || !intsEqual(cols, wantCols) {
-		t.Fatalf("earlier delta mutated: rows %v cols %v", rows, cols)
-	}
-
-	// A memo reset (PermuteUsers clone) starts over with a Full derivation.
-	p := m.PermuteUsers([]int{1, 0, 2, 3})
-	if _, _, _, d = p.NormalizedDelta(); !d.Full {
-		t.Fatal("post-PermuteUsers derivation must report Full")
 	}
 }

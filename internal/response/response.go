@@ -67,9 +67,9 @@ type Matrix struct {
 	// splice bin several times between Normalized() calls, and normDirty
 	// accumulates the union.
 	normDirty []int
-	// normFull and normDelta count from-scratch vs. spliced normalization
+	// normFull and normSplice count from-scratch vs. spliced normalization
 	// rebuilds (see NormRebuilds).
-	normFull, normDelta uint64
+	normFull, normSplice uint64
 }
 
 // New creates an empty response matrix for m users, n items, and the given
@@ -258,7 +258,7 @@ func (m *Matrix) Clone() *Matrix {
 	if len(m.normDirty) > 0 {
 		out.normDirty = append([]int(nil), m.normDirty...)
 	}
-	out.normFull, out.normDelta = m.normFull, m.normDelta
+	out.normFull, out.normSplice = m.normFull, m.normSplice
 	m.binMu.Unlock()
 	return out
 }
@@ -337,53 +337,17 @@ func sortDedup(rows []int) []int {
 func (m *Matrix) Normalized() (c, crow, ccol *mat.CSR) {
 	m.binMu.Lock()
 	defer m.binMu.Unlock()
-	c, crow, ccol, _ = m.normalizedLocked()
-	return c, crow, ccol
-}
-
-// NormDelta describes what changed between two consecutive Normalized-family
-// calls: the perturbation support that certified warm updates restrict their
-// residual screen to. Full marks a from-scratch derivation (first build, or a
-// memo reset such as PermuteUsers) where no meaningful support exists; when
-// Full is false, Rows lists the user rows rewritten since the previous call
-// and Cols the option columns whose normalization scale actually changed
-// (bitwise, on the column-sum vector). A call on an unchanged matrix yields
-// the zero NormDelta.
-type NormDelta struct {
-	// Full reports a from-scratch derivation with no delta support.
-	Full bool
-	// Rows lists the rewritten user rows, sorted ascending, deduplicated.
-	Rows []int
-	// Cols lists the columns whose scale factors changed, sorted ascending.
-	Cols []int
-}
-
-// NormalizedDelta is Normalized plus the NormDelta describing what this call
-// recomputed. The returned slices are the caller's to keep: they do not alias
-// the memo's internal dirty buffers.
-func (m *Matrix) NormalizedDelta() (c, crow, ccol *mat.CSR, d NormDelta) {
-	m.binMu.Lock()
-	defer m.binMu.Unlock()
-	c, crow, ccol, d = m.normalizedLocked()
-	// d.Rows aliases the memo's reusable dirty buffer; detach it before the
-	// lock is released and the buffer can be refilled.
-	d.Rows = append([]int(nil), d.Rows...)
-	return c, crow, ccol, d
-}
-
-func (m *Matrix) normalizedLocked() (c, crow, ccol *mat.CSR, d NormDelta) {
 	b := m.binaryLocked()
 	if m.crow != nil && m.normBase == b {
-		return b, m.crow, m.ccol, NormDelta{}
+		return b, m.crow, m.ccol
 	}
 	if m.crow == nil || m.normBase == nil {
 		m.normFull++
 		m.colSums = b.ColSums()
 		m.crow = b.RowNormalized()
 		m.ccol = b.ColNormalized()
-		d.Full = true
 	} else {
-		m.normDelta++
+		m.normSplice++
 		rows := sortDedup(m.normDirty)
 		// Update the column sums over the touched rows only. Values are
 		// one-hot counts, so the ±1 arithmetic stays bitwise identical to a
@@ -423,12 +387,10 @@ func (m *Matrix) normalizedLocked() (c, crow, ccol *mat.CSR, d NormDelta) {
 		m.crow = m.crow.ReplaceRowsNormalized(b, rows)
 		m.ccol = m.ccol.ReplaceRowsColNormalized(b, rows, sums, affected)
 		m.colSums = sums
-		d.Rows = rows
-		d.Cols = affected
 	}
 	m.normBase = b
 	m.normDirty = m.normDirty[:0] // keep the capacity for the next write burst
-	return b, m.crow, m.ccol, d
+	return b, m.crow, m.ccol
 }
 
 // NormRebuilds reports how many times Normalized() derived the normalized
@@ -440,7 +402,7 @@ func (m *Matrix) normalizedLocked() (c, crow, ccol *mat.CSR, d NormDelta) {
 func (m *Matrix) NormRebuilds() (full, delta uint64) {
 	m.binMu.Lock()
 	defer m.binMu.Unlock()
-	return m.normFull, m.normDelta
+	return m.normFull, m.normSplice
 }
 
 // PermuteUsers returns a new matrix whose user u is m's user perm[u].

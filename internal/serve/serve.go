@@ -189,10 +189,8 @@ func (t *tenant) noteServed(version uint64) {
 }
 
 // refreshTarget adapts a tenant for the background refresh scheduler: it
-// exposes the backend's write frontier and exact re-solve, joins the
-// packed RefreshEngines group when the tenant is unsharded (a
-// ShardedEngine's Refresh already fans out over its own shards), and rides
-// the admission refresh-lag watermark on scheduler progress through
+// exposes the backend's write frontier and exact re-solve, and rides the
+// admission refresh-lag watermark on scheduler progress through
 // RefreshDone.
 type refreshTarget struct {
 	t *tenant
@@ -205,9 +203,6 @@ func (r refreshTarget) Generation() uint64 { return r.t.backend.Generation() }
 func (r refreshTarget) Refresh(ctx context.Context) (hitsndiffs.Result, error) {
 	return r.t.backend.Refresh(ctx)
 }
-
-// PackedEngine implements refresh.PackedTarget; sharded tenants decline.
-func (r refreshTarget) PackedEngine() *hitsndiffs.Engine { return r.t.engine }
 
 // RefreshDone implements refresh.Completer: a successful background
 // refresh advances the tenant's served watermark so the admission lag

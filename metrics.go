@@ -54,18 +54,6 @@ type EngineMetrics struct {
 	// BatchSolves counts tenants solved (not served cached) through
 	// Engine.RankBatch.
 	BatchSolves uint64 `json:"batch_solves"`
-	// CertifiedHits counts cache misses served through the certified
-	// warm-update fast path (WithCertifiedUpdates): one or two power steps
-	// proved the previous scores converged at the solve tolerance, so the
-	// iterative solver never ran. Always a subset of CacheMisses.
-	CertifiedHits uint64 `json:"certified_hits"`
-	// CertifiedFallbacks counts eligible certification attempts that were
-	// rejected (residual too large, screen abort, no usable warm iterate)
-	// and fell back to the full warm solve. CertifiedHits +
-	// CertifiedFallbacks is the total attempt count; requests that never
-	// attempt (flag off, cold start, non-HnD-power method) count in
-	// neither.
-	CertifiedFallbacks uint64 `json:"certified_fallbacks"`
 	// CSRFullRebuilds / CSRDeltaRebuilds mirror ResponseMatrix.CSRRebuilds
 	// for the engine's current matrix: from-scratch one-hot encodings vs
 	// touched-row splices. Under sparse write traffic full must stop
@@ -73,13 +61,13 @@ type EngineMetrics struct {
 	CSRFullRebuilds uint64 `json:"csr_full_rebuilds"`
 	// CSRDeltaRebuilds counts touched-row CSR splices (see CSRFullRebuilds).
 	CSRDeltaRebuilds uint64 `json:"csr_delta_rebuilds"`
-	// NormFullRebuilds / NormDeltaRebuilds mirror
+	// NormFullRebuilds / NormSpliceRebuilds mirror
 	// ResponseMatrix.NormRebuilds: from-scratch normalized-triple
 	// derivations vs generation-keyed splices.
 	NormFullRebuilds uint64 `json:"norm_full_rebuilds"`
-	// NormDeltaRebuilds counts normalized-triple splices (see
+	// NormSpliceRebuilds counts normalized-triple splices (see
 	// NormFullRebuilds).
-	NormDeltaRebuilds uint64 `json:"norm_delta_rebuilds"`
+	NormSpliceRebuilds uint64 `json:"norm_delta_rebuilds"`
 }
 
 // add accumulates o into m for the sharded aggregate view.
@@ -94,12 +82,10 @@ func (m *EngineMetrics) add(o EngineMetrics) {
 	m.CacheHits += o.CacheHits
 	m.CacheMisses += o.CacheMisses
 	m.BatchSolves += o.BatchSolves
-	m.CertifiedHits += o.CertifiedHits
-	m.CertifiedFallbacks += o.CertifiedFallbacks
 	m.CSRFullRebuilds += o.CSRFullRebuilds
 	m.CSRDeltaRebuilds += o.CSRDeltaRebuilds
 	m.NormFullRebuilds += o.NormFullRebuilds
-	m.NormDeltaRebuilds += o.NormDeltaRebuilds
+	m.NormSpliceRebuilds += o.NormSpliceRebuilds
 }
 
 // Spearman returns Spearman's rank correlation between two score vectors

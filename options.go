@@ -66,10 +66,10 @@ func withScratchUpdate() Option {
 	return func(s *settings) { s.scratchUpdate = true }
 }
 
-// withSolveScratch threads pooled solve buffers into an HnD-power solve or
-// certification attempt (core.Options.Scratch); not public because the
-// scratch contract — single solve at a time, scores copied out before the
-// buffers are reused — is the engine's to uphold, not the caller's.
+// withSolveScratch threads pooled solve buffers into an HnD-power solve
+// (core.Options.Scratch); not public because the scratch contract — single
+// solve at a time, scores copied out before the buffers are reused — is the
+// engine's to uphold, not the caller's.
 func withSolveScratch(sc *core.SolveScratch) Option {
 	return func(s *settings) { s.scratch = sc }
 }
@@ -149,23 +149,6 @@ func WithMaxStaleness(n uint64) EngineOption {
 // for per-re-rank work. Applies to Engine, ShardedEngine and RankBatch.
 func WithUpdateCache(enabled bool) EngineOption {
 	return func(s *engineSettings) { s.updateCache = enabled }
-}
-
-// WithCertifiedUpdates toggles the certified warm-update fast path (default
-// on): on a cache miss with a usable warm start, the engine first tries to
-// certify the previous scores against the freshly written matrix with one or
-// two power steps and a residual bound at the solve tolerance
-// (core.HNDPower.CertifyWarm); a certified hit is served without entering
-// the iterative solver, a failed certificate falls back to the full warm
-// solve exactly once. Certification replays the solver's exact arithmetic
-// and acceptance test, so served results are bitwise identical with the
-// flag on or off — the flag is an escape hatch and an A/B lever, and the
-// CertifiedHits / CertifiedFallbacks metrics report how often the path
-// pays. Only the update-backed "HnD-power" method certifies, and the path
-// also requires the update cache (WithUpdateCache(false) disables it).
-// Applies to Engine and ShardedEngine.
-func WithCertifiedUpdates(enabled bool) EngineOption {
-	return func(s *engineSettings) { s.certified = enabled }
 }
 
 func newSettings(opts []Option) settings {

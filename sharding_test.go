@@ -331,8 +331,9 @@ func TestShardedTinyShards(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentObserveRank drives concurrent writers and readers
-// through the router; under -race this is the router's data-race proof.
+// TestShardedConcurrentObserveRank drives concurrent writers, readers and
+// a per-shard RankAll fan-out through the router; under -race this is the
+// router's data-race proof.
 func TestShardedConcurrentObserveRank(t *testing.T) {
 	m := shardTestMatrix(t, 80, 15)
 	eng, err := NewShardedEngine(m, WithShards(4), WithRankOptions(WithSeed(2), WithMaxIter(500)))
@@ -342,7 +343,7 @@ func TestShardedConcurrentObserveRank(t *testing.T) {
 	ctx := context.Background()
 	const writers, readers, rounds = 3, 3, 25
 	var wg sync.WaitGroup
-	errc := make(chan error, writers+readers)
+	errc := make(chan error, writers+readers+1)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -381,6 +382,16 @@ func TestShardedConcurrentObserveRank(t *testing.T) {
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, err := eng.RankAll(ctx); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
 	wg.Wait()
 	close(errc)
 	if err := <-errc; err != nil {
