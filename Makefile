@@ -11,15 +11,14 @@ GO ?= go
 # Benchmarks tracked as the perf baseline: the Figure 5 scaling workloads
 # (serial vs parallel kernels), the isolated zero-alloc power-loop body,
 # the pooled parallel dispatch path, CSR assembly, the Engine serving
-# paths, the sharded-router scaling curves, the multi-tenant RankBatch
-# path, the warm re-rank allocation profile under
-# the generation-keyed Update cache (vs. its WithUpdateCache(false)
-# escape-hatch baseline), the durable WAL append path per fsync
-# policy (always / interval / off) — the write-path overhead record —
-# the staleness-bounded read path under steady writes (StaleRank:
-# bound=0 inline baseline vs bounded stale serving), and the pooled
-# zero-alloc warm HnD-power solve itself (WarmSolveKernel).
-BENCH_PATTERN ?= Fig5aScaleUsers|Fig5bScaleQuestions|HNDPowerInnerLoop|EngineSnapshot|EngineWarmVsCold|NewCSRAssembly|MulVecParallel|ParallelDoPooled|ShardedObserve|ShardedRank|BatchedRank|WarmRerankAllocs|WALAppend|StaleRank|WarmSolveKernel
+# paths, the sharded-router scaling curves, the warm re-rank allocation
+# profile on the generation-keyed normalization memo, the durable WAL
+# append path per fsync policy (always / interval / off) — the
+# write-path overhead record — the staleness-bounded read path under
+# steady writes (StaleRank: bound=0 inline baseline vs bounded stale
+# serving), and the pooled zero-alloc warm HnD-power solve itself
+# (WarmSolveKernel).
+BENCH_PATTERN ?= Fig5aScaleUsers|Fig5bScaleQuestions|HNDPowerInnerLoop|EngineSnapshot|EngineWarmVsCold|NewCSRAssembly|MulVecParallel|ParallelDoPooled|ShardedObserve|ShardedRank|WarmRerankAllocs|WALAppend|StaleRank|WarmSolveKernel
 BENCH_TIME ?= 1x
 BENCH_OUT ?= BENCH_pr10.json
 

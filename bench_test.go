@@ -432,10 +432,12 @@ func BenchmarkPQTreeReduce(b *testing.B) {
 }
 
 // BenchmarkEngineWarmVsCold quantifies the Engine's warm-start speedup on
-// a mid-size noisy matrix: each benchmarked operation is one Observe burst
-// followed by a full re-rank. The warm engine resumes the power iteration
-// from the previous score vector; the cold engine restarts from a random
-// vector every time. Reported custom metrics: power iterations per re-rank.
+// a mid-size noisy matrix: each benchmarked operation is one Observe
+// followed by a full re-rank. The warm side is Engine.Rank, which resumes
+// the power iteration from the previous score vector; the cold side is a
+// direct New(...).Rank of the engine's snapshot, which restarts from the
+// seeded random vector every time. Reported custom metrics: power
+// iterations per re-rank.
 func BenchmarkEngineWarmVsCold(b *testing.B) {
 	cfg := irt.DefaultConfig(irt.ModelSamejima)
 	cfg.Users, cfg.Items, cfg.Seed = 500, 150, 42
@@ -446,12 +448,12 @@ func BenchmarkEngineWarmVsCold(b *testing.B) {
 	}
 	ctx := context.Background()
 
-	run := func(b *testing.B, cold bool) {
-		opts := []EngineOption{WithRankOptions(WithSeed(1))}
-		if cold {
-			opts = append(opts, WithColdStart())
-		}
-		eng, err := NewEngine(d.Responses, opts...)
+	cold, err := New("HnD-power", WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(b *testing.B, rank func(*Engine) (Result, error)) {
+		eng, err := NewEngine(d.Responses, WithRankOptions(WithSeed(1)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -467,7 +469,7 @@ func BenchmarkEngineWarmVsCold(b *testing.B) {
 			if err := eng.Observe(user, item, (d.Responses.Answer(user, item)+1+k)%k); err != nil {
 				b.Fatal(err)
 			}
-			res, err := eng.Rank(ctx)
+			res, err := rank(eng)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -476,8 +478,15 @@ func BenchmarkEngineWarmVsCold(b *testing.B) {
 		b.ReportMetric(float64(iters)/float64(b.N), "iterations/rerank")
 	}
 
-	b.Run("warm", func(b *testing.B) { run(b, false) })
-	b.Run("cold", func(b *testing.B) { run(b, true) })
+	b.Run("warm", func(b *testing.B) {
+		run(b, func(eng *Engine) (Result, error) { return eng.Rank(ctx) })
+	})
+	b.Run("cold", func(b *testing.B) {
+		run(b, func(eng *Engine) (Result, error) {
+			view, _ := eng.View()
+			return cold.Rank(ctx, view)
+		})
+	})
 }
 
 // shardedBenchMatrix builds the workload the sharded-router benchmarks
@@ -554,106 +563,15 @@ func BenchmarkShardedRank(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedRank measures multi-tenant ranking at 16 tenants in the
-// serving regime RankBatch targets: every operation writes one response and
-// then refreshes all tenants' rankings.
-//
-//   - per-tenant-sequential is the cache-free loop: one solo cold solve per
-//     tenant per refresh (the acceptance baseline).
-//   - batched-all-stale writes to every tenant first, so each refresh is 16
-//     warm re-solves, one tenant at a time on pooled solve buffers — it
-//     isolates the per-tenant solve path itself. CI caps its B/op.
-//   - batched-steady writes to one tenant, so a refresh is 15 per-tenant
-//     cache hits plus one warm re-solve of the written tenant with a delta
-//     (touched-rows) CSR rebuild — the steady-state serving cost.
-//
-// The committed acceptance bar is batched-steady ≥ 2x the throughput of
-// per-tenant-sequential.
-func BenchmarkBatchedRank(b *testing.B) {
-	const nTenants = 16
-	ctx := context.Background()
-	makeTenants := func(b *testing.B) []*ResponseMatrix {
-		tenants := make([]*ResponseMatrix, nTenants)
-		for i := range tenants {
-			cfg := irt.DefaultConfig(irt.ModelSamejima)
-			cfg.Users, cfg.Items, cfg.Seed = 120, 60, 100+int64(i)
-			cfg.DiscriminationMax = 2
-			d, err := irt.Generate(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tenants[i] = d.Responses
-		}
-		return tenants
-	}
-	write := func(b *testing.B, m *response.Matrix, i int) {
-		b.Helper()
-		item := i % m.Items()
-		m.SetAnswer(i%m.Users(), item, i%m.OptionCount(item))
-	}
-
-	b.Run("per-tenant-sequential", func(b *testing.B) {
-		tenants := makeTenants(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			write(b, tenants[i%nTenants], i)
-			for _, m := range tenants {
-				if _, err := HND(WithSeed(1)).Rank(ctx, m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("batched-all-stale", func(b *testing.B) {
-		tenants := makeTenants(b)
-		eng, err := NewEngine(NewResponseMatrix(2, 1, 2), WithRankOptions(WithSeed(1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.RankBatch(ctx, tenants); err != nil { // common cold start
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, m := range tenants {
-				write(b, m, i)
-			}
-			if _, err := eng.RankBatch(ctx, tenants); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("batched-steady", func(b *testing.B) {
-		tenants := makeTenants(b)
-		eng, err := NewEngine(NewResponseMatrix(2, 1, 2), WithRankOptions(WithSeed(1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.RankBatch(ctx, tenants); err != nil { // common cold start
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			write(b, tenants[i%nTenants], i)
-			if _, err := eng.RankBatch(ctx, tenants); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkWarmRerankAllocs quantifies the generation-keyed normalization
-// and Update caches on the steady-state serving path: each op is one
-// single-user Observe followed by a warm Rank (under an outstanding view,
-// as serving traffic would have it).
+// memo on the steady-state serving path.
 //
-//   - cache=on is the default: the write splices the one-hot CSR and its
-//     normalized forms (touched rows + affected column scales only) and the
-//     engine reuses its per-version Update machinery — no full O(nnz)
-//     normalization rebuild anywhere on the warm path.
-//   - cache=off is the WithUpdateCache(false) escape hatch — the previous
-//     rebuild-per-rank behaviour and the acceptance baseline the committed
-//     BENCH_pr5.json records the allocation drop against.
+//   - cache=true is one single-user Observe followed by a warm Rank (under
+//     an outstanding view, as serving traffic would have it): the write
+//     splices the one-hot CSR and its normalized forms (touched rows +
+//     affected column scales only), so no full O(nnz) normalization
+//     rebuild runs anywhere on the warm path. The name is kept so the row
+//     compares with the committed BENCH_pr*.json records.
 //   - normalized-memo-hit isolates the solve-input fetch on an unchanged
 //     matrix — the pure cache-hit body, CI-guarded at 0 allocs/op.
 func BenchmarkWarmRerankAllocs(b *testing.B) {
@@ -666,30 +584,28 @@ func BenchmarkWarmRerankAllocs(b *testing.B) {
 	}
 	ctx := context.Background()
 
-	for _, cache := range []bool{true, false} {
-		b.Run(fmt.Sprintf("cache=%v", cache), func(b *testing.B) {
-			eng, err := NewEngine(d.Responses, WithRankOptions(WithSeed(1)), WithUpdateCache(cache))
-			if err != nil {
+	b.Run("cache=true", func(b *testing.B) {
+		eng, err := NewEngine(d.Responses, WithRankOptions(WithSeed(1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Rank(ctx); err != nil { // common cold start
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.View() // serving reader holds a snapshot across the write
+			user, item := i%cfg.Users, i%cfg.Items
+			k := d.Responses.OptionCount(item)
+			if err := eng.Observe(user, item, i%k); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := eng.Rank(ctx); err != nil { // common cold start
+			if _, err := eng.Rank(ctx); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.View() // serving reader holds a snapshot across the write
-				user, item := i%cfg.Users, i%cfg.Items
-				k := d.Responses.OptionCount(item)
-				if err := eng.Observe(user, item, i%k); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Rank(ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 
 	b.Run("normalized-memo-hit", func(b *testing.B) {
 		m := d.Responses.Clone()
@@ -764,9 +680,9 @@ func BenchmarkEngineSnapshot(b *testing.B) {
 }
 
 // BenchmarkWarmSolveKernel isolates one warm HnD-power solve the way
-// Engine.Rank runs it on a cache miss: the Update machinery prebuilt with
-// one worker, the pooled solve scratch bound, and the previous scores as
-// the warm start. The matrix was idempotently rewritten, so every solve
+// Engine.Rank runs it on a cache miss — the pooled solve scratch bound and
+// the previous scores as the warm start — minus the solve-input fetch: the
+// Update machinery is prebuilt with one worker (core.Options.Update). The matrix was idempotently rewritten, so every solve
 // converges in one power step; with the bound scratch it must report 0
 // allocs/op — the CI-guarded steady state of the warm re-rank.
 func BenchmarkWarmSolveKernel(b *testing.B) {

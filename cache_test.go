@@ -38,68 +38,90 @@ func goldenWorkload(t *testing.T, method string) *ResponseMatrix {
 	return d.Responses
 }
 
-// TestUpdateCacheGoldenEquivalence is the golden suite of the cache
-// protocol: for every registered method, Engine.Rank scores must be bitwise
-// identical with the generation-keyed Update cache on vs. the
-// WithUpdateCache(false) escape hatch, on the cold path and across a series
-// of warm re-ranks (single writes, retractions and a burst).
+// memoFree rebuilds m with no memoized state: its answers are replayed
+// into a fresh matrix, so a solve on the rebuild assembles the one-hot
+// encoding and its normalized forms from scratch instead of splicing them.
+func memoFree(m *ResponseMatrix) *ResponseMatrix {
+	options := make([]int, m.Items())
+	for i := range options {
+		options[i] = m.OptionCount(i)
+	}
+	out := NewResponseMatrix(m.Users(), m.Items(), options...)
+	for u := 0; u < m.Users(); u++ {
+		for i := 0; i < m.Items(); i++ {
+			if h := m.Answer(u, i); h != Unanswered {
+				out.SetAnswer(u, i, h)
+			}
+		}
+	}
+	return out
+}
+
+// TestUpdateCacheGoldenEquivalence is the golden suite of the matrix memo
+// every solve input is drawn from: for every registered method, on the
+// cold rank and after a write, a retraction, a rewrite and a burst, each
+// Engine.Rank takes one cache miss and must reproduce, bit for bit (errors
+// included), the plain registry solver warm-started from the engine's
+// previous scores and run on a memo-free rebuild of the same snapshot.
 func TestUpdateCacheGoldenEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, method := range MethodNames() {
-		method := method
 		t.Run(method, func(t *testing.T) {
-			m := goldenWorkload(t, method)
-			mkEngine := func(cache bool) *Engine {
-				eng, err := NewEngine(m, WithMethod(method),
-					WithRankOptions(WithSeed(3), WithParallelism(1)),
-					WithUpdateCache(cache))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return eng
+			eng, err := NewEngine(goldenWorkload(t, method), WithMethod(method),
+				WithRankOptions(WithSeed(3), WithParallelism(1)))
+			if err != nil {
+				t.Fatal(err)
 			}
-			cached, scratch := mkEngine(true), mkEngine(false)
-
+			var prev []float64 // the engine's last solved scores: its next warm start
 			step := func(phase string) {
-				cres, cerr := cached.Rank(ctx)
-				sres, serr := scratch.Rank(ctx)
-				if (cerr == nil) != (serr == nil) {
-					t.Fatalf("%s: cached err %v vs scratch err %v", phase, cerr, serr)
+				t.Helper()
+				misses := eng.Metrics().CacheMisses
+				res, err := eng.Rank(ctx)
+				if d := eng.Metrics().CacheMisses - misses; d != 1 {
+					t.Fatalf("%s: rank took %d cache misses, want 1", phase, d)
 				}
-				if cerr != nil {
-					if cerr.Error() != serr.Error() {
-						t.Fatalf("%s: errors differ: %v vs %v", phase, cerr, serr)
+				view, _ := eng.View()
+				opts := []Option{WithSeed(3), WithParallelism(1)}
+				if prev != nil {
+					opts = append(opts, WithWarmStart(prev))
+				}
+				r, rerr := New(method, opts...)
+				if rerr != nil {
+					t.Fatal(rerr)
+				}
+				ref, rerr := r.Rank(ctx, memoFree(view))
+				if (err == nil) != (rerr == nil) {
+					t.Fatalf("%s: engine err %v vs reference err %v", phase, err, rerr)
+				}
+				if err != nil {
+					if err.Error() != rerr.Error() {
+						t.Fatalf("%s: errors differ: %v vs %v", phase, err, rerr)
 					}
 					return
 				}
-				if !scoresEqualBits(cres.Scores, sres.Scores) {
-					t.Fatalf("%s: cached scores differ from scratch scores", phase)
+				if !scoresEqualBits(res.Scores, ref.Scores) {
+					t.Fatalf("%s: engine scores diverge from the memo-free warm solve", phase)
 				}
-				if cres.Iterations != sres.Iterations || cres.Flipped != sres.Flipped {
-					t.Fatalf("%s: solve metadata diverged (it %d vs %d)", phase, cres.Iterations, sres.Iterations)
+				if res.Iterations != ref.Iterations || res.Converged != ref.Converged || res.Flipped != ref.Flipped {
+					t.Fatalf("%s: solve metadata diverged (it %d vs %d, conv %v vs %v, flip %v vs %v)", phase,
+						res.Iterations, ref.Iterations, res.Converged, ref.Converged, res.Flipped, ref.Flipped)
 				}
+				prev = res.Scores
 			}
 
 			step("cold")
-			writes := []Observation{
+			for i, o := range []Observation{
 				{User: 3, Item: 2, Option: 1},
 				{User: 7, Item: 5, Option: Unanswered}, // retraction (may empty a row)
 				{User: 3, Item: 2, Option: 0},
-			}
-			for i, o := range writes {
-				if err := cached.Observe(o.User, o.Item, o.Option); err != nil {
-					t.Fatal(err)
-				}
-				if err := scratch.Observe(o.User, o.Item, o.Option); err != nil {
+			} {
+				if err := eng.Observe(o.User, o.Item, o.Option); err != nil {
 					t.Fatal(err)
 				}
 				step([]string{"warm-write", "warm-retract", "warm-rewrite"}[i])
 			}
 			burst := []Observation{{User: 1, Item: 1, Option: 0}, {User: 9, Item: 4, Option: 1}, {User: 12, Item: 0, Option: 1}}
-			if err := cached.ObserveBatch(burst); err != nil {
-				t.Fatal(err)
-			}
-			if err := scratch.ObserveBatch(burst); err != nil {
+			if err := eng.ObserveBatch(burst); err != nil {
 				t.Fatal(err)
 			}
 			step("warm-burst")
@@ -107,56 +129,110 @@ func TestUpdateCacheGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestRankBatchGoldenEquivalence extends the golden suite to the batched
-// multi-tenant path: RankBatch results must be bitwise identical with the
-// per-tenant caches backed by the generation-keyed memos vs. forced
-// from-scratch construction, across cold, cached-steady and re-written
-// tenants.
-func TestRankBatchGoldenEquivalence(t *testing.T) {
+// TestWarmRerankAvoidsFullNormalizationRebuild is the counter assertion of
+// the matrix memo the engine draws every solve input from: after the cold
+// solve's one full normalization, warm re-ranks following single-user
+// writes pay touched-rows splices only — no further full
+// RowNormalized/ColNormalized rebuild anywhere, even under outstanding
+// copy-on-write snapshots — and concurrent cache misses on one version
+// share a single splice.
+func TestWarmRerankAvoidsFullNormalizationRebuild(t *testing.T) {
 	ctx := context.Background()
-	tenants := tenantWorkloads(t, 5, 21)
-	mkEngine := func(cache bool) *Engine {
-		eng, err := NewEngine(NewResponseMatrix(2, 1, 2),
-			WithRankOptions(WithSeed(3), WithParallelism(1)),
-			WithUpdateCache(cache))
+	rankedEngine := func(t *testing.T) *Engine {
+		t.Helper()
+		eng, err := NewEngine(engineWorkload(t, 120, 60, 9), WithRankOptions(WithSeed(4)))
 		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Rank(ctx); err != nil {
 			t.Fatal(err)
 		}
 		return eng
 	}
-	cached, scratch := mkEngine(true), mkEngine(false)
 
-	step := func(phase string) {
-		cres, err := cached.RankBatch(ctx, tenants)
-		if err != nil {
-			t.Fatalf("%s: cached: %v", phase, err)
+	t.Run("sequential", func(t *testing.T) {
+		eng := rankedEngine(t)
+		view, _ := eng.View() // outstanding snapshot: the next write COW-clones
+		if full, delta := view.NormRebuilds(); full != 1 || delta != 0 {
+			t.Fatalf("cold rank paid %d full + %d delta normalizations, want 1 + 0", full, delta)
 		}
-		sres, err := scratch.RankBatch(ctx, tenants)
-		if err != nil {
-			t.Fatalf("%s: scratch: %v", phase, err)
-		}
-		for i := range tenants {
-			if !scoresEqualBits(cres[i].Scores, sres[i].Scores) {
-				t.Fatalf("%s: tenant %d scores differ between cached and scratch", phase, i)
+		for i := 0; i < 3; i++ {
+			if err := eng.Observe(7+i, 3, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Rank(ctx); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
+		m, _ := eng.View()
+		if full, delta := m.NormRebuilds(); full != 1 || delta != 3 {
+			t.Fatalf("warm re-ranks paid %d full + %d delta normalizations, want 1 + 3", full, delta)
+		}
+		if full, _ := m.CSRRebuilds(); full != 1 {
+			t.Fatalf("warm re-ranks paid %d full CSR rebuilds, want 1", full)
+		}
+		// The outstanding snapshot still serves its original normalized memo.
+		if _, crow, _ := view.Normalized(); crow == nil {
+			t.Fatal("snapshot lost its normalized memo")
+		}
+		if full, delta := view.NormRebuilds(); full != 1 || delta != 0 {
+			t.Fatalf("snapshot's counters moved (full=%d delta=%d)", full, delta)
+		}
+	})
 
-	step("cold")
-	step("all-cached")
-	tenants[2].SetAnswer(4, 3, 1)
-	step("one-stale")
-	tenants[0].SetAnswer(0, 0, Unanswered)
-	tenants[4].SetAnswer(9, 2, 2)
-	step("two-stale")
+	// Every rank of one version solves on the same snapshot, so however
+	// many of them miss the result cache at once, the first to fetch the
+	// solve input splices the memo and the rest read it.
+	t.Run("concurrent-misses", func(t *testing.T) {
+		const rankers = 8
+		eng := rankedEngine(t)
+		if err := eng.Observe(7, 3, 0); err != nil {
+			t.Fatal(err)
+		}
+		view, version := eng.View()
+		_, normBefore := view.NormRebuilds()
+		_, csrBefore := view.CSRRebuilds()
+		missesBefore := eng.Metrics().CacheMisses
+		start := make(chan struct{})
+		errs := make(chan error, rankers)
+		var wg sync.WaitGroup
+		for i := 0; i < rankers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, err := eng.Rank(ctx); err != nil {
+					errs <- err
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if v := eng.Version(); v != version {
+			t.Fatalf("version moved from %d to %d without a write", version, v)
+		}
+		if full, delta := view.NormRebuilds(); full != 1 || delta-normBefore != 1 {
+			t.Fatalf("%d concurrent ranks paid %d full + %d delta normalizations, want 1 + 1",
+				rankers, full, delta-normBefore)
+		}
+		if full, delta := view.CSRRebuilds(); full != 1 || delta-csrBefore != 1 {
+			t.Fatalf("%d concurrent ranks paid %d full + %d delta CSR rebuilds, want 1 + 1",
+				rankers, full, delta-csrBefore)
+		}
+		t.Logf("%d concurrent ranks: %d cache misses", rankers, eng.Metrics().CacheMisses-missesBefore)
+	})
 }
 
-// TestWarmRerankAvoidsFullNormalizationRebuild is the counter assertion of
-// the acceptance criteria: after the cold solve's one full normalization,
-// warm re-ranks following single-user writes pay touched-rows splices only
-// — no further full RowNormalized/ColNormalized rebuild anywhere, even
-// under outstanding copy-on-write snapshots.
-func TestWarmRerankAvoidsFullNormalizationRebuild(t *testing.T) {
+// TestObserveRankAvoidsFullCSRRebuild is the delta-aware acceptance
+// criterion: after the engine's first solve, a single-user Observe followed
+// by a Rank must rebuild only the touched rows of the memoized one-hot CSR
+// — the full-assembly counter stays at one, under an outstanding
+// copy-on-write snapshot included.
+func TestObserveRankAvoidsFullCSRRebuild(t *testing.T) {
 	ctx := context.Background()
 	eng, err := NewEngine(engineWorkload(t, 120, 60, 9), WithRankOptions(WithSeed(4)))
 	if err != nil {
@@ -166,8 +242,8 @@ func TestWarmRerankAvoidsFullNormalizationRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	view, _ := eng.View() // outstanding snapshot: the next write COW-clones
-	if full, delta := view.NormRebuilds(); full != 1 || delta != 0 {
-		t.Fatalf("cold rank paid %d full + %d delta normalizations, want 1 + 0", full, delta)
+	if full, _ := view.CSRRebuilds(); full != 1 {
+		t.Fatalf("cold rank paid %d full builds, want 1", full)
 	}
 	for i := 0; i < 3; i++ {
 		if err := eng.Observe(7+i, 3, 0); err != nil {
@@ -178,18 +254,17 @@ func TestWarmRerankAvoidsFullNormalizationRebuild(t *testing.T) {
 		}
 	}
 	m, _ := eng.View()
-	if full, delta := m.NormRebuilds(); full != 1 || delta != 3 {
-		t.Fatalf("warm re-ranks paid %d full + %d delta normalizations, want 1 + 3", full, delta)
+	full, delta := m.CSRRebuilds()
+	if full != 1 {
+		t.Fatalf("single-user writes triggered %d full CSR rebuilds, want 1 (delta=%d)", full, delta)
 	}
-	if full, _ := m.CSRRebuilds(); full != 1 {
-		t.Fatalf("warm re-ranks paid %d full CSR rebuilds, want 1", full)
+	if delta != 3 {
+		t.Fatalf("expected 3 delta rebuilds, got %d", delta)
 	}
-	// The outstanding snapshot still serves its original normalized memo.
-	if _, crow, _ := view.Normalized(); crow == nil {
-		t.Fatal("snapshot lost its normalized memo")
-	}
-	if full, delta := view.NormRebuilds(); full != 1 || delta != 0 {
-		t.Fatalf("snapshot's counters moved (full=%d delta=%d)", full, delta)
+	// The outstanding snapshot still serves its original, fully consistent
+	// encoding.
+	if view.Binary() == nil || view == m {
+		t.Fatal("snapshot was not detached by the writes")
 	}
 }
 
@@ -240,11 +315,11 @@ func assertNormalizedTripleConsistent(t *testing.T, m *ResponseMatrix) {
 }
 
 // TestUpdateCacheConcurrentStress hammers one engine with concurrent
-// Observe, Rank, RankBatch, InferLabels and View traffic over the shared
-// generation-keyed caches. Run under -race it is the cache protocol's
-// concurrency proof; the view checker additionally asserts every snapshot
-// observes a fully consistent (C, C_row, C_col) triple, never a partially
-// refreshed one.
+// Observe, Rank, InferLabels and View traffic over the generation-keyed
+// matrix memos its solve inputs come from. Run under -race it is the memo
+// protocol's concurrency proof; the view checker additionally asserts
+// every snapshot observes a fully consistent (C, C_row, C_col) triple,
+// never a partially refreshed one.
 func TestUpdateCacheConcurrentStress(t *testing.T) {
 	const iters = 60
 	ctx := context.Background()
@@ -253,10 +328,6 @@ func TestUpdateCacheConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := eng.Rank(ctx); err != nil {
-		t.Fatal(err)
-	}
-	tenants := tenantWorkloads(t, 3, 31)
-	if _, err := eng.RankBatch(ctx, tenants); err != nil {
 		t.Fatal(err)
 	}
 
@@ -292,11 +363,6 @@ func TestUpdateCacheConcurrentStress(t *testing.T) {
 		_, err := eng.InferLabels(ctx)
 		return err
 	})
-	run(func(i int) error { // batcher: writes its own tenants between calls
-		tenants[i%len(tenants)].SetAnswer(i%tenants[0].Users(), i%tenants[0].Items(), i%3)
-		_, err := eng.RankBatch(ctx, tenants)
-		return err
-	})
 	viewerDone := make(chan struct{})
 	wg.Add(1)
 	go func() { // viewer: consistency of COW snapshots under writes
@@ -310,7 +376,8 @@ func TestUpdateCacheConcurrentStress(t *testing.T) {
 	wg.Wait()
 	<-viewerDone
 
-	// After the dust settles, the cached path still matches scratch.
+	// After the dust settles, the engine still ranks to finite scores on
+	// the one memo built at the start.
 	res, err := eng.Rank(ctx)
 	if err != nil {
 		t.Fatal(err)

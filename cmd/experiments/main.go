@@ -30,12 +30,10 @@
 //	ablation-orient              decile-entropy orientation ablation
 //	ablation-tol                 convergence tolerance ablation
 //	sharded                      sharded-engine serving latency vs shard count
-//	batched                      batched multi-tenant ranking latency vs tenant count
 //	all                          everything above
 //
 // The sharded sweep honors -shards as the largest shard count swept
-// (powers of two up to it); the batched sweep honors -batch the same way
-// for tenant counts.
+// (powers of two up to it).
 package main
 
 import (
@@ -53,12 +51,11 @@ import (
 )
 
 type runner struct {
-	ctx     context.Context
-	cfg     experiments.Config
-	timing  experiments.TimingConfig
-	csvDir  string
-	shards  int
-	tenants int
+	ctx    context.Context
+	cfg    experiments.Config
+	timing experiments.TimingConfig
+	csvDir string
+	shards int
 }
 
 func main() {
@@ -69,7 +66,6 @@ func main() {
 	timeout := flag.Duration("timeout", 10*time.Second, "per-run timeout for scalability sweeps")
 	parallel := flag.Int("parallel", 0, "chunks per sparse kernel apply for every method, run on the worker pool (0 = GOMAXPROCS, 1 = serial)")
 	shards := flag.Int("shards", 8, "largest shard count the `sharded` subcommand sweeps")
-	batch := flag.Int("batch", 16, "largest tenant count the `batched` subcommand sweeps")
 	flag.Parse()
 	hitsndiffs.SetParallelism(*parallel)
 
@@ -83,12 +79,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	r := &runner{
-		ctx:     ctx,
-		cfg:     experiments.Config{Reps: *reps, Seed: *seed, Quick: !*full},
-		timing:  experiments.TimingConfig{Runs: min(*reps, 3), Seed: *seed, Quick: !*full, Timeout: *timeout},
-		csvDir:  *csvDir,
-		shards:  *shards,
-		tenants: *batch,
+		ctx:    ctx,
+		cfg:    experiments.Config{Reps: *reps, Seed: *seed, Quick: !*full},
+		timing: experiments.TimingConfig{Runs: min(*reps, 3), Seed: *seed, Quick: !*full, Timeout: *timeout},
+		csvDir: *csvDir,
+		shards: *shards,
 	}
 	if r.csvDir != "" {
 		if err := os.MkdirAll(r.csvDir, 0o755); err != nil {
@@ -198,10 +193,6 @@ func (r *runner) dispatch(cmd string, model irt.ModelKind) error {
 		return r.table(experiments.ShardedServing(r.ctx, experiments.ShardedConfig{
 			MaxShards: r.shards, Seed: r.cfg.Seed, Quick: r.cfg.Quick,
 		}))
-	case "batched":
-		return r.table(experiments.BatchedServing(r.ctx, experiments.BatchedConfig{
-			MaxTenants: r.tenants, Seed: r.cfg.Seed, Quick: r.cfg.Quick,
-		}))
 	case "all":
 		for _, sub := range []struct {
 			name  string
@@ -219,7 +210,7 @@ func (r *runner) dispatch(cmd string, model irt.ModelKind) error {
 			{"fig14-beta", 0}, {"fig14-iters", 0},
 			{"fig1", 0}, {"fig8", 0}, {"fig13-scatter", 0},
 			{"ablation-orient", 0}, {"ablation-tol", 0},
-			{"sharded", 0}, {"batched", 0},
+			{"sharded", 0},
 		} {
 			fmt.Printf("\n===== %s %v =====\n", sub.name, sub.model)
 			if err := r.dispatch(sub.name, sub.model); err != nil {

@@ -54,6 +54,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -92,6 +93,11 @@ func main() {
 	handoffShard := flag.Int("handoff-shard", 0, "shard of the largest tenant to migrate under -handoff-peer")
 	handoffBundle := flag.String("handoff-bundle", "", "bundle directory reachable by both servers (required with -handoff-peer)")
 	flag.Parse()
+	if err := validateFlags(*tenants, *concurrency, *handoffPeer, *handoffBundle); err != nil {
+		fmt.Fprintln(os.Stderr, "hndload:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	c := &client{
 		base:    *addr,
@@ -120,9 +126,6 @@ func main() {
 	var peer *client
 	handoffErr := make(chan error, 1)
 	if *handoffPeer != "" {
-		if *handoffBundle == "" {
-			fatal(fmt.Errorf("-handoff-peer requires -handoff-bundle"))
-		}
 		peer = &client{base: *handoffPeer, retries: *retries, http: c.http}
 		// The peer hosts the same tenant fleet, empty: the import splices
 		// the moving shard's state into its same-named tenant.
@@ -173,6 +176,23 @@ func main() {
 			stats.maxStaleSeen, *maxStale)
 		os.Exit(1)
 	}
+}
+
+// validateFlags rejects flag values that would otherwise fail only after
+// requests went out: drive needs at least one tenant to pick and one
+// worker to run, and a handoff needs its bundle directory before the
+// tenant fleet is created on either server.
+func validateFlags(tenants, concurrency int, handoffPeer, handoffBundle string) error {
+	if tenants < 1 {
+		return fmt.Errorf("-tenants must be at least 1, got %d", tenants)
+	}
+	if concurrency < 1 {
+		return fmt.Errorf("-concurrency must be at least 1, got %d", concurrency)
+	}
+	if handoffPeer != "" && handoffBundle == "" {
+		return errors.New("-handoff-peer requires -handoff-bundle")
+	}
+	return nil
 }
 
 // tenantSizes returns the zipfian tenant-size ladder: tenant t gets

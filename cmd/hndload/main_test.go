@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -85,5 +86,39 @@ func TestPercentileNearestRank(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestValidateFlags pins the usage errors main reports before its first
+// request: no tenants, no workers, or a handoff without a bundle directory.
+func TestValidateFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		tenants, workers int
+		peer, bundle     string
+		want             string // substring of the expected error; empty = valid
+	}{
+		{name: "defaults", tenants: 8, workers: 64},
+		{name: "one-tenant-one-worker", tenants: 1, workers: 1},
+		{name: "zero-tenants", tenants: 0, workers: 64, want: "-tenants"},
+		{name: "negative-tenants", tenants: -1, workers: 64, want: "-tenants"},
+		{name: "zero-concurrency", tenants: 8, workers: 0, want: "-concurrency"},
+		{name: "negative-concurrency", tenants: 8, workers: -3, want: "-concurrency"},
+		{name: "handoff-without-bundle", tenants: 8, workers: 64, peer: "http://127.0.0.1:9", want: "-handoff-bundle"},
+		{name: "handoff-with-bundle", tenants: 8, workers: 64, peer: "http://127.0.0.1:9", bundle: "bundles"},
+		{name: "bundle-without-handoff", tenants: 8, workers: 64, bundle: "bundles"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := validateFlags(tc.tenants, tc.workers, tc.peer, tc.bundle)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("valid flags rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error naming %s", err, tc.want)
+			}
+		})
 	}
 }

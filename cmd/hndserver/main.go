@@ -89,7 +89,7 @@ func main() {
 	addr := flag.String("addr", ":8788", "listen address")
 	method := flag.String("method", "HnD-power", "ranking method every tenant serves (see hnd -list)")
 	shards := flag.Int("shards", 1, "engine shards per tenant (>1 hashes each tenant's users across a ShardedEngine)")
-	ring := flag.Bool("ring", false, "partition sharded tenants by consistent-hash ring instead of contiguous ranges (recorded per tenant; affects new tenants only)")
+	ring := flag.Bool("ring", false, "partition sharded tenants by consistent-hash ring instead of the default modular hash (recorded per tenant; affects new tenants only)")
 	parallel := flag.Int("parallel", 0, "chunks per sparse kernel apply, run on the worker pool (0 = GOMAXPROCS, 1 = serial)")
 	tol := flag.Float64("tol", 1e-5, "convergence tolerance for iterative methods")
 	maxIter := flag.Int("maxiter", 20000, "iteration budget for iterative methods")

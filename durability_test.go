@@ -122,7 +122,7 @@ func requireSameScores(t *testing.T, got, want Result) {
 func TestRecoveredStateBitwiseEqual(t *testing.T) {
 	ctx := context.Background()
 	const users, items, k = 30, 8, 4
-	opts := []EngineOption{WithColdStart(), WithRankOptions(WithSeed(42))}
+	opts := []EngineOption{WithRankOptions(WithSeed(42))}
 
 	t.Run("plain", func(t *testing.T) {
 		dir := t.TempDir()

@@ -38,26 +38,13 @@ import (
 type Engine struct {
 	method   string
 	base     []Option
-	warm     bool
-	updCache bool
-	// updateBacked is the served method's MethodInfo.UpdateBacked flag,
-	// resolved at construction: only those methods receive the cached (or
-	// escape-hatch scratch) Update machinery.
-	updateBacked bool
-	workers      int    // kernel fan-out from the base options, applied to cached Updates
-	maxStale     uint64 // WithMaxStaleness bound in write generations; 0 = always exact
+	maxStale uint64 // WithMaxStaleness bound in write generations; 0 = always exact
 
 	// scratchPool recycles core.SolveScratch buffers across HnD-power
 	// solves, so a steady-state warm solve allocates only its returned score
 	// slice. Scores are copied out of the scratch before it is pooled again
 	// (core.Options.Scratch contract).
 	scratchPool sync.Pool
-
-	// batchMu serializes RankBatch calls and guards the per-tenant result
-	// cache behind them.
-	batchMu     sync.Mutex
-	tenants     map[*ResponseMatrix]*tenantEntry
-	batchSolves uint64 // tenants actually solved (not served cached); observability + tests
 
 	// cacheHits / cacheMisses feed Metrics: requests served from the
 	// version-keyed result cache vs solves actually started. Atomics so
@@ -68,9 +55,8 @@ type Engine struct {
 
 	// staleServes counts results served behind the write frontier under a
 	// WithMaxStaleness bound; servedGen is the monotone watermark of the
-	// highest generation this engine's own matrix was served at (CAS-max —
-	// RankBatch's caller-owned tenant matrices live in their own generation
-	// spaces and do not move it).
+	// highest generation the matrix was served at (CAS-max, so concurrent
+	// ranks finishing out of order never move it backwards).
 	staleServes atomic.Uint64
 	servedGen   atomic.Uint64
 
@@ -92,16 +78,6 @@ type Engine struct {
 	version    uint64
 	lastScores []float64
 	cached     *engineCache
-
-	// upd caches the AVGHITS update machinery for the matrix identified by
-	// (updFor, updGen) — the solve input the update-backed methods would
-	// otherwise reconstruct per rank. An Update is immutable, so handing the
-	// cached one to concurrent solves (and building it over COW snapshots
-	// other ranks still hold) is safe; a write simply makes the key miss and
-	// the next rank splice-rebuilds through the matrix's normalization memo.
-	upd    *core.Update
-	updFor *ResponseMatrix
-	updGen uint64
 }
 
 // engineCache holds the results computed for one matrix version, together
@@ -132,19 +108,15 @@ type EngineOption func(*engineSettings)
 type engineSettings struct {
 	method       string
 	base         []Option
-	cold         bool
 	shards       int
-	poolSize     int
-	updateCache  bool
 	maxStale     uint64
 	ringReplicas int
 }
 
 // defaultEngineSettings seeds the option-merge state NewEngine and
-// NewShardedEngine share: HnD-power with the generation-keyed Update cache
-// enabled.
+// NewShardedEngine share: HnD-power.
 func defaultEngineSettings() engineSettings {
-	return engineSettings{method: "HnD-power", updateCache: true}
+	return engineSettings{method: "HnD-power"}
 }
 
 // WithMethod selects the registered ranking method the engine serves
@@ -157,13 +129,6 @@ func WithMethod(name string) EngineOption {
 // seed, ...) applied to every Rank the engine runs.
 func WithRankOptions(opts ...Option) EngineOption {
 	return func(s *engineSettings) { s.base = append(s.base, opts...) }
-}
-
-// WithColdStart disables warm-starting re-ranks from the previous score
-// vector. Mainly useful for benchmarking the warm-start speedup and for
-// A/B-ing convergence behaviour.
-func WithColdStart() EngineOption {
-	return func(s *engineSettings) { s.cold = true }
 }
 
 // WithShards sets the number of independent engine shards NewShardedEngine
@@ -190,15 +155,6 @@ func WithRingPartition(replicas int) EngineOption {
 	}
 }
 
-// WithPoolSize sizes the persistent kernel worker pool at engine
-// construction — shorthand for calling SetPoolSize before NewEngine or
-// NewShardedEngine. The pool is process-global and shared by every engine:
-// the option does not scope the size to this engine, and the most recent
-// resize wins for all of them. Zero (the default) leaves the pool alone.
-func WithPoolSize(n int) EngineOption {
-	return func(s *engineSettings) { s.poolSize = n }
-}
-
 // NewEngine builds an engine serving the given response matrix, which may
 // be empty: answers can arrive later through Observe. The matrix is
 // deep-copied, so the caller's copy stays independent. The method name is
@@ -214,22 +170,14 @@ func NewEngine(m *ResponseMatrix, opts ...EngineOption) (*Engine, error) {
 			o(&s)
 		}
 	}
-	info, ok := Describe(s.method)
-	if !ok {
+	if _, ok := Describe(s.method); !ok {
 		return nil, fmt.Errorf("hitsndiffs: NewEngine: unknown method %q (known: %v)", s.method, MethodNames())
 	}
-	if s.poolSize > 0 {
-		mat.SetPoolSize(s.poolSize)
-	}
 	return &Engine{
-		method:       s.method,
-		base:         s.base,
-		warm:         !s.cold,
-		updCache:     s.updateCache,
-		updateBacked: info.UpdateBacked,
-		workers:      newSettings(s.base).workers,
-		maxStale:     s.maxStale,
-		m:            m.Clone(),
+		method:   s.method,
+		base:     s.base,
+		maxStale: s.maxStale,
+		m:        m.Clone(),
 	}, nil
 }
 
@@ -396,7 +344,6 @@ func (e *Engine) Adopt(m *ResponseMatrix) error {
 	e.version++
 	e.cached = nil
 	e.lastScores = nil
-	e.upd, e.updFor, e.updGen = nil, nil, 0
 	return nil
 }
 
@@ -428,7 +375,6 @@ func (e *Engine) Restore(m *ResponseMatrix) error {
 	e.shared.Store(false)
 	e.cached = nil
 	e.lastScores = nil
-	e.upd, e.updFor, e.updGen = nil, nil, 0
 	return nil
 }
 
@@ -575,16 +521,12 @@ func (e *Engine) rank(ctx context.Context, needSnapshot, exact bool) (Result, ui
 	snapshot := e.m
 	e.shared.Store(true)
 	var warmScores []float64
-	if e.warm && len(e.lastScores) == snapshot.Users() {
+	if len(e.lastScores) == snapshot.Users() {
 		warmScores = e.lastScores // copied by WithWarmStart below
 	}
 	e.mu.RUnlock()
 
-	var upd *core.Update
-	if e.updateBacked && e.updCache {
-		upd = e.preparedUpdate(snapshot)
-	}
-	res, err := e.solve(ctx, snapshot, warmScores, upd)
+	res, err := e.solve(ctx, snapshot, warmScores)
 	if err != nil {
 		return Result{}, 0, nil, err
 	}
@@ -596,156 +538,16 @@ func (e *Engine) rank(ctx context.Context, needSnapshot, exact bool) (Result, ui
 	return res, version, snapshot, nil
 }
 
-// tenantEntry caches one tenant matrix's last batched result, keyed by the
-// matrix generation it was solved at. The cached score slice doubles as the
-// warm start for the tenant's next re-solve.
-type tenantEntry struct {
-	gen uint64
-	res Result // Scores owned by the cache; copied out per caller
-}
-
-// RankBatch scores several caller-owned tenant matrices with the engine's
-// method and options, one Result per tenant in input order. Each stale
-// tenant gets the same warm solve Engine.Rank runs, one tenant at a time,
-// so the results are bitwise identical to ranking each tenant alone with
-// the same options, at any kernel parallelism.
-//
-// Results are cached per tenant, keyed by the matrix pointer and its
-// write-generation counter (ResponseMatrix.Generation): a tenant that was
-// not written since its last RankBatch is served from the cache, and a
-// re-written tenant is re-solved warm-started from its previous scores.
-// The cache retains entries only for the tenants of the most recent call.
-//
-// The tenant matrices must not be written while RankBatch runs (the same
-// contract as Ranker.Rank); writes between calls are what the generation
-// key tracks. Under a WithMaxStaleness bound a re-written tenant keeps
-// serving its previous solve — tagged with Generation and Staleness —
-// until its staleness exceeds the bound. A failing tenant fails the call
-// with an error naming its index in tenants. Concurrent RankBatch calls
-// serialize.
-func (e *Engine) RankBatch(ctx context.Context, tenants []*ResponseMatrix) ([]Result, error) {
-	return e.rankBatch(ctx, tenants, false)
-}
-
-// RefreshBatch is RankBatch with the staleness bound ignored: every tenant
-// written since its last solve is re-solved, pushing the per-tenant cache
-// to each matrix's current generation. It is the batched refresh path the
-// background scheduler feeds stale tenants into; under a zero bound it is
-// identical to RankBatch.
-func (e *Engine) RefreshBatch(ctx context.Context, tenants []*ResponseMatrix) ([]Result, error) {
-	return e.rankBatch(ctx, tenants, true)
-}
-
-// rankBatch is the shared body of RankBatch (exact false: a staleness
-// bound may serve previous solves) and RefreshBatch (exact true).
-func (e *Engine) rankBatch(ctx context.Context, tenants []*ResponseMatrix, exact bool) ([]Result, error) {
-	if len(tenants) == 0 {
-		return nil, nil
-	}
-	e.batchMu.Lock()
-	defer e.batchMu.Unlock()
-
-	// Resolve unique tenants in first-seen order; duplicates of a pointer
-	// share one solve and one cache entry.
-	order := make([]*ResponseMatrix, 0, len(tenants))
-	slots := make(map[*ResponseMatrix]*batchSlot, len(tenants))
-	for i, m := range tenants {
-		if m == nil {
-			return nil, fmt.Errorf("hitsndiffs: RankBatch tenant %d is nil", i)
-		}
-		sl, ok := slots[m]
-		if !ok {
-			sl = &batchSlot{gen: m.Generation()}
-			if ent := e.tenants[m]; ent != nil {
-				if ent.gen == sl.gen || (!exact && e.maxStale > 0 && sl.gen-ent.gen <= e.maxStale) {
-					sl.ent = ent
-				}
-			}
-			slots[m] = sl
-			order = append(order, m)
-		}
-		sl.idxs = append(sl.idxs, i)
-	}
-	var stale []*ResponseMatrix
-	for _, m := range order {
-		if slots[m].ent == nil {
-			stale = append(stale, m)
-		}
-	}
-	if err := e.solveTenants(ctx, stale, slots); err != nil {
-		return nil, err
-	}
-
-	results := make([]Result, len(tenants))
-	next := make(map[*ResponseMatrix]*tenantEntry, len(order))
-	for _, m := range order {
-		sl := slots[m]
-		next[m] = sl.ent
-		staleness := sl.gen - sl.ent.gen
-		if staleness > 0 {
-			e.staleServes.Add(uint64(len(sl.idxs)))
-		}
-		for _, i := range sl.idxs {
-			out := sl.ent.res
-			out.Scores = append(mat.Vector(nil), sl.ent.res.Scores...)
-			out.Staleness = staleness
-			results[i] = out
-		}
-	}
-	e.tenants = next
-	return results, nil
-}
-
-// batchSlot is RankBatch's per-unique-tenant bookkeeping: the result
-// indices the tenant fills, the generation it was read at, and the cache
-// entry serving it.
-type batchSlot struct {
-	idxs []int
-	gen  uint64
-	ent  *tenantEntry
-}
-
-// solveTenants solves the stale tenants one at a time and installs fresh
-// cache entries into slots, warm-starting each from its previous cached
-// scores. The slots map is keyed by tenant; its entries carry the
-// generation each tenant was read at and the caller's indices, the first
-// of which names a failing tenant. Callers hold batchMu.
-func (e *Engine) solveTenants(ctx context.Context, stale []*ResponseMatrix, slots map[*ResponseMatrix]*batchSlot) error {
-	for _, m := range stale {
-		var warm []float64
-		if old := e.tenants[m]; e.warm && old != nil && len(old.res.Scores) == m.Users() {
-			warm = old.res.Scores
-		}
-		// Tenant matrices are caller-owned, so there is no engine-level
-		// Update to hand in: each solve builds its machinery through the
-		// tenant's own generation-keyed normalization memo.
-		res, err := e.solve(ctx, m, warm, nil)
-		if err != nil {
-			return fmt.Errorf("hitsndiffs: RankBatch tenant %d: %w", slots[m].idxs[0], err)
-		}
-		e.batchSolves++
-		res.Generation = slots[m].gen
-		slots[m].ent = &tenantEntry{gen: res.Generation, res: res}
-	}
-	return nil
-}
-
-// solve runs one solve of m with the engine's method and base options,
-// warm-started from warm when it is non-nil. A non-nil upd is the prebuilt
-// update machinery for m (the engine's per-version cache); with it nil,
-// update-backed methods build their own — through m's normalization memo,
-// or from scratch under WithUpdateCache(false). HnD-power solves bind a
-// pooled core.SolveScratch. The returned scores are the caller's.
-func (e *Engine) solve(ctx context.Context, m *ResponseMatrix, warm []float64, upd *core.Update) (Result, error) {
+// solve runs one solve of the snapshot m with the engine's method and base
+// options, warm-started from warm when it is non-nil. The spectral methods
+// read their solve input, C_row and C_col, from m's normalization memo
+// (ResponseMatrix.Normalized), which concurrent solves of one snapshot
+// share. HnD-power solves bind a pooled core.SolveScratch. The returned
+// scores are the caller's.
+func (e *Engine) solve(ctx context.Context, m *ResponseMatrix, warm []float64) (Result, error) {
 	var extra []Option
 	if warm != nil {
 		extra = append(extra, WithWarmStart(warm))
-	}
-	switch {
-	case upd != nil:
-		extra = append(extra, withUpdate(upd))
-	case e.updateBacked && !e.updCache:
-		extra = append(extra, withScratchUpdate())
 	}
 	var sc *core.SolveScratch
 	if e.method == hndPowerMethod {
@@ -776,57 +578,6 @@ func (e *Engine) solve(ctx context.Context, m *ResponseMatrix, warm []float64, u
 // hndPowerMethod is the registered method whose solves bind pooled
 // core.SolveScratch buffers.
 const hndPowerMethod = "HnD-power"
-
-// RefreshEngines refreshes several independent Engines in one call: each
-// engine runs Refresh in input order, so an engine already exact answers
-// from its cache and a stale one re-solves warm-started from its previous
-// scores, with the result installed into its cache and warm-start state.
-// Results are returned per engine in input order.
-//
-// A nil engine fails the call before any refresh. A failing engine (e.g.
-// one with fewer than two answering users) fails the call with an error
-// naming its index; the engines before it keep their refreshed results.
-func RefreshEngines(ctx context.Context, engines []*Engine) ([]Result, error) {
-	for i, e := range engines {
-		if e == nil {
-			return nil, fmt.Errorf("hitsndiffs: RefreshEngines engine %d is nil", i)
-		}
-	}
-	results := make([]Result, len(engines))
-	for i, e := range engines {
-		res, err := e.Refresh(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("hitsndiffs: RefreshEngines engine %d: %w", i, err)
-		}
-		results[i] = res
-	}
-	return results, nil
-}
-
-// preparedUpdate returns the AVGHITS update machinery for the given
-// copy-on-write snapshot, serving the engine's per-version cache when the
-// (matrix, generation) key matches and rebuilding through the matrix's
-// generation-keyed normalization memo otherwise — a touched-rows splice
-// after sparse writes, never a from-scratch normalization. Snapshots are
-// immutable, so the generation read here cannot move underneath the solve,
-// and concurrent ranks may race to install the same entry harmlessly (the
-// machinery is immutable; last store wins).
-func (e *Engine) preparedUpdate(m *ResponseMatrix) *core.Update {
-	gen := m.Generation()
-	e.mu.RLock()
-	if e.upd != nil && e.updFor == m && e.updGen == gen {
-		u := e.upd
-		e.mu.RUnlock()
-		return u
-	}
-	e.mu.RUnlock()
-	u := core.NewUpdate(m)
-	u.SetWorkers(e.workers)
-	e.mu.Lock()
-	e.upd, e.updFor, e.updGen = u, m, gen
-	e.mu.Unlock()
-	return u
-}
 
 // storeSolved installs a solved ranking for the matrix version it was
 // solved at (res.Generation carries the matching write generation): the
@@ -896,9 +647,6 @@ func (e *Engine) InferLabels(ctx context.Context) ([]int, error) {
 // concurrent use — it is the accessor the serving tier's /metrics endpoint
 // scrapes per request.
 func (e *Engine) Metrics() EngineMetrics {
-	e.batchMu.Lock()
-	batchSolves := e.batchSolves
-	e.batchMu.Unlock()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	cf, cd := e.m.CSRRebuilds()
@@ -913,7 +661,6 @@ func (e *Engine) Metrics() EngineMetrics {
 		Items:              e.m.Items(),
 		CacheHits:          e.cacheHits.Load(),
 		CacheMisses:        e.cacheMisses.Load(),
-		BatchSolves:        batchSolves,
 		CSRFullRebuilds:    cf,
 		CSRDeltaRebuilds:   cd,
 		NormFullRebuilds:   nf,

@@ -3,6 +3,7 @@ package hitsndiffs
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -22,6 +23,18 @@ func engineWorkload(t testing.TB, users, items int, seed int64) *ResponseMatrix 
 		t.Fatal(err)
 	}
 	return d.Responses
+}
+
+func scoresEqualBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestRankHonorsPreCancelledContext(t *testing.T) {
@@ -80,26 +93,44 @@ func TestRankDeadlineExceeded(t *testing.T) {
 	}
 }
 
+// TestEngineRankMatchesDirect: a cold Engine.Rank returns bitwise the
+// direct solve, on a noisy matrix and on two degenerate ones — two users,
+// and every user answering identically, where U_diff carries no signal
+// and every score is zero.
 func TestEngineRankMatchesDirect(t *testing.T) {
-	m := engineWorkload(t, 120, 60, 11)
-	eng, err := NewEngine(m, WithRankOptions(WithSeed(9)))
-	if err != nil {
-		t.Fatal(err)
+	two := NewResponseMatrix(2, 3, 2)
+	for i := 0; i < 3; i++ {
+		two.SetAnswer(0, i, 0)
 	}
-	got, err := eng.Rank(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	two.SetAnswer(1, 0, 1)
+	flat := NewResponseMatrix(4, 3, 2)
+	for u := 0; u < 4; u++ {
+		for i := 0; i < 3; i++ {
+			flat.SetAnswer(u, i, 0)
+		}
 	}
-	want, err := HND(WithSeed(9)).Rank(context.Background(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Scores) != len(want.Scores) {
-		t.Fatalf("score lengths differ: %d vs %d", len(got.Scores), len(want.Scores))
-	}
-	for i := range got.Scores {
-		if got.Scores[i] != want.Scores[i] {
-			t.Fatalf("score %d differs: %v vs %v", i, got.Scores[i], want.Scores[i])
+	for name, m := range map[string]*ResponseMatrix{
+		"noisy": engineWorkload(t, 120, 60, 11), "two-users": two, "flat": flat,
+	} {
+		eng, err := NewEngine(m, WithRankOptions(WithSeed(9)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.Rank(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := HND(WithSeed(9)).Rank(context.Background(), m)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !scoresEqualBits(got.Scores, want.Scores) || got.Iterations != want.Iterations {
+			t.Fatalf("%s: engine %+v, direct %+v", name, got, want)
+		}
+		for _, s := range got.Scores {
+			if name == "flat" && s != 0 {
+				t.Fatalf("identical answers scored %v, want all zero", got.Scores)
+			}
 		}
 	}
 }
@@ -233,21 +264,21 @@ func TestEngineUnknownMethod(t *testing.T) {
 	}
 }
 
+// TestEngineWarmStartConvergesFaster compares the engine's warm re-ranks
+// with cold solves of the same snapshots: a direct New(...).Rank starts
+// from the seeded random vector every time.
 func TestEngineWarmStartConvergesFaster(t *testing.T) {
 	m := engineWorkload(t, 300, 100, 42)
 	warm, err := NewEngine(m, WithRankOptions(WithSeed(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewEngine(m, WithRankOptions(WithSeed(1)), WithColdStart())
+	cold, err := New("HnD-power", WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	if _, err := warm.Rank(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cold.Rank(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -266,14 +297,12 @@ func TestEngineWarmStartConvergesFaster(t *testing.T) {
 		if err := warm.ObserveBatch(batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := cold.ObserveBatch(batch); err != nil {
-			t.Fatal(err)
-		}
 		wres, err := warm.Rank(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cres, err := cold.Rank(ctx)
+		view, _ := warm.View()
+		cres, err := cold.Rank(ctx, view)
 		if err != nil {
 			t.Fatal(err)
 		}

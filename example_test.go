@@ -195,49 +195,6 @@ func ExampleShardedEngine() {
 	// ranked 6 users, converged: true
 }
 
-// Rank many small tenant matrices in one call: stale tenants are solved
-// one at a time, unchanged tenants are served from the per-tenant cache
-// keyed by their write generation.
-func ExampleEngine_RankBatch() {
-	classroomA := hitsndiffs.FromChoices([][]int{
-		{0, 0, 0},
-		{0, 0, 2},
-		{0, 1, 2},
-		{1, 2, 2},
-	}, 3)
-	classroomB := hitsndiffs.FromChoices([][]int{
-		{0, 0},
-		{0, 1},
-		{1, 1},
-	}, 2)
-	eng, err := hitsndiffs.NewEngine(hitsndiffs.NewResponseMatrix(2, 1, 2),
-		hitsndiffs.WithRankOptions(hitsndiffs.WithSeed(1)))
-	if err != nil {
-		panic(err)
-	}
-
-	tenants := []*hitsndiffs.ResponseMatrix{classroomA, classroomB}
-	results, err := eng.RankBatch(context.Background(), tenants)
-	if err != nil {
-		panic(err)
-	}
-	for i, res := range results {
-		fmt.Println("tenant", i, "order:", res.Order())
-	}
-
-	// Re-ranking with no writes in between serves every tenant from the
-	// cache — same orders, no solve.
-	cached, err := eng.RankBatch(context.Background(), tenants)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("cached tenant 0 order:", cached[0].Order())
-	// Output:
-	// tenant 0 order: [0 1 2 3]
-	// tenant 1 order: [0 1 2]
-	// cached tenant 0 order: [0 1 2 3]
-}
-
 // Read the raw per-shard rankings: stale shards are re-solved
 // concurrently, warm shards answer from their caches, and scores come
 // back in shard-local indexing.

@@ -77,17 +77,14 @@ type Options struct {
 	// mat.DefaultWorkers() — GOMAXPROCS unless overridden process-wide.
 	Workers int
 	// Update, when non-nil, supplies prebuilt AVGHITS machinery for the
-	// matrix being ranked, skipping construction entirely — the engine-level
-	// per-version Update cache sets it. The caller guarantees it was built
-	// from the same matrix state (Update is immutable, so sharing across
-	// concurrent solves and snapshots is safe); a dimension mismatch falls
-	// back to a fresh build.
+	// matrix being ranked, skipping construction entirely — kernel
+	// benchmarks and tests set it to time or pin a solve apart from its
+	// input fetch. The caller guarantees it was built from the same matrix
+	// state (Update is immutable, so sharing across concurrent solves and
+	// snapshots is safe); a dimension mismatch falls back to a fresh build.
+	// When nil, the machinery comes from the matrix's normalization memo
+	// (NewUpdate).
 	Update *Update
-	// ScratchUpdate forces from-scratch normalization when building the
-	// update machinery, bypassing the matrix's generation-keyed memo — the
-	// WithUpdateCache(false) escape hatch and the reference path the
-	// equivalence tests compare against. Ignored when Update is set.
-	ScratchUpdate bool
 	// Scratch, when non-nil, supplies pooled solve buffers (iteration
 	// vectors, apply workspace, orientation indices) that HnD-power binds
 	// instead of allocating — the engine-level scratch pool sets it. A scratch must not be shared by concurrent
@@ -112,12 +109,7 @@ func (o Options) newUpdate(m *response.Matrix) *Update {
 		// instead of mutating the shared Update behind concurrent appliers.
 		return &Update{C: u.C, Crow: u.Crow, Ccol: u.Ccol, workers: w}
 	}
-	var u *Update
-	if o.ScratchUpdate {
-		u = NewUpdateScratch(m)
-	} else {
-		u = NewUpdate(m)
-	}
+	u := NewUpdate(m)
 	u.SetWorkers(o.Workers)
 	return u
 }

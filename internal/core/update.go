@@ -43,20 +43,6 @@ func NewUpdate(m *response.Matrix) *Update {
 	return &Update{C: c, Crow: crow, Ccol: ccol}
 }
 
-// NewUpdateScratch builds the update machinery with from-scratch
-// normalization, bypassing (and leaving untouched) the matrix's normalized
-// memo. It is the reference construction behind Options.ScratchUpdate /
-// the WithUpdateCache(false) escape hatch, and the oracle the cached-vs-
-// scratch equivalence tests compare against.
-func NewUpdateScratch(m *response.Matrix) *Update {
-	c := m.Binary()
-	return &Update{
-		C:    c,
-		Crow: c.RowNormalized(),
-		Ccol: c.ColNormalized(),
-	}
-}
-
 // SetWorkers caps the chunks each sparse kernel apply splits into (the
 // chunks run on the persistent pool shared by the whole process): 1 forces
 // the serial kernels, 0 (the default) defers to mat.DefaultWorkers(). Call

@@ -36,7 +36,7 @@ type cmEnv struct {
 func newCmEnv(t *testing.T) *cmEnv {
 	t.Helper()
 	se, err := hitsndiffs.NewShardedEngine(response.New(cmUsers, cmItems, cmK),
-		hitsndiffs.WithShards(4), hitsndiffs.WithColdStart(),
+		hitsndiffs.WithShards(4),
 		hitsndiffs.WithRankOptions(hitsndiffs.WithSeed(42)))
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +324,7 @@ func TestHandoffCrashMatrix(t *testing.T) {
 		// The new owner serves writes; the generation chain continues from
 		// the fenced frontier with no gap and no double-apply.
 		target, err := hitsndiffs.NewShardedEngine(response.New(cmUsers, cmItems, cmK),
-			hitsndiffs.WithShards(4), hitsndiffs.WithColdStart(),
+			hitsndiffs.WithShards(4),
 			hitsndiffs.WithRankOptions(hitsndiffs.WithSeed(42)))
 		if err != nil {
 			t.Fatal(err)

@@ -24,7 +24,7 @@ func TestHandoffZeroObservationShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, err := hitsndiffs.NewEngine(hitsndiffs.NewResponseMatrix(users, items, k),
-		hitsndiffs.WithColdStart(), hitsndiffs.WithRankOptions(hitsndiffs.WithSeed(42)))
+		hitsndiffs.WithRankOptions(hitsndiffs.WithSeed(42)))
 	if err != nil {
 		t.Fatal(err)
 	}

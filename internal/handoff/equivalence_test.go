@@ -31,7 +31,7 @@ func TestHandoffBitwiseEquivalence(t *testing.T) {
 	)
 	newSE := func() *hitsndiffs.ShardedEngine {
 		se, err := hitsndiffs.NewShardedEngine(hitsndiffs.NewResponseMatrix(users, items, k),
-			hitsndiffs.WithShards(4), hitsndiffs.WithColdStart(),
+			hitsndiffs.WithShards(4),
 			hitsndiffs.WithRankOptions(hitsndiffs.WithSeed(42)))
 		if err != nil {
 			t.Fatal(err)
@@ -276,7 +276,7 @@ func TestHandoffBitwiseEquivalence(t *testing.T) {
 	// Proof 3: ranking the migrated shard reproduces the never-moved
 	// shard's scores bitwise, solve trace included.
 	rankOf := func(m *hitsndiffs.ResponseMatrix) hitsndiffs.Result {
-		eng, err := hitsndiffs.NewEngine(m.Clone(), hitsndiffs.WithColdStart(),
+		eng, err := hitsndiffs.NewEngine(m.Clone(),
 			hitsndiffs.WithRankOptions(hitsndiffs.WithSeed(42)))
 		if err != nil {
 			t.Fatal(err)

@@ -43,8 +43,8 @@ type Matrix struct {
 	// rest (see mat.ReplaceRows), which is what makes a single-user write
 	// cheap to absorb under sparse write traffic.
 	dirty []int
-	// gen counts every SetAnswer — the freshness key per-tenant result
-	// caches use (see Generation).
+	// gen counts every SetAnswer — the write generation staleness and
+	// durability are measured in (see Generation).
 	gen uint64
 	// fullBuilds and deltaBuilds count how often Binary() assembled the
 	// CSR from scratch vs. by touched-rows rebuild (see CSRRebuilds).
@@ -192,10 +192,10 @@ func (m *Matrix) SetAnswer(u, i, h int) {
 	m.binMu.Unlock()
 }
 
-// Generation returns a counter bumped by every SetAnswer. It is the
-// freshness key for result caches over caller-owned matrices (equal
-// generations on the same Matrix imply identical responses); a Clone
-// starts from its parent's generation.
+// Generation returns a counter bumped by every SetAnswer — the unit of
+// the serving engines' staleness bound and the key their durable records
+// carry (equal generations on the same Matrix imply identical responses);
+// a Clone starts from its parent's generation.
 func (m *Matrix) Generation() uint64 {
 	m.binMu.Lock()
 	defer m.binMu.Unlock()

@@ -48,10 +48,10 @@ type manifest struct {
 	// exact same per-shard geometry).
 	Shards int `json:"shards"`
 	// Ring records whether the tenant's users are partitioned by the
-	// consistent-hash ring rather than contiguously. Persisted so recovery
-	// rebuilds the exact same user→shard map regardless of the server's
-	// current -ring flag (switching partitions is a re-shard, not a
-	// restart).
+	// consistent-hash ring rather than the default modular hash. Persisted
+	// so recovery rebuilds the exact same user→shard map regardless of the
+	// server's current -ring flag (switching partitions is a re-shard, not
+	// a restart).
 	Ring bool `json:"ring,omitempty"`
 }
 

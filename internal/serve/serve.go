@@ -104,11 +104,12 @@ type Config struct {
 	// system clock. Tests pass a testclock.Fake to drive refresh rounds
 	// deterministically.
 	RefreshClock testclock.Clock
-	// RingPartition switches sharded tenants from the contiguous user
-	// partition to the consistent-hash ring (hitsndiffs.WithRingPartition),
-	// so shard counts can change without remapping most users. The choice
-	// is recorded in each tenant's manifest — switching the flag on an
-	// existing durable deployment does not re-partition recovered tenants.
+	// RingPartition switches sharded tenants from the default modular-hash
+	// user partition to the consistent-hash ring
+	// (hitsndiffs.WithRingPartition), so shard counts can change without
+	// remapping most users. The choice is recorded in each tenant's
+	// manifest — switching the flag on an existing durable deployment does
+	// not re-partition recovered tenants.
 	RingPartition bool
 }
 

@@ -35,8 +35,8 @@ type EngineMetrics struct {
 	// Generation); per-shard watermarks are in ShardMetrics.
 	ServedGeneration uint64 `json:"served_generation"`
 	// StaleServes counts results served behind the write frontier under a
-	// WithMaxStaleness bound (Rank cache entries and RankBatch tenant
-	// entries outliving their generation). Zero when the bound is zero.
+	// WithMaxStaleness bound (cache entries outliving their generation).
+	// Zero when the bound is zero.
 	StaleServes uint64 `json:"stale_serves"`
 	// MaxStaleness is the configured WithMaxStaleness bound in write
 	// generations; zero means every rank is exact. Aggregates report the
@@ -46,14 +46,11 @@ type EngineMetrics struct {
 	Users int `json:"users"`
 	// Items is the item count (see Users).
 	Items int `json:"items"`
-	// CacheHits counts Rank / InferLabels / batch-path requests served
-	// from a version-keyed result cache without solving.
+	// CacheHits counts Rank / Refresh / InferLabels requests served from
+	// the version-keyed result cache without solving.
 	CacheHits uint64 `json:"cache_hits"`
 	// CacheMisses counts solves actually started (cache cold or stale).
 	CacheMisses uint64 `json:"cache_misses"`
-	// BatchSolves counts tenants solved (not served cached) through
-	// Engine.RankBatch.
-	BatchSolves uint64 `json:"batch_solves"`
 	// CSRFullRebuilds / CSRDeltaRebuilds mirror ResponseMatrix.CSRRebuilds
 	// for the engine's current matrix: from-scratch one-hot encodings vs
 	// touched-row splices. Under sparse write traffic full must stop
@@ -81,7 +78,6 @@ func (m *EngineMetrics) add(o EngineMetrics) {
 	}
 	m.CacheHits += o.CacheHits
 	m.CacheMisses += o.CacheMisses
-	m.BatchSolves += o.BatchSolves
 	m.CSRFullRebuilds += o.CSRFullRebuilds
 	m.CSRDeltaRebuilds += o.CSRDeltaRebuilds
 	m.NormFullRebuilds += o.NormFullRebuilds

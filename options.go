@@ -46,24 +46,7 @@ type settings struct {
 	skipOrientation bool
 	warmStart       mat.Vector
 	workers         int
-	update          *core.Update
-	scratchUpdate   bool
 	scratch         *core.SolveScratch
-}
-
-// withUpdate threads a prebuilt AVGHITS update machinery into a solve — the
-// engine's per-version Update cache uses it; not part of the public option
-// surface because only the engine can guarantee the machinery matches the
-// matrix being ranked.
-func withUpdate(u *core.Update) Option {
-	return func(s *settings) { s.update = u }
-}
-
-// withScratchUpdate forces from-scratch normalized-matrix construction,
-// bypassing every generation-keyed memo — the solve-side half of the
-// WithUpdateCache(false) escape hatch.
-func withScratchUpdate() Option {
-	return func(s *settings) { s.scratchUpdate = true }
 }
 
 // withSolveScratch threads pooled solve buffers into an HnD-power solve
@@ -119,36 +102,23 @@ func WithParallelism(n int) Option {
 	return func(s *settings) { s.workers = n }
 }
 
-// WithMaxStaleness lets Rank and RankBatch serve the last solved scores
-// while the matrix is at most n write generations
-// (ResponseMatrix.Generation ticks, one per observation) ahead of the
-// generation they were solved at. Served results carry their Generation
-// and Staleness so callers can see how far behind they are; staleness
-// never exceeds the bound. Zero (the default) keeps today's inline
-// behavior: every rank reflects the latest write before returning.
+// WithMaxStaleness lets Rank serve the last solved scores while the
+// matrix is at most n write generations (ResponseMatrix.Generation ticks,
+// one per observation) ahead of the generation they were solved at.
+// Served results carry their Generation and Staleness so callers can see
+// how far behind they are; staleness never exceeds the bound. Zero (the
+// default) keeps the inline behavior: every rank reflects the latest
+// write before returning.
 //
 // A positive bound decouples reads from solves — writes stop spiking read
 // tails — but someone must still push the served watermark forward:
-// Refresh / RefreshBatch ignore the bound and are the paths a background
-// refresher (internal/refresh) drives. InferLabels always serves exact
-// results: labels are inferred over the same snapshot the scores came
-// from, so it never mixes a stale ranking with current responses.
-// Applies to Engine, ShardedEngine and RankBatch.
+// Refresh ignores the bound and is the path a background refresher
+// (internal/refresh) drives. InferLabels always serves exact results:
+// labels are inferred over the same snapshot the scores came from, so it
+// never mixes a stale ranking with current responses. Applies to Engine
+// and ShardedEngine.
 func WithMaxStaleness(n uint64) EngineOption {
 	return func(s *engineSettings) { s.maxStale = n }
-}
-
-// WithUpdateCache toggles the engine's generation-keyed solve-input caches
-// (default on): the per-version core.Update cache that lets a warm re-rank
-// reuse the previous solve's machinery, and the memoized normalized one-hot
-// matrices that delta-splice after writes instead of rebuilding from
-// scratch. Disabling it restores the always-rebuild construction — every
-// rank re-derives C_row/C_col from scratch — as an escape hatch and as the
-// reference path the cached-vs-scratch equivalence tests compare against.
-// Results are bitwise identical either way; the setting only trades memory
-// for per-re-rank work. Applies to Engine, ShardedEngine and RankBatch.
-func WithUpdateCache(enabled bool) EngineOption {
-	return func(s *engineSettings) { s.updateCache = enabled }
 }
 
 func newSettings(opts []Option) settings {
@@ -171,8 +141,6 @@ func (s settings) coreOptions() core.Options {
 		SkipOrientation: s.skipOrientation,
 		WarmStart:       s.warmStart,
 		Workers:         s.workers,
-		Update:          s.update,
-		ScratchUpdate:   s.scratchUpdate,
 		Scratch:         s.scratch,
 	}
 }

@@ -31,12 +31,6 @@ type MethodInfo struct {
 	ConsistentOnly bool
 	// Iterative methods honor WithTol, WithMaxIter and WithSeed.
 	Iterative bool
-	// UpdateBacked methods solve on the AVGHITS update machinery
-	// (core.Update) built from the normalized one-hot matrices. The Engine
-	// feeds these methods its generation-keyed Update cache — and only
-	// these, since no other method touches the normalized forms; custom
-	// registrations wrapping the core spectral solvers should set it.
-	UpdateBacked bool
 }
 
 // Constraints renders the applicability flags as a short comma-separated
@@ -151,7 +145,7 @@ func MethodInfos() []MethodInfo {
 // stay constructor-only).
 func init() {
 	spectral := func(name, summary string, f Factory) {
-		mustRegister(MethodInfo{Name: name, Summary: summary, Iterative: true, UpdateBacked: true}, f)
+		mustRegister(MethodInfo{Name: name, Summary: summary, Iterative: true}, f)
 	}
 	spectral("HnD-power", "HITSnDIFFS power iteration, O(mn) per iteration (paper's Algorithm 1)",
 		func(opts ...Option) Ranker { return core.HNDPower{Opts: newSettings(opts).coreOptions()} })

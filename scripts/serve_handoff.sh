@@ -82,7 +82,7 @@ curl -fsS -X POST "http://$ADDR_A/v1/admin/handoff" \
 fenced_gen="$(shard_field "$ADDR_A" 1 generation)"
 
 # A write to a fenced-shard user must bounce with 429. Probe users until
-# one lands on shard 1 (the partition is contiguous but we don't assume).
+# one lands on shard 1 (the partition is a hash, so any user may).
 fenced_user=""
 for u in $(seq 0 39); do
   if [ "$(observe_status "$ADDR_A" "$u")" = "429" ]; then fenced_user="$u"; break; fi

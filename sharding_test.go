@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -396,5 +397,131 @@ func TestShardedConcurrentObserveRank(t *testing.T) {
 	close(errc)
 	if err := <-errc; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardedRankAllBatchedMatchesFanOut: RankAll must return exactly what
+// each shard's engine returns when ranked on its own (serial kernels,
+// fixed seed), shard by shard, a foreign write must leave the other
+// shards' cached results untouched, and a failure must name its shard.
+func TestShardedRankAllBatchedMatchesFanOut(t *testing.T) {
+	ctx := context.Background()
+	m := engineWorkload(t, 200, 40, 31)
+	mk := func() *ShardedEngine {
+		eng, err := NewShardedEngine(m, WithShards(4),
+			WithRankOptions(WithSeed(5), WithParallelism(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	a, b := mk(), mk()
+	// A failure names the first failing shard in index order.
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := a.RankAll(canceled); !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "RankAll shard 0") {
+		t.Fatalf("want context.Canceled naming shard 0, got %v", err)
+	}
+	all, err := a.RankAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != b.Shards() {
+		t.Fatal("shard count mismatch")
+	}
+	for i := range all {
+		alone, err := b.engines[i].Rank(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !scoresEqualBits(all[i].Scores, alone.Scores) {
+			t.Fatalf("shard %d: RankAll differs from the shard ranked alone", i)
+		}
+		if all[i].Iterations != alone.Iterations {
+			t.Fatalf("shard %d: iteration counts differ", i)
+		}
+	}
+
+	// After a single-user write, only the owning shard re-solves; the other
+	// shards answer from their caches.
+	if err := a.Observe(0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	sh := a.ShardFor(0)
+	versions := make([]uint64, a.Shards())
+	misses := make([]uint64, a.Shards())
+	for i, e := range a.engines {
+		versions[i] = e.Version()
+		misses[i] = e.Metrics().CacheMisses
+	}
+	again, err := a.RankAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range again {
+		if i != sh && !scoresEqualBits(again[i].Scores, all[i].Scores) {
+			t.Fatalf("unwritten shard %d changed scores after foreign write", i)
+		}
+		if a.engines[i].Version() != versions[i] {
+			t.Fatalf("RankAll bumped shard %d's version", i)
+		}
+		want := misses[i]
+		if i == sh {
+			want++
+		}
+		if got := a.engines[i].Metrics().CacheMisses; got != want {
+			t.Fatalf("shard %d: %d cache misses after a write to shard %d, want %d", i, got, sh, want)
+		}
+	}
+}
+
+// TestMultiTenantPathsMatchEngineRankParallel pins the in-place shard
+// solves at WithParallelism(4) on shards above the parallel kernels' nnz
+// cutoff: RankAll must return bitwise what each shard's matrix returns
+// when ranked by its own Engine — cold, then warm after a write. A packed
+// solve would fail this, because one block-diagonal matrix splits into
+// different kernel chunks than each shard alone.
+func TestMultiTenantPathsMatchEngineRankParallel(t *testing.T) {
+	ctx := context.Background()
+	opts := WithRankOptions(WithSeed(7), WithParallelism(4))
+	se, err := NewShardedEngine(engineWorkload(t, 1600, 60, 77), WithShards(4), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, _ := se.View()
+	alone := make([]*Engine, len(views))
+	for sh, m := range views {
+		if nnz := m.Binary().NNZ(); nnz <= 8192 {
+			t.Fatalf("shard %d has %d non-zeros, want above the 8192 parallel cutoff", sh, nnz)
+		}
+		if alone[sh], err = NewEngine(m, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		if round > 0 {
+			for sh, e := range alone {
+				o := Observation{User: 3 + sh, Item: 5, Option: sh % 2}
+				if err := se.Observe(se.UsersOf(sh)[o.User], o.Item, o.Option); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Observe(o.User, o.Item, o.Option); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		got, err := se.RankAll(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sh, e := range alone {
+			want, err := e.Rank(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !scoresEqualBits(got[sh].Scores, want.Scores) || got[sh].Iterations != want.Iterations {
+				t.Fatalf("round %d: shard %d differs from its engine ranked alone", round, sh)
+			}
+		}
 	}
 }

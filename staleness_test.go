@@ -52,23 +52,28 @@ func bitwiseEqual(a, b []float64) bool {
 }
 
 // TestStaleServesBitwiseEqualColdSolve is the from-scratch equality leg:
-// a cold-start engine under a staleness bound interleaves writes and
-// ranks, and every served result — stale or exact — must be bitwise equal
-// to a from-scratch solve of the matrix reconstructed at the served
-// generation. Cold start plus a fixed seed and serial kernels make that
-// reference solve reproduce the engine's exactly.
+// an engine under a staleness bound interleaves writes and ranks, and
+// every served result — stale or exact — must be bitwise equal to a
+// from-scratch solve of the matrix reconstructed at the served generation.
+// The reference is warm-started the way the engine was: from the scores
+// of the solve before the one that produced the served result (a random
+// start for the first). That, a fixed seed and serial kernels make it
+// reproduce the engine's solve exactly.
 func TestStaleServesBitwiseEqualColdSolve(t *testing.T) {
 	const users, items, options, bound = 18, 8, 3, 5
 	ctx := context.Background()
 	eng, err := NewEngine(NewResponseMatrix(users, items, options),
-		WithMaxStaleness(bound), WithColdStart(),
-		WithRankOptions(WithSeed(11), WithParallelism(1)))
+		WithMaxStaleness(bound), WithRankOptions(WithSeed(11), WithParallelism(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var log []obsOp
 	seedGrid(t, eng, users, items, options, &log)
 
+	// warmAt maps each solved generation to the warm start its solve used;
+	// last holds the most recent solve's scores, the next one's warm start.
+	warmAt := make(map[uint64][]float64)
+	var last []float64
 	rng := rand.New(rand.NewSource(41))
 	for step := 0; step < 120; step++ {
 		if rng.Float64() < 0.6 {
@@ -80,9 +85,14 @@ func TestStaleServesBitwiseEqualColdSolve(t *testing.T) {
 			continue
 		}
 		genBefore := eng.Generation()
+		misses := eng.Metrics().CacheMisses
 		res, err := eng.Rank(ctx)
 		if err != nil {
 			t.Fatalf("step %d: Rank: %v", step, err)
+		}
+		if eng.Metrics().CacheMisses != misses {
+			warmAt[res.Generation] = last
+			last = append([]float64(nil), res.Scores...)
 		}
 		if res.Staleness > bound {
 			t.Fatalf("step %d: staleness %d exceeds bound %d", step, res.Staleness, bound)
@@ -91,8 +101,16 @@ func TestStaleServesBitwiseEqualColdSolve(t *testing.T) {
 			t.Fatalf("step %d: served generation %d lags pre-rank frontier %d by more than %d",
 				step, res.Generation, genBefore, bound)
 		}
+		warm, ok := warmAt[res.Generation]
+		if !ok {
+			t.Fatalf("step %d: served generation %d was never solved", step, res.Generation)
+		}
+		refOpts := []Option{WithSeed(11), WithParallelism(1)}
+		if warm != nil {
+			refOpts = append(refOpts, WithWarmStart(warm))
+		}
 		asOf := replayMatrix(users, items, options, log, res.Generation)
-		ref, err := HND(WithSeed(11), WithParallelism(1)).Rank(ctx, asOf)
+		ref, err := HND(refOpts...).Rank(ctx, asOf)
 		if err != nil {
 			t.Fatalf("step %d: reference solve at generation %d: %v", step, res.Generation, err)
 		}
@@ -325,131 +343,6 @@ func TestInferLabelsAlwaysExact(t *testing.T) {
 	}
 }
 
-// TestRankBatchStalenessBound checks the tenant-cache half of the bound:
-// per-tenant results ride their own generation space, stale serves stay
-// within the bound and bitwise match the recorded solve, and RefreshBatch
-// forces every tenant back to exact.
-func TestRankBatchStalenessBound(t *testing.T) {
-	const bound = 3
-	ctx := context.Background()
-	eng, err := NewEngine(NewResponseMatrix(2, 2, 2),
-		WithMaxStaleness(bound), WithRankOptions(WithSeed(23), WithParallelism(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tenants := []*ResponseMatrix{
-		engineWorkload(t, 20, 8, 31),
-		engineWorkload(t, 16, 8, 32),
-	}
-	first, err := eng.RankBatch(ctx, tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solved := make([]map[uint64][]float64, len(tenants))
-	for i, res := range first {
-		if res.Staleness != 0 {
-			t.Fatalf("tenant %d: first batch stale", i)
-		}
-		solved[i] = map[uint64][]float64{res.Generation: append([]float64(nil), res.Scores...)}
-	}
-
-	// Writes within the bound: the batch must serve both tenants stale.
-	for i, m := range tenants {
-		for k := 0; k < bound-1; k++ {
-			m.SetAnswer(k%m.Users(), k%m.Items(), (i+k)%2)
-		}
-	}
-	stale, err := eng.RankBatch(ctx, tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range stale {
-		if res.Staleness == 0 || res.Staleness > bound {
-			t.Fatalf("tenant %d: staleness %d, want in (0,%d]", i, res.Staleness, bound)
-		}
-		want, ok := solved[i][res.Generation]
-		if !ok || !bitwiseEqual(res.Scores, want) {
-			t.Fatalf("tenant %d: stale serve differs from the solve at generation %d", i, res.Generation)
-		}
-	}
-	if eng.Metrics().StaleServes == 0 {
-		t.Fatal("batch stale serves not counted")
-	}
-
-	fresh, err := eng.RefreshBatch(ctx, tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range fresh {
-		if res.Staleness != 0 || res.Generation != tenants[i].Generation() {
-			t.Fatalf("tenant %d: RefreshBatch stale: generation %d staleness %d, frontier %d",
-				i, res.Generation, res.Staleness, tenants[i].Generation())
-		}
-	}
-	again, err := eng.RankBatch(ctx, tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range again {
-		if res.Staleness != 0 || !bitwiseEqual(res.Scores, fresh[i].Scores) {
-			t.Fatalf("tenant %d: rank after RefreshBatch not the refreshed result", i)
-		}
-	}
-}
-
-// TestRefreshEnginesPacked checks the scheduler's packed entry point:
-// stale engines re-solve, already-fresh engines serve their cache, other
-// methods refresh the same way, and every result lands exact.
-func TestRefreshEnginesPacked(t *testing.T) {
-	ctx := context.Background()
-	mk := func(method string, seed int64) *Engine {
-		eng, err := NewEngine(engineWorkload(t, 24, 10, seed),
-			WithMethod(method), WithMaxStaleness(8),
-			WithRankOptions(WithSeed(seed), WithParallelism(1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	staleEng := mk("HnD-power", 51)
-	freshEng := mk("HnD-power", 52)
-	soloEng := mk("HITS", 53)
-	for _, e := range []*Engine{staleEng, freshEng, soloEng} {
-		if _, err := e.Rank(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := 0; k < 3; k++ { // staleEng and soloEng fall behind; freshEng stays current
-		if err := staleEng.Observe(k, k, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := soloEng.Observe(k, k, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	engines := []*Engine{staleEng, freshEng, soloEng}
-	results, err := RefreshEngines(ctx, engines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.Staleness != 0 || res.Generation != engines[i].Generation() {
-			t.Fatalf("engine %d: generation %d staleness %d, frontier %d",
-				i, res.Generation, res.Staleness, engines[i].Generation())
-		}
-		after, err := engines[i].Rank(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if after.Staleness != 0 || !bitwiseEqual(after.Scores, res.Scores) {
-			t.Fatalf("engine %d: rank after RefreshEngines not the refreshed result", i)
-		}
-	}
-	if _, err := RefreshEngines(ctx, []*Engine{staleEng, nil}); err == nil {
-		t.Fatal("nil engine accepted")
-	}
-}
-
 // TestShardedStalenessBound checks the router-level bound: the merged
 // cache serves within the bound (tagged with the cluster generation sum),
 // writes past it force a fresh merge, Refresh pushes the watermark, and
@@ -523,10 +416,10 @@ func TestShardedStalenessBound(t *testing.T) {
 }
 
 // TestStalenessInvariantUnderConcurrency is the race leg: writers, rank
-// readers, view readers, a refresher and a batch ranker interleave freely
-// on one bounded engine, and every observation of the system must satisfy
-// the staleness invariant — a result's generation never lags the frontier
-// read before the call by more than the bound.
+// readers, view readers and a refresher interleave freely on one bounded
+// engine, and every observation of the system must satisfy the staleness
+// invariant — a result's generation never lags the frontier read before
+// the call by more than the bound.
 func TestStalenessInvariantUnderConcurrency(t *testing.T) {
 	const users, items, options, bound = 24, 10, 3, 6
 	ctx := context.Background()
@@ -601,30 +494,6 @@ func TestStalenessInvariantUnderConcurrency(t *testing.T) {
 				report("Refresh returned staleness %d", res.Staleness)
 				return
 			}
-		}
-	}()
-	wg.Add(1)
-	go func() { // batch ranker on goroutine-owned tenants
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(900))
-		tenants := []*ResponseMatrix{
-			engineWorkload(t, 16, 8, 81),
-			engineWorkload(t, 14, 8, 82),
-		}
-		for k := 0; k < 60; k++ {
-			results, err := eng.RankBatch(ctx, tenants)
-			if err != nil {
-				report("rankbatch: %v", err)
-				return
-			}
-			for i, res := range results {
-				if res.Staleness > bound {
-					report("tenant %d staleness %d exceeds bound", i, res.Staleness)
-					return
-				}
-			}
-			m := tenants[rng.Intn(len(tenants))]
-			m.SetAnswer(rng.Intn(m.Users()), rng.Intn(m.Items()), rng.Intn(2))
 		}
 	}()
 	wg.Wait()
