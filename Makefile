@@ -9,16 +9,16 @@ SHELL := /bin/bash
 GO ?= go
 
 # Benchmarks tracked as the perf baseline: the Figure 5 scaling workloads
-# (serial vs parallel kernels), the isolated zero-alloc power-loop body,
-# the pooled parallel dispatch path, CSR assembly, the Engine serving
-# paths, the sharded-router scaling curves, the warm re-rank allocation
-# profile on the generation-keyed normalization memo, the durable WAL
-# append path per fsync policy (always / interval / off) — the
-# write-path overhead record — the staleness-bounded read path under
+# (one solve per op on the serial kernels, the paper's single-core
+# setting), the isolated zero-alloc power-loop body, CSR assembly, the
+# Engine serving paths, the sharded-router scaling curves, the warm
+# re-rank allocation profile on the generation-keyed normalization memo,
+# the durable WAL append path per fsync policy (always / interval / off) —
+# the write-path overhead record — the staleness-bounded read path under
 # steady writes (StaleRank: bound=0 inline baseline vs bounded stale
 # serving), and the pooled zero-alloc warm HnD-power solve itself
 # (WarmSolveKernel).
-BENCH_PATTERN ?= Fig5aScaleUsers|Fig5bScaleQuestions|HNDPowerInnerLoop|EngineSnapshot|EngineWarmVsCold|NewCSRAssembly|MulVecParallel|ParallelDoPooled|ShardedObserve|ShardedRank|WarmRerankAllocs|WALAppend|StaleRank|WarmSolveKernel
+BENCH_PATTERN ?= Fig5aScaleUsers|Fig5bScaleQuestions|HNDPowerInnerLoop|EngineSnapshot|EngineWarmVsCold|NewCSRAssembly|ShardedObserve|ShardedRank|WarmRerankAllocs|WALAppend|StaleRank|WarmSolveKernel
 BENCH_TIME ?= 1x
 BENCH_OUT ?= BENCH_pr10.json
 

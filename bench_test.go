@@ -125,86 +125,66 @@ func BenchmarkFig4hC1P(b *testing.B) {
 	})
 }
 
-// fig5Parallelisms is the worker sweep of the scaling benchmarks: the
-// serial kernels (p=1, the paper's single-core setting) against a 4-way
-// fan-out. On a multi-core host the p=4 rows at the largest sizes show the
-// parallel speedup; on a single hardware thread they degrade gracefully to
-// near-serial cost.
-var fig5Parallelisms = []int{1, 4}
-
 // BenchmarkFig5aScaleUsers times the Figure 5a scaling workloads: the
-// power implementations across growing user counts (n fixed at 100),
-// swept over kernel parallelism.
+// power implementations across growing user counts (n fixed at 100).
 func BenchmarkFig5aScaleUsers(b *testing.B) {
 	for _, m := range []int{100, 1000, 5000} {
 		d := genOrDie(b, irt.ModelSamejima, func(c *irt.Config) { c.Users = m })
-		for _, p := range fig5Parallelisms {
-			opts := core.Options{Workers: p}
-			for _, r := range []core.Ranker{core.HNDPower{Opts: opts}, core.HNDDeflation{Opts: opts}, core.ABHPower{Opts: opts}} {
-				r := r
-				b.Run(fmt.Sprintf("%s/m=%d/p=%d", r.Name(), m, p), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, err := r.Rank(context.Background(), d.Responses); err != nil {
-							b.Fatal(err)
-						}
+		for _, r := range []core.Ranker{core.HNDPower{}, core.HNDDeflation{}, core.ABHPower{}} {
+			r := r
+			b.Run(fmt.Sprintf("%s/m=%d", r.Name(), m), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := r.Rank(context.Background(), d.Responses); err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
 
 // BenchmarkFig5bScaleQuestions times the Figure 5b scaling workloads
-// (m fixed at 100, n growing), swept over kernel parallelism.
+// (m fixed at 100, n growing).
 func BenchmarkFig5bScaleQuestions(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		d := genOrDie(b, irt.ModelSamejima, func(c *irt.Config) { c.Items = n })
-		for _, p := range fig5Parallelisms {
-			opts := core.Options{Workers: p}
-			for _, r := range []core.Ranker{core.HNDPower{Opts: opts}, core.ABHPower{Opts: opts}} {
-				r := r
-				b.Run(fmt.Sprintf("%s/n=%d/p=%d", r.Name(), n, p), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, err := r.Rank(context.Background(), d.Responses); err != nil {
-							b.Fatal(err)
-						}
+		for _, r := range []core.Ranker{core.HNDPower{}, core.ABHPower{}} {
+			r := r
+			b.Run(fmt.Sprintf("%s/n=%d", r.Name(), n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := r.Rank(context.Background(), d.Responses); err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
 
 // BenchmarkHNDPowerInnerLoop isolates one iteration of the HND power loop
 // — the O(mn) body every Figure 5 data point repeats thousands of times.
-// With an owned Workspace and the serial kernels it must report 0
-// allocs/op: every buffer is preallocated and reused.
+// With an owned Workspace it must report 0 allocs/op: every buffer is
+// preallocated and reused.
 func BenchmarkHNDPowerInnerLoop(b *testing.B) {
 	d := genOrDie(b, irt.ModelSamejima, func(c *irt.Config) { c.Users = 1000 })
-	for _, p := range fig5Parallelisms {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			u := core.NewUpdate(d.Responses)
-			u.SetWorkers(p)
-			ws := u.NewWorkspace()
-			users := u.Users()
-			sdiff := mat.Ones(users - 1)
-			sdiff.Normalize()
-			s := mat.NewVector(users)
-			us := mat.NewVector(users)
-			next := mat.NewVector(users - 1)
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mat.CumSumShift(s, sdiff)
-				ws.ApplyU(us, s)
-				mat.Diff(next, us)
-				next.Normalize()
-				_ = mat.FlipInvariantDist(next, sdiff)
-				copy(sdiff, next)
-			}
-		})
+	ws := core.NewUpdate(d.Responses).NewWorkspace()
+	users := d.Responses.Users()
+	sdiff := mat.Ones(users - 1)
+	sdiff.Normalize()
+	s := mat.NewVector(users)
+	us := mat.NewVector(users)
+	next := mat.NewVector(users - 1)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		mat.CumSumShift(s, sdiff)
+		ws.ApplyU(us, s)
+		mat.Diff(next, us)
+		next.Normalize()
+		_ = mat.FlipInvariantDist(next, sdiff)
+		copy(sdiff, next)
 	}
 }
 
@@ -682,9 +662,10 @@ func BenchmarkEngineSnapshot(b *testing.B) {
 // BenchmarkWarmSolveKernel isolates one warm HnD-power solve the way
 // Engine.Rank runs it on a cache miss — the pooled solve scratch bound and
 // the previous scores as the warm start — minus the solve-input fetch: the
-// Update machinery is prebuilt with one worker (core.Options.Update). The matrix was idempotently rewritten, so every solve
-// converges in one power step; with the bound scratch it must report 0
-// allocs/op — the CI-guarded steady state of the warm re-rank.
+// Update machinery is prebuilt (core.Options.Update). The matrix was
+// idempotently rewritten, so every solve converges in one power step; with
+// the bound scratch it must report 0 allocs/op — the CI-guarded steady
+// state of the warm re-rank.
 func BenchmarkWarmSolveKernel(b *testing.B) {
 	cfg := irt.DefaultConfig(irt.ModelSamejima)
 	cfg.Users, cfg.Items, cfg.Seed = 500, 150, 42
@@ -694,19 +675,16 @@ func BenchmarkWarmSolveKernel(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	solved, err := (core.HNDPower{Opts: core.Options{Workers: 1}}).Rank(ctx, d.Responses)
+	solved, err := (core.HNDPower{}).Rank(ctx, d.Responses)
 	if err != nil {
 		b.Fatal(err)
 	}
 	// Idempotent rewrite: bumps the generation and records a dirty row
 	// without changing any matrix value.
 	d.Responses.SetAnswer(0, 0, d.Responses.Answer(0, 0))
-	u := core.NewUpdate(d.Responses)
-	u.SetWorkers(1) // match Options.Workers so the solve adopts, not rewraps
 	h := core.HNDPower{Opts: core.Options{
-		Workers:   1,
 		WarmStart: solved.Scores,
-		Update:    u,
+		Update:    core.NewUpdate(d.Responses),
 		Scratch:   &core.SolveScratch{},
 	}}
 	if _, err := h.Rank(ctx, d.Responses); err != nil { // binds the scratch

@@ -68,7 +68,7 @@ func TestUpdateCacheGoldenEquivalence(t *testing.T) {
 	for _, method := range MethodNames() {
 		t.Run(method, func(t *testing.T) {
 			eng, err := NewEngine(goldenWorkload(t, method), WithMethod(method),
-				WithRankOptions(WithSeed(3), WithParallelism(1)))
+				WithRankOptions(WithSeed(3)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +81,7 @@ func TestUpdateCacheGoldenEquivalence(t *testing.T) {
 					t.Fatalf("%s: rank took %d cache misses, want 1", phase, d)
 				}
 				view, _ := eng.View()
-				opts := []Option{WithSeed(3), WithParallelism(1)}
+				opts := []Option{WithSeed(3)}
 				if prev != nil {
 					opts = append(opts, WithWarmStart(prev))
 				}

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments [-reps 3] [-seed 1] [-full] [-csv DIR] [-parallel 0] <subcommand>
+//	experiments [-reps 3] [-seed 1] [-full] [-csv DIR] <subcommand>
 //
 // Subcommands:
 //
@@ -45,7 +45,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"hitsndiffs"
 	"hitsndiffs/internal/experiments"
 	"hitsndiffs/internal/irt"
 )
@@ -64,10 +63,8 @@ func main() {
 	full := flag.Bool("full", false, "run full-size sweeps (slow; default is the quick variant)")
 	csvDir := flag.String("csv", "", "also write CSV files into this directory")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-run timeout for scalability sweeps")
-	parallel := flag.Int("parallel", 0, "chunks per sparse kernel apply for every method, run on the worker pool (0 = GOMAXPROCS, 1 = serial)")
 	shards := flag.Int("shards", 8, "largest shard count the `sharded` subcommand sweeps")
 	flag.Parse()
-	hitsndiffs.SetParallelism(*parallel)
 
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: experiments [flags] <subcommand> (see -h)")

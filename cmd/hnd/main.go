@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	hnd [-method HnD-power] [-scores] [-tol 1e-5] [-maxiter 20000] [-timeout 0] [-parallel 0] [-shards 1] file.csv
+//	hnd [-method HnD-power] [-scores] [-tol 1e-5] [-maxiter 20000] [-timeout 0] [-shards 1] file.csv
 //
 // The input format is the one produced by datagen and
 // (*ResponseMatrix).WriteCSV: a header row with each item's option count,
@@ -14,12 +14,10 @@
 // the solve via context deadline, and Ctrl-C cancels it mid-iteration;
 // both unwind cleanly (deferred cleanup runs) and exit 124 / 130
 // respectively, so callers can tell a stopped solve from a failed one.
-// -parallel caps the chunks each sparse kernel apply splits into, executed
-// on the persistent worker pool (0 = GOMAXPROCS, 1 = the serial kernels).
-// -shards N > 1 ranks through a ShardedEngine —
-// the horizontal-scaling serving path — hashing users across N independent
-// engines and merging the per-shard rankings (scores are then min-max
-// normalized within each shard, and -infer is unavailable).
+// -shards N > 1 ranks through a ShardedEngine — the horizontal-scaling
+// serving path — hashing users across N independent engines and merging
+// the per-shard rankings (scores are then min-max normalized within each
+// shard, and -infer is unavailable).
 package main
 
 import (
@@ -52,7 +50,6 @@ func realMain() int {
 	maxIter := flag.Int("maxiter", 20000, "iteration budget for iterative methods")
 	seed := flag.Int64("seed", 0, "random seed for the spectral starting vector")
 	timeout := flag.Duration("timeout", 0, "abort the solve after this long (0 = no deadline)")
-	parallel := flag.Int("parallel", 0, "chunks per sparse kernel apply, run on the worker pool (0 = GOMAXPROCS, 1 = serial)")
 	shards := flag.Int("shards", 1, "hash users across this many engine shards (>1 merges per-shard rankings)")
 	flag.Parse()
 
@@ -90,7 +87,6 @@ func realMain() int {
 		hitsndiffs.WithTol(*tol),
 		hitsndiffs.WithMaxIter(*maxIter),
 		hitsndiffs.WithSeed(*seed),
-		hitsndiffs.WithParallelism(*parallel),
 	}
 	if *shards > 1 {
 		eng, err := hitsndiffs.NewShardedEngine(m,

@@ -93,7 +93,11 @@ func main() {
 	handoffShard := flag.Int("handoff-shard", 0, "shard of the largest tenant to migrate under -handoff-peer")
 	handoffBundle := flag.String("handoff-bundle", "", "bundle directory reachable by both servers (required with -handoff-peer)")
 	flag.Parse()
-	if err := validateFlags(*tenants, *concurrency, *handoffPeer, *handoffBundle); err != nil {
+	if err := validateFlags(loadFlags{
+		tenants: *tenants, users: *users, items: *items, options: *options,
+		concurrency: *concurrency, writeBatch: *writeBatch, duration: *duration,
+		handoffPeer: *handoffPeer, handoffBundle: *handoffBundle,
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "hndload:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -178,18 +182,40 @@ func main() {
 	}
 }
 
-// validateFlags rejects flag values that would otherwise fail only after
-// requests went out: drive needs at least one tenant to pick and one
-// worker to run, and a handoff needs its bundle directory before the
-// tenant fleet is created on either server.
-func validateFlags(tenants, concurrency int, handoffPeer, handoffBundle string) error {
-	if tenants < 1 {
-		return fmt.Errorf("-tenants must be at least 1, got %d", tenants)
+// loadFlags holds the flag values validateFlags checks.
+type loadFlags struct {
+	tenants, users, items, options int
+	concurrency, writeBatch        int
+	duration                       time.Duration
+	handoffPeer, handoffBundle     string
+}
+
+// validateFlags rejects flag values that would otherwise fail, or be
+// silently replaced, only after requests went out: drive needs at least
+// one tenant to pick, one worker to run, a positive window and at least
+// one observation per write; the server rejects a tenant with no users, no
+// items or fewer than 2 options per item; and a handoff needs its bundle
+// directory before the tenant fleet is created on either server.
+func validateFlags(f loadFlags) error {
+	for _, c := range []struct {
+		flag     string
+		got, min int
+	}{
+		{"-tenants", f.tenants, 1},
+		{"-users", f.users, 1},
+		{"-items", f.items, 1},
+		{"-options", f.options, 2},
+		{"-concurrency", f.concurrency, 1},
+		{"-writebatch", f.writeBatch, 1},
+	} {
+		if c.got < c.min {
+			return fmt.Errorf("%s must be at least %d, got %d", c.flag, c.min, c.got)
+		}
 	}
-	if concurrency < 1 {
-		return fmt.Errorf("-concurrency must be at least 1, got %d", concurrency)
+	if f.duration <= 0 {
+		return fmt.Errorf("-duration must be positive, got %v", f.duration)
 	}
-	if handoffPeer != "" && handoffBundle == "" {
+	if f.handoffPeer != "" && f.handoffBundle == "" {
 		return errors.New("-handoff-peer requires -handoff-bundle")
 	}
 	return nil

@@ -90,26 +90,40 @@ func TestPercentileNearestRank(t *testing.T) {
 }
 
 // TestValidateFlags pins the usage errors main reports before its first
-// request: no tenants, no workers, or a handoff without a bundle directory.
+// request: no tenants, users, items or workers, fewer than 2 options, an
+// empty write batch, a non-positive duration, or a handoff without a
+// bundle directory.
 func TestValidateFlags(t *testing.T) {
 	for _, tc := range []struct {
-		name             string
-		tenants, workers int
-		peer, bundle     string
-		want             string // substring of the expected error; empty = valid
+		name string
+		set  func(*loadFlags)
+		want string // substring of the expected error; empty = valid
 	}{
-		{name: "defaults", tenants: 8, workers: 64},
-		{name: "one-tenant-one-worker", tenants: 1, workers: 1},
-		{name: "zero-tenants", tenants: 0, workers: 64, want: "-tenants"},
-		{name: "negative-tenants", tenants: -1, workers: 64, want: "-tenants"},
-		{name: "zero-concurrency", tenants: 8, workers: 0, want: "-concurrency"},
-		{name: "negative-concurrency", tenants: 8, workers: -3, want: "-concurrency"},
-		{name: "handoff-without-bundle", tenants: 8, workers: 64, peer: "http://127.0.0.1:9", want: "-handoff-bundle"},
-		{name: "handoff-with-bundle", tenants: 8, workers: 64, peer: "http://127.0.0.1:9", bundle: "bundles"},
-		{name: "bundle-without-handoff", tenants: 8, workers: 64, bundle: "bundles"},
+		{name: "defaults"},
+		{name: "one-tenant-one-worker", set: func(f *loadFlags) { f.tenants, f.concurrency = 1, 1 }},
+		{name: "zero-tenants", set: func(f *loadFlags) { f.tenants = 0 }, want: "-tenants"},
+		{name: "negative-tenants", set: func(f *loadFlags) { f.tenants = -1 }, want: "-tenants"},
+		{name: "zero-concurrency", set: func(f *loadFlags) { f.concurrency = 0 }, want: "-concurrency"},
+		{name: "negative-concurrency", set: func(f *loadFlags) { f.concurrency = -3 }, want: "-concurrency"},
+		{name: "handoff-without-bundle", set: func(f *loadFlags) { f.handoffPeer = "http://127.0.0.1:9" }, want: "-handoff-bundle"},
+		{name: "handoff-with-bundle", set: func(f *loadFlags) { f.handoffPeer, f.handoffBundle = "http://127.0.0.1:9", "bundles" }},
+		{name: "bundle-without-handoff", set: func(f *loadFlags) { f.handoffBundle = "bundles" }},
+		{name: "one-user-one-item-two-options", set: func(f *loadFlags) { f.users, f.items, f.options = 1, 1, 2 }},
+		{name: "zero-users", set: func(f *loadFlags) { f.users = 0 }, want: "-users"},
+		{name: "zero-items", set: func(f *loadFlags) { f.items = 0 }, want: "-items"},
+		{name: "one-option", set: func(f *loadFlags) { f.options = 1 }, want: "-options"},
+		{name: "zero-writebatch", set: func(f *loadFlags) { f.writeBatch = 0 }, want: "-writebatch"},
+		{name: "negative-writebatch", set: func(f *loadFlags) { f.writeBatch = -4 }, want: "-writebatch"},
+		{name: "zero-duration", set: func(f *loadFlags) { f.duration = 0 }, want: "-duration"},
+		{name: "negative-duration", set: func(f *loadFlags) { f.duration = -time.Second }, want: "-duration"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateFlags(tc.tenants, tc.workers, tc.peer, tc.bundle)
+			// The flag defaults of main.
+			f := loadFlags{tenants: 8, users: 2000, items: 64, options: 3, concurrency: 64, writeBatch: 1, duration: 10 * time.Second}
+			if tc.set != nil {
+				tc.set(&f)
+			}
+			err := validateFlags(f)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("valid flags rejected: %v", err)

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	hndserver [-addr :8788] [-method HnD-power] [-shards 1] [-ring]
-//	          [-parallel 0] [-tol 1e-5] [-maxiter 20000] [-seed 0]
+//	          [-tol 1e-5] [-maxiter 20000] [-seed 0]
 //	          [-maxwrites 64] [-maxlag 0] [-maxtenants 1024]
 //	          [-max-staleness 0] [-refresh-interval 25ms]
 //	          [-drain-timeout 15s]
@@ -90,7 +90,6 @@ func main() {
 	method := flag.String("method", "HnD-power", "ranking method every tenant serves (see hnd -list)")
 	shards := flag.Int("shards", 1, "engine shards per tenant (>1 hashes each tenant's users across a ShardedEngine)")
 	ring := flag.Bool("ring", false, "partition sharded tenants by consistent-hash ring instead of the default modular hash (recorded per tenant; affects new tenants only)")
-	parallel := flag.Int("parallel", 0, "chunks per sparse kernel apply, run on the worker pool (0 = GOMAXPROCS, 1 = serial)")
 	tol := flag.Float64("tol", 1e-5, "convergence tolerance for iterative methods")
 	maxIter := flag.Int("maxiter", 20000, "iteration budget for iterative methods")
 	seed := flag.Int64("seed", 0, "random seed for the spectral starting vector")
@@ -104,13 +103,18 @@ func main() {
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always, interval[=duration], off")
 	snapshotEvery := flag.Int("snapshot-every", 0, "observations between background snapshots (0 = default 4096, negative = open-time checkpoint only)")
 	flag.Parse()
+	if err := validateFlags(serverFlags{
+		shards: *shards, maxWrites: *maxWrites, maxLag: *maxLag, maxTenants: *maxTenants,
+		refreshInterval: *refreshInterval, drainTimeout: *drainTimeout,
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, "hndserver:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	policy, err := durable.ParsePolicy(*fsync)
 	if err != nil {
 		log.Fatal("hndserver: ", err)
-	}
-	if *parallel > 0 {
-		hitsndiffs.SetParallelism(*parallel)
 	}
 	srv, err := serve.New(serve.Config{
 		Method:        *method,
@@ -193,4 +197,39 @@ func main() {
 	// fsync and release cleanly.
 	srv.Close()
 	log.Print("hndserver: drained cleanly")
+}
+
+// serverFlags holds the flag values validateFlags checks.
+type serverFlags struct {
+	shards, maxWrites, maxLag, maxTenants int
+	refreshInterval, drainTimeout         time.Duration
+}
+
+// validateFlags rejects, before the server listens, flag values the help
+// gives no meaning to and that the serve layer would otherwise replace
+// silently: a negative bound would read as "unbounded", a shard or tenant
+// cap below 1 as a default, a negative refresh interval as 25ms, and a
+// non-positive drain timeout would cut off in-flight requests at the first
+// signal.
+func validateFlags(f serverFlags) error {
+	for _, c := range []struct {
+		flag     string
+		got, min int
+	}{
+		{"-shards", f.shards, 1},
+		{"-maxwrites", f.maxWrites, 0},
+		{"-maxlag", f.maxLag, 0},
+		{"-maxtenants", f.maxTenants, 1},
+	} {
+		if c.got < c.min {
+			return fmt.Errorf("%s must be at least %d, got %d", c.flag, c.min, c.got)
+		}
+	}
+	if f.refreshInterval < 0 {
+		return fmt.Errorf("-refresh-interval must not be negative, got %v", f.refreshInterval)
+	}
+	if f.drainTimeout <= 0 {
+		return fmt.Errorf("-drain-timeout must be positive, got %v", f.drainTimeout)
+	}
+	return nil
 }

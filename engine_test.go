@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -35,6 +36,77 @@ func scoresEqualBits(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// TestScoresIndependentOfGOMAXPROCS pins that a served score is a function
+// of the input alone, not of the host's core count: a direct HnD solve, an
+// Engine (cold, then warm after one Observe) and a 2-shard ShardedEngine
+// must each return bitwise the GOMAXPROCS=1 scores at GOMAXPROCS 2 and 8.
+// The fully answered 400×60×3 GRM matrix has 24,000 non-zeros, enough for
+// any size-gated split of the kernels across cores to engage.
+func TestScoresIndependentOfGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	cfg := DefaultGeneratorConfig(ModelGRM)
+	cfg.Users, cfg.Items = 400, 60
+	d, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := d.Responses
+	if nnz := m.Binary().NNZ(); nnz != 24000 {
+		t.Fatalf("matrix has %d non-zeros, want 24000 (fully answered)", nnz)
+	}
+	ctx := context.Background()
+	paths := []string{"HND.Rank", "Engine.Rank cold", "Engine.Rank after Observe", "ShardedEngine.Rank (2 shards)"}
+	run := func() [][]float64 {
+		direct, err := HND(WithSeed(1)).Rank(ctx, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(m, WithRankOptions(WithSeed(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := eng.Rank(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Observe(0, 0, (m.Answer(0, 0)+1)%3); err != nil {
+			t.Fatal(err)
+		}
+		warm, err := eng.Rank(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		se, err := NewShardedEngine(m, WithShards(2), WithRankOptions(WithSeed(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded, err := se.Rank(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [][]float64{direct.Scores, cold.Scores, warm.Scores, sharded.Scores}
+	}
+	runtime.GOMAXPROCS(1)
+	want := run()
+	for _, procs := range []int{2, 8} {
+		runtime.GOMAXPROCS(procs)
+		got := run()
+		for k, path := range paths {
+			diff := 0
+			for i := range want[k] {
+				if math.Float64bits(got[k][i]) != math.Float64bits(want[k][i]) {
+					diff++
+				}
+			}
+			if diff > 0 {
+				t.Errorf("GOMAXPROCS=%d: %s: %d of %d scores differ bitwise from GOMAXPROCS=1",
+					procs, path, diff, len(want[k]))
+			}
+		}
+	}
 }
 
 func TestRankHonorsPreCancelledContext(t *testing.T) {
@@ -142,7 +214,7 @@ func TestEngineRankMatchesDirect(t *testing.T) {
 func TestWarmSolveGoldenEquivalence(t *testing.T) {
 	ctx := context.Background()
 	m := engineWorkload(t, 45, 30, 11)
-	eng, err := NewEngine(m, WithRankOptions(WithSeed(3), WithParallelism(1)))
+	eng, err := NewEngine(m, WithRankOptions(WithSeed(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +230,7 @@ func TestWarmSolveGoldenEquivalence(t *testing.T) {
 			t.Fatalf("%s: rank took %d cache misses, want 1", phase, d)
 		}
 		view, _ := eng.View()
-		opts := []Option{WithSeed(3), WithParallelism(1)}
+		opts := []Option{WithSeed(3)}
 		if prev != nil {
 			opts = append(opts, WithWarmStart(prev))
 		}

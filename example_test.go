@@ -123,36 +123,6 @@ func ExampleEngine_View() {
 	// live: 0 at version 1
 }
 
-// Cap the kernel fan-out of one method. Row-parallel products are bitwise
-// identical for every worker count, so the ranking never depends on the
-// parallelism knob.
-func ExampleWithParallelism() {
-	m := hitsndiffs.FromChoices([][]int{
-		{0, 0, 0},
-		{0, 0, 2},
-		{0, 1, 2},
-		{1, 2, 2},
-	}, 3)
-	serial, err := hitsndiffs.New("HnD-power", hitsndiffs.WithSeed(1), hitsndiffs.WithParallelism(1))
-	if err != nil {
-		panic(err)
-	}
-	wide, err := hitsndiffs.New("HnD-power", hitsndiffs.WithSeed(1), hitsndiffs.WithParallelism(4))
-	if err != nil {
-		panic(err)
-	}
-	a, err := serial.Rank(context.Background(), m)
-	if err != nil {
-		panic(err)
-	}
-	b, err := wide.Rank(context.Background(), m)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(a.Order(), b.Order())
-	// Output: [0 1 2 3] [0 1 2 3]
-}
-
 // Scale horizontally: hash users across independent engine shards, absorb a
 // write burst with one fanned-out batch, and read one merged ranking.
 func ExampleShardedEngine() {

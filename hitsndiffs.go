@@ -34,7 +34,7 @@
 // which caches results per matrix version and warm-starts re-ranks; for
 // horizontal scaling, ShardedEngine hashes users across independent engine
 // shards and merges their rankings. See docs/ARCHITECTURE.md for the layer
-// map and the copy-on-write and worker-pool protocols.
+// map and the copy-on-write and in-place shard-solve protocols.
 //
 // The subpackages under internal/ hold the implementation; this package is
 // the stable public surface.

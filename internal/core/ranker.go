@@ -71,11 +71,6 @@ type Options struct {
 	// re-ranking a lightly perturbed matrix converge in a fraction of the
 	// cold-start iterations; methods without an iterate ignore it.
 	WarmStart mat.Vector
-	// Workers caps the chunks each sparse kernel apply splits into —
-	// executed on the shared persistent worker pool (mat.SetPoolSize):
-	// 1 forces the serial kernels, 0 (the default) tracks
-	// mat.DefaultWorkers() — GOMAXPROCS unless overridden process-wide.
-	Workers int
 	// Update, when non-nil, supplies prebuilt AVGHITS machinery for the
 	// matrix being ranked, skipping construction entirely — kernel
 	// benchmarks and tests set it to time or pin a solve apart from its
@@ -87,31 +82,21 @@ type Options struct {
 	Update *Update
 	// Scratch, when non-nil, supplies pooled solve buffers (iteration
 	// vectors, apply workspace, orientation indices) that HnD-power binds
-	// instead of allocating — the engine-level scratch pool sets it. A scratch must not be shared by concurrent
-	// solves, and Result.Scores may alias scratch memory: copy the scores
-	// out before reusing the scratch. Binding changes no floating-point
-	// operation; other methods ignore the field.
+	// instead of allocating — the engine-level scratch pool sets it. A
+	// scratch must not be shared by concurrent solves, and Result.Scores
+	// may alias scratch memory: copy the scores out before reusing the
+	// scratch. Binding changes no floating-point operation; other methods
+	// ignore the field.
 	Scratch *SolveScratch
 }
 
-// newUpdate builds (or adopts) the AVGHITS update machinery for m with the
-// option's worker cap applied.
+// newUpdate adopts the prebuilt Options.Update when its dimensions match m,
+// and otherwise builds the AVGHITS update machinery for m.
 func (o Options) newUpdate(m *response.Matrix) *Update {
 	if u := o.Update; u != nil && u.Users() == m.Users() && u.C.Cols() == m.TotalOptions() {
-		w := o.Workers
-		if w < 0 {
-			w = 0
-		}
-		if u.Workers() == w {
-			return u
-		}
-		// Same matrices, different kernel fan-out: rewrap the immutable CSRs
-		// instead of mutating the shared Update behind concurrent appliers.
-		return &Update{C: u.C, Crow: u.Crow, Ccol: u.Ccol, workers: w}
+		return u
 	}
-	u := NewUpdate(m)
-	u.SetWorkers(o.Workers)
-	return u
+	return NewUpdate(m)
 }
 
 func (o *Options) defaults() {

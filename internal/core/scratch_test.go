@@ -60,23 +60,21 @@ func TestHNDPowerScratchBitwise(t *testing.T) {
 }
 
 // TestWarmSolveZeroAlloc is the warm-solve allocation guard: with a
-// prebuilt Update, a bound scratch and serial kernels, a steady-state warm
-// re-rank after an idempotent rewrite performs zero heap allocations.
+// prebuilt Update and a bound scratch, a steady-state warm re-rank after an
+// idempotent rewrite performs zero heap allocations.
 func TestWarmSolveZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	m := randomResponses(rng, 80, 30, 4, 0.9)
-	cold, err := (HNDPower{Opts: Options{Workers: 1}}).Rank(context.Background(), m)
+	cold, err := (HNDPower{}).Rank(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := cold.Scores.Clone()
 	m.SetAnswer(0, 0, m.Answer(0, 0))
-	u := NewUpdate(m)
-	u.SetWorkers(1)
-	h := HNDPower{Opts: Options{Workers: 1, WarmStart: warm, Update: u, Scratch: &SolveScratch{}}}
+	h := HNDPower{Opts: Options{WarmStart: warm, Update: NewUpdate(m), Scratch: &SolveScratch{}}}
 	ctx := context.Background()
 
-	// Warm-up binds every buffer (scratch vectors, transpose scratch,
+	// Warm-up binds every buffer (scratch vectors, apply workspace,
 	// orientation counts).
 	res, err := h.Rank(ctx, m)
 	if err != nil {

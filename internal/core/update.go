@@ -24,10 +24,6 @@ type Update struct {
 	// Crow and Ccol are the row- and column-normalized forms of C.
 	Crow, Ccol *mat.CSR
 
-	// workers caps the goroutines each sparse kernel may fan out to;
-	// 0 defers to mat.DefaultWorkers() at apply time.
-	workers int
-
 	// pool recycles Workspaces for the convenience Apply* methods so
 	// concurrent appliers never share scratch space.
 	pool sync.Pool
@@ -43,32 +39,16 @@ func NewUpdate(m *response.Matrix) *Update {
 	return &Update{C: c, Crow: crow, Ccol: ccol}
 }
 
-// SetWorkers caps the chunks each sparse kernel apply splits into (the
-// chunks run on the persistent pool shared by the whole process): 1 forces
-// the serial kernels, 0 (the default) defers to mat.DefaultWorkers(). Call
-// before sharing the Update across goroutines.
-func (u *Update) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	u.workers = n
-}
-
-// Workers reports the configured worker cap (0 = package default).
-func (u *Update) Workers() int { return u.workers }
-
 // Users returns the number of users (the dimension of U).
 func (u *Update) Users() int { return u.C.Rows() }
 
-// Workspace holds the scratch buffers one applier goroutine needs: the
-// option-weight vector (length Σkᵢ) plus the per-worker accumulators of the
-// parallel transpose kernel. A Workspace must not be shared by concurrent
-// appliers; a solver loop that owns one performs zero heap allocations per
-// iteration after warm-up.
+// Workspace holds the scratch buffer one applier goroutine needs: the
+// option-weight vector (length Σkᵢ). A Workspace must not be shared by
+// concurrent appliers; a solver loop that owns one performs zero heap
+// allocations per iteration after warm-up.
 type Workspace struct {
 	u   *Update
 	opt mat.Vector
-	ts  mat.TScratch
 }
 
 // NewWorkspace returns a fresh workspace for applying u.
@@ -79,14 +59,14 @@ func (u *Update) NewWorkspace() *Workspace {
 // ApplyU computes dst = U·s = C_row·(C_col)ᵀ·s using two sparse mat-vec
 // products. dst must not alias s.
 func (w *Workspace) ApplyU(dst, s mat.Vector) {
-	w.u.Ccol.MulVecTPar(w.opt, s, w.u.workers, &w.ts)
-	w.u.Crow.MulVecPar(dst, w.opt, w.u.workers)
+	w.u.Ccol.MulVecT(w.opt, s)
+	w.u.Crow.MulVec(dst, w.opt)
 }
 
 // ApplyUT computes dst = Uᵀ·s.
 func (w *Workspace) ApplyUT(dst, s mat.Vector) {
-	w.u.Crow.MulVecTPar(w.opt, s, w.u.workers, &w.ts)
-	w.u.Ccol.MulVecPar(dst, w.opt, w.u.workers)
+	w.u.Crow.MulVecT(w.opt, s)
+	w.u.Ccol.MulVec(dst, w.opt)
 }
 
 // ApplyL computes dst = L·s = D·s − C·(Cᵀ·s) matrix-free. d must be the
@@ -94,8 +74,8 @@ func (w *Workspace) ApplyUT(dst, s mat.Vector) {
 // sweep of the second mat-vec, so the whole apply is two passes over the
 // non-zeros with no extra sweep over dst.
 func (w *Workspace) ApplyL(dst, s, d mat.Vector) {
-	w.u.C.MulVecTPar(w.opt, s, w.u.workers, &w.ts)
-	w.u.C.MulVecDiagSub(dst, w.opt, d, s, w.u.workers)
+	w.u.C.MulVecT(w.opt, s)
+	w.u.C.MulVecDiagSub(dst, w.opt, d, s)
 }
 
 // acquire fetches a pooled workspace for the convenience appliers, growing

@@ -384,14 +384,19 @@ func (m *CSR) Clone() *CSR {
 	return out
 }
 
-// MulVec computes dst = m·x. dst must not alias x. It shares its row loop
-// with MulVecPar, which is what keeps the serial and parallel kernels
-// bitwise identical.
+// MulVec computes dst = m·x, one row at a time in column order. dst must
+// not alias x.
 func (m *CSR) MulVec(dst, x Vector) Vector {
 	if len(x) != m.cols || len(dst) != m.rows {
 		panic(fmt.Sprintf("mat: CSR MulVec shape mismatch (%dx%d)·%d -> %d", m.rows, m.cols, len(x), len(dst)))
 	}
-	m.mulVecRange(dst, x, 0, m.rows)
+	for i := 0; i < m.rows; i++ {
+		var s float64
+		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
+			s += m.val[p] * x[m.colIdx[p]]
+		}
+		dst[i] = s
+	}
 	return dst
 }
 
@@ -410,6 +415,26 @@ func (m *CSR) MulVecT(dst, x Vector) Vector {
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
 			dst[m.colIdx[p]] += m.val[p] * xi
 		}
+	}
+	return dst
+}
+
+// MulVecDiagSub computes dst = diag∘s − m·x in one fused row pass, the
+// kernel behind the matrix-free ABH Laplacian apply L·s = D·s − C·(Cᵀ·s).
+// Fusing the diagonal term into the row sweep removes one full pass over
+// dst compared to MulVec followed by an elementwise fix-up; each row's
+// product accumulates in MulVec's order, so the result is bitwise that
+// two-pass reference. dst must not alias x.
+func (m *CSR) MulVecDiagSub(dst, x, diag, s Vector) Vector {
+	if len(x) != m.cols || len(dst) != m.rows || len(diag) != m.rows || len(s) != m.rows {
+		panic("mat: CSR MulVecDiagSub shape mismatch")
+	}
+	for i := 0; i < m.rows; i++ {
+		var acc float64
+		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
+			acc += m.val[p] * x[m.colIdx[p]]
+		}
+		dst[i] = diag[i]*s[i] - acc
 	}
 	return dst
 }

@@ -99,51 +99,3 @@ func BenchmarkNewCSRAssembly(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkParallelDoPooled isolates the pooled dispatch path that replaced
-// the spawn-per-call parallelDo: one row-parallel mat-vec per op, fanned out
-// over the persistent worker pool. In steady state (pool started, run
-// descriptors warm) the whole dispatch must report 0 allocs/op — enforced by
-// the CI zero-alloc guard on BENCH_pr3.json.
-func BenchmarkParallelDoPooled(b *testing.B) {
-	cols, entries := oneHotEntries(5000, 100, 4, 7)
-	m := NewCSR(5000, cols, entries)
-	x := Ones(cols)
-	dst := NewVector(m.Rows())
-	for _, w := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("p=%d", w), func(b *testing.B) {
-			m.MulVecPar(dst, x, w) // warm the pool and the run descriptors
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.MulVecPar(dst, x, w)
-			}
-		})
-	}
-}
-
-// BenchmarkMulVecParallel measures the chunked parallel mat-vec kernels
-// against their serial forms on a Fig 5a-sized one-hot matrix.
-func BenchmarkMulVecParallel(b *testing.B) {
-	cols, entries := oneHotEntries(5000, 100, 4, 7)
-	m := NewCSR(5000, cols, entries)
-	x := Ones(cols)
-	xt := Ones(m.Rows())
-	dst := NewVector(m.Rows())
-	dstT := NewVector(cols)
-	var ws TScratch
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("MulVec/p=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.MulVecPar(dst, x, w)
-			}
-		})
-		b.Run(fmt.Sprintf("MulVecT/p=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.MulVecTPar(dstT, xt, w, &ws)
-			}
-		})
-	}
-}

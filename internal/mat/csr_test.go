@@ -208,3 +208,113 @@ func TestRowNNZViews(t *testing.T) {
 		t.Fatal("empty row should have no entries")
 	}
 }
+
+// randomCSR builds a random rows×cols CSR with roughly density·rows·cols
+// normally distributed non-zeros.
+func randomCSR(rng *rand.Rand, rows, cols int, density float64) *CSR {
+	var entries []Coord
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if rng.Float64() < density {
+				entries = append(entries, Coord{Row: i, Col: j, Val: rng.NormFloat64()})
+			}
+		}
+	}
+	return NewCSR(rows, cols, entries)
+}
+
+func randomVector(rng *rand.Rand, n int) Vector {
+	v := NewVector(n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
+// bitsEqual reports exact bit-level equality of two vectors.
+func bitsEqual(a, b Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMulVecDiagSubMatchesReference asserts the fused ABH kernel
+// dst = diag∘s − m·x matches the unfused two-pass reference bitwise.
+func TestMulVecDiagSubMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, shape := range []struct {
+		rows, cols int
+		density    float64
+	}{
+		{rows: 17, cols: 9, density: 0.4},
+		{rows: 120, cols: 80, density: 0.15},
+		{rows: 500, cols: 130, density: 0.3},
+		{rows: 900, cols: 60, density: 0.5}, // skewed tall
+		{rows: 80, cols: 600, density: 0.4}, // wide rows
+	} {
+		m := randomCSR(rng, shape.rows, shape.cols, shape.density)
+		x := randomVector(rng, shape.cols)
+		s := randomVector(rng, shape.rows)
+		diag := randomVector(rng, shape.rows)
+		want := NewVector(shape.rows)
+		m.MulVec(want, x)
+		for i := range want {
+			want[i] = diag[i]*s[i] - want[i]
+		}
+		got := NewVector(shape.rows)
+		m.MulVecDiagSub(got, x, diag, s)
+		if !bitsEqual(got, want) {
+			t.Fatalf("MulVecDiagSub not bitwise equal to reference (%dx%d)", shape.rows, shape.cols)
+		}
+	}
+}
+
+// TestNewCSRCountingSortAgainstDense cross-checks the counting-sort
+// assembly — shuffled input, duplicate coordinates, duplicates cancelling to
+// zero — against a dense accumulation of the same entries.
+func TestNewCSRCountingSortAgainstDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 20; trial++ {
+		rows := 1 + rng.Intn(40)
+		cols := 1 + rng.Intn(40)
+		dense := NewDense(rows, cols)
+		n := rng.Intn(4 * rows * cols)
+		entries := make([]Coord, 0, n+2)
+		for e := 0; e < n; e++ {
+			i, j := rng.Intn(rows), rng.Intn(cols)
+			v := float64(rng.Intn(9) - 4) // small ints so duplicate sums are exact
+			entries = append(entries, Coord{Row: i, Col: j, Val: v})
+			dense.Set(i, j, dense.At(i, j)+v)
+		}
+		// Force an exact cancellation at one coordinate. Integer values keep
+		// every duplicate sum exact regardless of accumulation order.
+		i, j := rng.Intn(rows), rng.Intn(cols)
+		w := float64(1 + rng.Intn(8))
+		entries = append(entries, Coord{Row: i, Col: j, Val: w}, Coord{Row: i, Col: j, Val: -w})
+		rng.Shuffle(len(entries), func(a, b int) { entries[a], entries[b] = entries[b], entries[a] })
+
+		m := NewCSR(rows, cols, entries)
+		for r := 0; r < rows; r++ {
+			colsNNZ, vals := m.RowNNZ(r)
+			for p := range colsNNZ {
+				if p > 0 && colsNNZ[p] <= colsNNZ[p-1] {
+					t.Fatalf("trial %d: row %d columns not strictly sorted: %v", trial, r, colsNNZ)
+				}
+				if vals[p] == 0 {
+					t.Fatalf("trial %d: stored explicit zero at (%d,%d)", trial, r, colsNNZ[p])
+				}
+			}
+			for c := 0; c < cols; c++ {
+				if got, want := m.At(r, c), dense.At(r, c); got != want {
+					t.Fatalf("trial %d: At(%d,%d) = %g, dense %g", trial, r, c, got, want)
+				}
+			}
+		}
+	}
+}

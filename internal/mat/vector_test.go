@@ -254,3 +254,45 @@ func TestArgSortIntoBadBuffers(t *testing.T) {
 	}()
 	(Vector{1, 2, 3}).ArgSortInto(make([]int, 2), make([]int, 3))
 }
+
+// TestFusedVectorKernels pins the fused AXPY/scale/dot helpers against
+// their unfused equivalents.
+func TestFusedVectorKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	x := randomVector(rng, 257)
+	y := randomVector(rng, 257)
+
+	want := x.Clone().Scale(2.5).AddScaled(-1.25, y)
+	got := AXPBY(NewVector(len(x)), 2.5, x, -1.25, y)
+	if !got.Equal(want, 1e-15) {
+		t.Fatalf("AXPBY mismatch")
+	}
+	aliased := x.Clone()
+	AXPBY(aliased, 2.5, aliased, -1.25, y) // dst aliasing x must work
+	if !bitsEqual(aliased, got) {
+		t.Fatalf("AXPBY aliasing mismatch")
+	}
+
+	d := math.Min(dist2(x, y), distNeg2(x, y))
+	if got := FlipInvariantDist(x, y); math.Abs(got-d) > 1e-13 {
+		t.Fatalf("FlipInvariantDist = %g, want %g", got, d)
+	}
+}
+
+func dist2(a, b Vector) float64 {
+	var s float64
+	for i := range a {
+		d := a[i] - b[i]
+		s += d * d
+	}
+	return math.Sqrt(s)
+}
+
+func distNeg2(a, b Vector) float64 {
+	var s float64
+	for i := range a {
+		d := a[i] + b[i]
+		s += d * d
+	}
+	return math.Sqrt(s)
+}

@@ -40,7 +40,7 @@ func (c *completerTarget) RefreshDone(res hitsndiffs.Result) { c.done = append(c
 func testEngine(t *testing.T, seed int64, opts ...hitsndiffs.EngineOption) *hitsndiffs.Engine {
 	t.Helper()
 	opts = append([]hitsndiffs.EngineOption{
-		hitsndiffs.WithRankOptions(hitsndiffs.WithSeed(seed), hitsndiffs.WithParallelism(1)),
+		hitsndiffs.WithRankOptions(hitsndiffs.WithSeed(seed)),
 	}, opts...)
 	eng, err := hitsndiffs.NewEngine(hitsndiffs.NewResponseMatrix(5, 4, 3), opts...)
 	if err != nil {

@@ -64,8 +64,8 @@ type Config struct {
 	// Shards > 1 backs every tenant with a ShardedEngine hashing its
 	// users across that many independent engine shards.
 	Shards int
-	// RankOptions are the base solve options (tolerance, seed, kernel
-	// parallelism, ...) applied to every tenant engine.
+	// RankOptions are the base solve options (tolerance, iteration budget,
+	// seed, ...) applied to every tenant engine.
 	RankOptions []hitsndiffs.Option
 	// MaxInflightWrites bounds concurrent observe/observebatch requests
 	// per tenant; excess writes get 429. Zero or negative = unbounded.

@@ -73,7 +73,7 @@ func TestStaleServingEndToEnd(t *testing.T) {
 	srv, c := newTestServer(t, serve.Config{
 		MaxStaleness: bound,
 		RefreshClock: clk,
-		RankOptions:  []hitsndiffs.Option{hitsndiffs.WithSeed(3), hitsndiffs.WithParallelism(1)},
+		RankOptions:  []hitsndiffs.Option{hitsndiffs.WithSeed(3)},
 	})
 	clk.BlockUntilTickers(1)
 	c.mustCreate("t0", 16, 8, 3)
@@ -165,7 +165,7 @@ func TestMetricsRaceFreeUnderRefresh(t *testing.T) {
 	_, c := newTestServer(t, serve.Config{
 		MaxStaleness: 4,
 		RefreshClock: clk,
-		RankOptions:  []hitsndiffs.Option{hitsndiffs.WithSeed(5), hitsndiffs.WithParallelism(1)},
+		RankOptions:  []hitsndiffs.Option{hitsndiffs.WithSeed(5)},
 	})
 	clk.BlockUntilTickers(1)
 	for _, name := range []string{"a", "b"} {
@@ -224,7 +224,7 @@ func TestCloseWaitsRefreshBeforeWALFlush(t *testing.T) {
 		MaxStaleness: 4,
 		RefreshClock: clk,
 		DataDir:      dir,
-		RankOptions:  []hitsndiffs.Option{hitsndiffs.WithSeed(7), hitsndiffs.WithParallelism(1)},
+		RankOptions:  []hitsndiffs.Option{hitsndiffs.WithSeed(7)},
 	}
 	srv, c := newTestServer(t, cfg)
 	clk.BlockUntilTickers(1)
@@ -261,7 +261,7 @@ func TestCloseWaitsRefreshBeforeWALFlush(t *testing.T) {
 // today's serve tier: no scheduler in /metrics, every rank exact.
 func TestZeroBoundKeepsInlineBehavior(t *testing.T) {
 	_, c := newTestServer(t, serve.Config{
-		RankOptions: []hitsndiffs.Option{hitsndiffs.WithSeed(9), hitsndiffs.WithParallelism(1)},
+		RankOptions: []hitsndiffs.Option{hitsndiffs.WithSeed(9)},
 	})
 	c.mustCreate("t0", 12, 6, 3)
 	c.mustObserve("t0", gridObs(12, 6, 3))

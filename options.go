@@ -7,30 +7,6 @@ import (
 	"hitsndiffs/internal/truth"
 )
 
-// SetParallelism sets the process-wide default number of chunks the sparse
-// kernels split each matrix-vector product into (the chunks execute on the
-// persistent worker pool — see SetPoolSize). It applies to every method
-// that does not carry an explicit WithParallelism option. Passing 0
-// restores the default of tracking runtime.GOMAXPROCS. Safe for concurrent
-// use; cmd/hnd and cmd/experiments expose it as -parallel.
-func SetParallelism(n int) { mat.SetDefaultWorkers(n) }
-
-// Parallelism returns the effective process-wide default worker count.
-func Parallelism() int { return mat.DefaultWorkers() }
-
-// SetPoolSize sets the number of persistent worker goroutines in the shared
-// kernel pool every parallel sparse kernel — and therefore every Engine and
-// every ShardedEngine shard — dispatches through, starting the pool if
-// needed. Passing 0 resolves to runtime.GOMAXPROCS. Distinct from
-// SetParallelism: parallelism is how many chunks one kernel call splits
-// into, the pool is who executes them. Safe for concurrent use.
-func SetPoolSize(n int) { mat.SetPoolSize(n) }
-
-// PoolSize returns the current size of the shared kernel worker pool, or 0
-// if it has not started yet (it starts, GOMAXPROCS-sized, on the first
-// parallel kernel call).
-func PoolSize() int { return mat.PoolSize() }
-
 // Option is a functional tuning knob accepted by every method constructor
 // and by New. Options a method has no use for (e.g. a tolerance on the
 // closed-form BL baseline) are silently ignored, so one option list can be
@@ -45,7 +21,6 @@ type settings struct {
 	seed            int64
 	skipOrientation bool
 	warmStart       mat.Vector
-	workers         int
 	scratch         *core.SolveScratch
 }
 
@@ -92,16 +67,6 @@ func WithWarmStart(scores []float64) Option {
 	return func(s *settings) { s.warmStart = mat.Vector(clone) }
 }
 
-// WithParallelism caps the chunks the sparse kernels of this method split
-// each matrix-vector product into, executed on the shared persistent
-// worker pool: 1 forces the serial kernels (bitwise-reproducible against
-// any worker count for row-parallel products, and within 1e-12 for
-// transpose products), 0 or omission defers to the process-wide default
-// (see SetParallelism). Methods without parallel kernels ignore it.
-func WithParallelism(n int) Option {
-	return func(s *settings) { s.workers = n }
-}
-
 // WithMaxStaleness lets Rank serve the last solved scores while the
 // matrix is at most n write generations (ResponseMatrix.Generation ticks,
 // one per observation) ahead of the generation they were solved at.
@@ -140,7 +105,6 @@ func (s settings) coreOptions() core.Options {
 		Seed:            s.seed,
 		SkipOrientation: s.skipOrientation,
 		WarmStart:       s.warmStart,
-		Workers:         s.workers,
 		Scratch:         s.scratch,
 	}
 }

@@ -15,7 +15,7 @@ import (
 // the response matrix, and routes traffic so the shards never contend with
 // each other.
 //
-// Three effects make it the heavy-traffic configuration:
+// Two effects make it the heavy-traffic configuration:
 //
 //   - Observe and ObserveBatch touch only the shard(s) owning the written
 //     users, so write locks, version bumps and copy-on-write clones are
@@ -25,9 +25,9 @@ import (
 //   - Rank fans out across shards concurrently and re-solves only shards
 //     whose version changed since their last solve; a single-user write
 //     therefore re-ranks 1/N of the users while the other shards answer
-//     from their caches (see BenchmarkShardedRank).
-//   - All shards share one persistent kernel worker pool (see SetPoolSize),
-//     so concurrent shard solves fan out without per-apply goroutine spawns.
+//     from their caches (see BenchmarkShardedRank). Each shard solve runs
+//     the serial kernels on its own goroutine, so the fan-out is what puts
+//     several cores to work on one Rank.
 //
 // The price is score granularity: user scores are only directly comparable
 // within a shard, so the merged ranking min-max normalizes each shard to
@@ -86,14 +86,6 @@ type sparseMemo struct {
 // count); the remaining options are those of NewEngine and apply to every
 // shard. Users are assigned to shards by hashing their index
 // (shard.Of), so the partition is deterministic across processes.
-//
-// Kernel parallelism needs no per-shard division: every shard's solves
-// dispatch their chunks through the shared persistent worker pool (see
-// SetPoolSize), which caps concurrent kernel execution at the pool size
-// plus one chunk per in-flight solve (each dispatch runs its first chunk
-// itself); surplus chunks queue. Each shard therefore keeps the full
-// WithParallelism / SetParallelism chunk budget — in particular the
-// steady-state single-shard re-solve.
 func NewShardedEngine(m *ResponseMatrix, opts ...EngineOption) (*ShardedEngine, error) {
 	if m == nil {
 		return nil, fmt.Errorf("hitsndiffs: NewShardedEngine needs a response matrix")

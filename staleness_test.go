@@ -57,13 +57,13 @@ func bitwiseEqual(a, b []float64) bool {
 // from-scratch solve of the matrix reconstructed at the served generation.
 // The reference is warm-started the way the engine was: from the scores
 // of the solve before the one that produced the served result (a random
-// start for the first). That, a fixed seed and serial kernels make it
-// reproduce the engine's solve exactly.
+// start for the first). That and a fixed seed make it reproduce the
+// engine's solve exactly.
 func TestStaleServesBitwiseEqualColdSolve(t *testing.T) {
 	const users, items, options, bound = 18, 8, 3, 5
 	ctx := context.Background()
 	eng, err := NewEngine(NewResponseMatrix(users, items, options),
-		WithMaxStaleness(bound), WithRankOptions(WithSeed(11), WithParallelism(1)))
+		WithMaxStaleness(bound), WithRankOptions(WithSeed(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestStaleServesBitwiseEqualColdSolve(t *testing.T) {
 		if !ok {
 			t.Fatalf("step %d: served generation %d was never solved", step, res.Generation)
 		}
-		refOpts := []Option{WithSeed(11), WithParallelism(1)}
+		refOpts := []Option{WithSeed(11)}
 		if warm != nil {
 			refOpts = append(refOpts, WithWarmStart(warm))
 		}
@@ -132,7 +132,7 @@ func TestStaleServesReturnLastSolvedScores(t *testing.T) {
 	const users, items, options, bound = 18, 8, 3, 4
 	ctx := context.Background()
 	eng, err := NewEngine(NewResponseMatrix(users, items, options),
-		WithMaxStaleness(bound), WithRankOptions(WithSeed(5), WithParallelism(1)))
+		WithMaxStaleness(bound), WithRankOptions(WithSeed(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestMaxStalenessZeroMatchesDefault(t *testing.T) {
 			mk := func(extra ...EngineOption) *Engine {
 				opts := append([]EngineOption{
 					WithMethod(method),
-					WithRankOptions(WithSeed(17), WithParallelism(1), WithMaxIter(500)),
+					WithRankOptions(WithSeed(17), WithMaxIter(500)),
 				}, extra...)
 				eng, err := NewEngine(NewResponseMatrix(users, items, options), opts...)
 				if err != nil {
@@ -351,7 +351,7 @@ func TestShardedStalenessBound(t *testing.T) {
 	const bound = 5
 	ctx := context.Background()
 	se, err := NewShardedEngine(engineWorkload(t, 48, 12, 61),
-		WithShards(3), WithMaxStaleness(bound), WithRankOptions(WithSeed(9), WithParallelism(1)))
+		WithShards(3), WithMaxStaleness(bound), WithRankOptions(WithSeed(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
