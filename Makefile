@@ -12,7 +12,7 @@ GO ?= go
 # (one solve per op on the serial kernels, the paper's single-core
 # setting), the isolated zero-alloc power-loop body, CSR assembly, the
 # Engine serving paths, the sharded-router scaling curves, the warm
-# re-rank allocation profile on the generation-keyed normalization memo,
+# re-rank allocation profile on the generation-keyed one-hot memo,
 # the durable WAL append path per fsync policy (always / interval / off) —
 # the write-path overhead record — the staleness-bounded read path under
 # steady writes (StaleRank: bound=0 inline baseline vs bounded stale
@@ -31,7 +31,7 @@ BENCH_OUT ?= BENCH_pr10.json
 # leg for durable mode.
 SERVE_BENCH_OUT ?= BENCH_serve6.json
 
-.PHONY: build test check bench serve-bench serve-smoke handoff-smoke clean
+.PHONY: build test check bench serve-bench serve-smoke servebench-smoke handoff-smoke clean
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,13 @@ serve-smoke:
 	  && echo "serve-smoke: stale serving under write burst + bound held confirmed"
 	@rm -f serve_smoke_stale.json
 	scripts/serve_crash.sh
+
+# Serving-benchmark smoke: scripts/servebench_smoke.sh runs one second of
+# each BENCHMARK.json workload through servebench/run.sh and fails unless
+# the last stdout line is a correct JSON result carrying every bounded
+# end-to-end metric — the line a comparison of benchmark runs reads.
+servebench-smoke:
+	scripts/servebench_smoke.sh
 
 # Cross-process shard-handoff smoke: the headline crash-matrix and
 # bitwise-equivalence tests under -race, then the two-server HTTP

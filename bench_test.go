@@ -341,12 +341,13 @@ func BenchmarkAblationSymmetry(b *testing.B) {
 func BenchmarkAblationSparse(b *testing.B) {
 	d := genOrDie(b, irt.ModelSamejima, func(c *irt.Config) { c.Users = 400 })
 	u := core.NewUpdate(d.Responses)
+	ws := u.NewWorkspace()
 	x := mat.Ones(u.Users())
 	y := mat.NewVector(u.Users())
 	b.Run("csr-matfree-apply", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			u.ApplyU(y, x)
+			ws.ApplyU(y, x)
 		}
 	})
 	b.Run("dense-materialize-and-apply", func(b *testing.B) {
@@ -543,17 +544,18 @@ func BenchmarkShardedRank(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmRerankAllocs quantifies the generation-keyed normalization
-// memo on the steady-state serving path.
+// BenchmarkWarmRerankAllocs quantifies the steady-state serving path on
+// the generation-keyed one-hot memo.
 //
 //   - cache=true is one single-user Observe followed by a warm Rank (under
 //     an outstanding view, as serving traffic would have it): the write
-//     splices the one-hot CSR and its normalized forms (touched rows +
-//     affected column scales only), so no full O(nnz) normalization
-//     rebuild runs anywhere on the warm path. The name is kept so the row
-//     compares with the committed BENCH_pr*.json records.
-//   - normalized-memo-hit isolates the solve-input fetch on an unchanged
-//     matrix — the pure cache-hit body, CI-guarded at 0 allocs/op.
+//     splices the touched rows of the one-hot CSR, and the solve scales
+//     that CSR inside its kernels, so no full O(nnz) rebuild runs anywhere
+//     on the warm path. The name is kept so the row compares with the
+//     committed BENCH_pr*.json records.
+//   - binary-memo-hit isolates the memo fetch every solve starts with on an
+//     unchanged matrix — the pure cache-hit body, CI-guarded at 0
+//     allocs/op.
 func BenchmarkWarmRerankAllocs(b *testing.B) {
 	cfg := irt.DefaultConfig(irt.ModelSamejima)
 	cfg.Users, cfg.Items, cfg.Seed = 500, 150, 42
@@ -587,13 +589,13 @@ func BenchmarkWarmRerankAllocs(b *testing.B) {
 		}
 	})
 
-	b.Run("normalized-memo-hit", func(b *testing.B) {
+	b.Run("binary-memo-hit", func(b *testing.B) {
 		m := d.Responses.Clone()
-		m.Normalized()
+		c := m.Binary()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, crow, _ := m.Normalized(); crow == nil {
+			if m.Binary() != c {
 				b.Fatal("lost the memo")
 			}
 		}

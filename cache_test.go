@@ -129,17 +129,21 @@ func TestUpdateCacheGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestWarmRerankAvoidsFullNormalizationRebuild is the counter assertion of
-// the matrix memo the engine draws every solve input from: after the cold
-// solve's one full normalization, warm re-ranks following single-user
-// writes pay touched-rows splices only — no further full
-// RowNormalized/ColNormalized rebuild anywhere, even under outstanding
-// copy-on-write snapshots — and concurrent cache misses on one version
-// share a single splice.
+// TestWarmRerankAvoidsFullNormalizationRebuild is the counter assertion
+// of the one-hot memo the engine draws every solve input from: no solve
+// builds a normalized copy of it any more (the kernels apply the row and
+// column scales themselves), and concurrent cache misses on one version
+// share a single touched-rows CSR splice. The warm sequential case is
+// TestObserveRankAvoidsFullCSRRebuild.
 func TestWarmRerankAvoidsFullNormalizationRebuild(t *testing.T) {
 	ctx := context.Background()
-	rankedEngine := func(t *testing.T) *Engine {
-		t.Helper()
+
+	// Every rank of one version solves on the same snapshot, so however
+	// many of them miss the result cache at once, the first to fetch the
+	// solve input splices the written rows into the memoized CSR and the
+	// rest read it — one delta rebuild, no full one.
+	t.Run("concurrent-misses", func(t *testing.T) {
+		const rankers = 8
 		eng, err := NewEngine(engineWorkload(t, 120, 60, 9), WithRankOptions(WithSeed(4)))
 		if err != nil {
 			t.Fatal(err)
@@ -147,50 +151,10 @@ func TestWarmRerankAvoidsFullNormalizationRebuild(t *testing.T) {
 		if _, err := eng.Rank(ctx); err != nil {
 			t.Fatal(err)
 		}
-		return eng
-	}
-
-	t.Run("sequential", func(t *testing.T) {
-		eng := rankedEngine(t)
-		view, _ := eng.View() // outstanding snapshot: the next write COW-clones
-		if full, delta := view.NormRebuilds(); full != 1 || delta != 0 {
-			t.Fatalf("cold rank paid %d full + %d delta normalizations, want 1 + 0", full, delta)
-		}
-		for i := 0; i < 3; i++ {
-			if err := eng.Observe(7+i, 3, 0); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := eng.Rank(ctx); err != nil {
-				t.Fatal(err)
-			}
-		}
-		m, _ := eng.View()
-		if full, delta := m.NormRebuilds(); full != 1 || delta != 3 {
-			t.Fatalf("warm re-ranks paid %d full + %d delta normalizations, want 1 + 3", full, delta)
-		}
-		if full, _ := m.CSRRebuilds(); full != 1 {
-			t.Fatalf("warm re-ranks paid %d full CSR rebuilds, want 1", full)
-		}
-		// The outstanding snapshot still serves its original normalized memo.
-		if _, crow, _ := view.Normalized(); crow == nil {
-			t.Fatal("snapshot lost its normalized memo")
-		}
-		if full, delta := view.NormRebuilds(); full != 1 || delta != 0 {
-			t.Fatalf("snapshot's counters moved (full=%d delta=%d)", full, delta)
-		}
-	})
-
-	// Every rank of one version solves on the same snapshot, so however
-	// many of them miss the result cache at once, the first to fetch the
-	// solve input splices the memo and the rest read it.
-	t.Run("concurrent-misses", func(t *testing.T) {
-		const rankers = 8
-		eng := rankedEngine(t)
 		if err := eng.Observe(7, 3, 0); err != nil {
 			t.Fatal(err)
 		}
 		view, version := eng.View()
-		_, normBefore := view.NormRebuilds()
 		_, csrBefore := view.CSRRebuilds()
 		missesBefore := eng.Metrics().CacheMisses
 		start := make(chan struct{})
@@ -215,15 +179,16 @@ func TestWarmRerankAvoidsFullNormalizationRebuild(t *testing.T) {
 		if v := eng.Version(); v != version {
 			t.Fatalf("version moved from %d to %d without a write", version, v)
 		}
-		if full, delta := view.NormRebuilds(); full != 1 || delta-normBefore != 1 {
-			t.Fatalf("%d concurrent ranks paid %d full + %d delta normalizations, want 1 + 1",
-				rankers, full, delta-normBefore)
-		}
 		if full, delta := view.CSRRebuilds(); full != 1 || delta-csrBefore != 1 {
 			t.Fatalf("%d concurrent ranks paid %d full + %d delta CSR rebuilds, want 1 + 1",
 				rankers, full, delta-csrBefore)
 		}
-		t.Logf("%d concurrent ranks: %d cache misses", rankers, eng.Metrics().CacheMisses-missesBefore)
+		met := eng.Metrics()
+		if met.NormFullRebuilds != 0 || met.NormSpliceRebuilds != 0 {
+			t.Fatalf("solves built normalized copies (full=%d delta=%d), want none",
+				met.NormFullRebuilds, met.NormSpliceRebuilds)
+		}
+		t.Logf("%d concurrent ranks: %d cache misses", rankers, met.CacheMisses-missesBefore)
 	})
 }
 
@@ -268,12 +233,12 @@ func TestObserveRankAvoidsFullCSRRebuild(t *testing.T) {
 	}
 }
 
-// assertNormalizedTripleConsistent checks that a snapshot's (C, C_row,
-// C_col) triple is internally consistent — the "never a partially refreshed
-// Crow/Ccol" assertion of the race suite. For the one-hot encoding, every
-// C_row entry of a row with s answers must be exactly 1/s, and every C_col
-// entry in a column chosen by c users exactly 1/c; a torn triple (forms
-// from different generations) breaks one of the counts.
+// assertNormalizedTripleConsistent checks that the (C, C_row, C_col) triple
+// a snapshot's Normalized returns is internally consistent — the "never a
+// torn encoding" assertion of the race suite. For the one-hot encoding,
+// every C_row entry of a row with s answers must be exactly 1/s, and every
+// C_col entry in a column chosen by c users exactly 1/c; forms built from
+// encodings of different generations break one of the counts.
 func assertNormalizedTripleConsistent(t *testing.T, m *ResponseMatrix) {
 	t.Helper()
 	c, crow, ccol := m.Normalized()
@@ -316,7 +281,7 @@ func assertNormalizedTripleConsistent(t *testing.T, m *ResponseMatrix) {
 
 // TestUpdateCacheConcurrentStress hammers one engine with concurrent
 // Observe, Rank, InferLabels and View traffic over the generation-keyed
-// matrix memos its solve inputs come from. Run under -race it is the memo
+// one-hot memo its solve inputs come from. Run under -race it is the memo
 // protocol's concurrency proof; the view checker additionally asserts
 // every snapshot observes a fully consistent (C, C_row, C_col) triple,
 // never a partially refreshed one.
@@ -388,8 +353,8 @@ func TestUpdateCacheConcurrentStress(t *testing.T) {
 		}
 	}
 	m, _ := eng.View()
-	full, delta := m.NormRebuilds()
+	full, delta := m.CSRRebuilds()
 	if full != 1 {
-		t.Fatalf("stress traffic triggered %d full normalization rebuilds, want 1 (delta=%d)", full, delta)
+		t.Fatalf("stress traffic triggered %d full CSR rebuilds, want 1 (delta=%d)", full, delta)
 	}
 }

@@ -103,19 +103,17 @@ func main() {
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always, interval[=duration], off")
 	snapshotEvery := flag.Int("snapshot-every", 0, "observations between background snapshots (0 = default 4096, negative = open-time checkpoint only)")
 	flag.Parse()
-	if err := validateFlags(serverFlags{
+	policy, err := validateFlags(serverFlags{
+		method: *method, fsync: *fsync,
 		shards: *shards, maxWrites: *maxWrites, maxLag: *maxLag, maxTenants: *maxTenants,
 		refreshInterval: *refreshInterval, drainTimeout: *drainTimeout,
-	}); err != nil {
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "hndserver:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	policy, err := durable.ParsePolicy(*fsync)
-	if err != nil {
-		log.Fatal("hndserver: ", err)
-	}
 	srv, err := serve.New(serve.Config{
 		Method:        *method,
 		Shards:        *shards,
@@ -201,17 +199,27 @@ func main() {
 
 // serverFlags holds the flag values validateFlags checks.
 type serverFlags struct {
+	method, fsync                         string
 	shards, maxWrites, maxLag, maxTenants int
 	refreshInterval, drainTimeout         time.Duration
 }
 
 // validateFlags rejects, before the server listens, flag values the help
-// gives no meaning to and that the serve layer would otherwise replace
-// silently: a negative bound would read as "unbounded", a shard or tenant
-// cap below 1 as a default, a negative refresh interval as 25ms, and a
-// non-positive drain timeout would cut off in-flight requests at the first
-// signal.
-func validateFlags(f serverFlags) error {
+// gives no meaning to: an unregistered -method, an -fsync policy
+// durable.ParsePolicy cannot parse, and values the serve layer would
+// otherwise replace silently — a negative bound would read as
+// "unbounded", a shard or tenant cap below 1 as a default, a negative
+// refresh interval as 25ms, and a non-positive drain timeout would cut off
+// in-flight requests at the first signal. It returns the parsed -fsync
+// policy.
+func validateFlags(f serverFlags) (durable.Policy, error) {
+	if _, ok := hitsndiffs.Describe(f.method); !ok {
+		return durable.Policy{}, fmt.Errorf("-method: unknown method %q (known: %v)", f.method, hitsndiffs.MethodNames())
+	}
+	policy, err := durable.ParsePolicy(f.fsync)
+	if err != nil {
+		return durable.Policy{}, fmt.Errorf("-fsync: %w", err)
+	}
 	for _, c := range []struct {
 		flag     string
 		got, min int
@@ -222,14 +230,14 @@ func validateFlags(f serverFlags) error {
 		{"-maxtenants", f.maxTenants, 1},
 	} {
 		if c.got < c.min {
-			return fmt.Errorf("%s must be at least %d, got %d", c.flag, c.min, c.got)
+			return durable.Policy{}, fmt.Errorf("%s must be at least %d, got %d", c.flag, c.min, c.got)
 		}
 	}
 	if f.refreshInterval < 0 {
-		return fmt.Errorf("-refresh-interval must not be negative, got %v", f.refreshInterval)
+		return durable.Policy{}, fmt.Errorf("-refresh-interval must not be negative, got %v", f.refreshInterval)
 	}
 	if f.drainTimeout <= 0 {
-		return fmt.Errorf("-drain-timeout must be positive, got %v", f.drainTimeout)
+		return durable.Policy{}, fmt.Errorf("-drain-timeout must be positive, got %v", f.drainTimeout)
 	}
-	return nil
+	return policy, nil
 }

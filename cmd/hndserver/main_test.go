@@ -29,14 +29,19 @@ func TestValidateFlags(t *testing.T) {
 		{name: "negative-refresh-interval", set: func(f *serverFlags) { f.refreshInterval = -time.Millisecond }, want: "-refresh-interval"},
 		{name: "zero-drain-timeout", set: func(f *serverFlags) { f.drainTimeout = 0 }, want: "-drain-timeout"},
 		{name: "negative-drain-timeout", set: func(f *serverFlags) { f.drainTimeout = -time.Second }, want: "-drain-timeout"},
+		{name: "fsync-off", set: func(f *serverFlags) { f.fsync = "off" }},
+		{name: "fsync-interval", set: func(f *serverFlags) { f.fsync = "interval=5ms" }},
+		{name: "bogus-fsync", set: func(f *serverFlags) { f.fsync = "bogus" }, want: "-fsync"},
+		{name: "zero-fsync-interval", set: func(f *serverFlags) { f.fsync = "interval=0s" }, want: "-fsync"},
+		{name: "unknown-method", set: func(f *serverFlags) { f.method = "nope" }, want: "-method"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The flag defaults of main.
-			f := serverFlags{shards: 1, maxWrites: 64, maxTenants: 1024, drainTimeout: 15 * time.Second}
+			f := serverFlags{method: "HnD-power", fsync: "always", shards: 1, maxWrites: 64, maxTenants: 1024, drainTimeout: 15 * time.Second}
 			if tc.set != nil {
 				tc.set(&f)
 			}
-			err := validateFlags(f)
+			_, err := validateFlags(f)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("valid flags rejected: %v", err)

@@ -540,10 +540,11 @@ func (e *Engine) rank(ctx context.Context, needSnapshot, exact bool) (Result, ui
 
 // solve runs one solve of the snapshot m with the engine's method and base
 // options, warm-started from warm when it is non-nil. The spectral methods
-// read their solve input, C_row and C_col, from m's normalization memo
-// (ResponseMatrix.Normalized), which concurrent solves of one snapshot
-// share. HnD-power solves bind a pooled core.SolveScratch. The returned
-// scores are the caller's.
+// read their solve input from m's memoized one-hot encoding
+// (ResponseMatrix.Binary), which concurrent solves of one snapshot share,
+// and apply the row and column normalizations inside their kernels.
+// HnD-power solves bind a pooled core.SolveScratch. The returned scores
+// are the caller's.
 func (e *Engine) solve(ctx context.Context, m *ResponseMatrix, warm []float64) (Result, error) {
 	var extra []Option
 	if warm != nil {
@@ -640,9 +641,9 @@ func (e *Engine) InferLabels(ctx context.Context) ([]int, error) {
 }
 
 // Metrics returns a consistent point-in-time snapshot of the engine's
-// observability counters. The matrix-derived counters (CSR and normalized
-// rebuilds) are read under the engine's read lock, so the snapshot never
-// races a concurrent Observe swapping the matrix; the request counters are
+// observability counters. The matrix-derived counters (CSR rebuilds) are
+// read under the engine's read lock, so the snapshot never races a
+// concurrent Observe swapping the matrix; the request counters are
 // atomics and may lag a bump that is in flight, but never tear. Safe for
 // concurrent use — it is the accessor the serving tier's /metrics endpoint
 // scrapes per request.
@@ -650,20 +651,17 @@ func (e *Engine) Metrics() EngineMetrics {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	cf, cd := e.m.CSRRebuilds()
-	nf, nd := e.m.NormRebuilds()
 	return EngineMetrics{
-		Version:            e.version,
-		Generation:         e.m.Generation(),
-		ServedGeneration:   e.servedGen.Load(),
-		StaleServes:        e.staleServes.Load(),
-		MaxStaleness:       e.maxStale,
-		Users:              e.m.Users(),
-		Items:              e.m.Items(),
-		CacheHits:          e.cacheHits.Load(),
-		CacheMisses:        e.cacheMisses.Load(),
-		CSRFullRebuilds:    cf,
-		CSRDeltaRebuilds:   cd,
-		NormFullRebuilds:   nf,
-		NormSpliceRebuilds: nd,
+		Version:          e.version,
+		Generation:       e.m.Generation(),
+		ServedGeneration: e.servedGen.Load(),
+		StaleServes:      e.staleServes.Load(),
+		MaxStaleness:     e.maxStale,
+		Users:            e.m.Users(),
+		Items:            e.m.Items(),
+		CacheHits:        e.cacheHits.Load(),
+		CacheMisses:      e.cacheMisses.Load(),
+		CSRFullRebuilds:  cf,
+		CSRDeltaRebuilds: cd,
 	}
 }

@@ -69,7 +69,7 @@ func TestUOnesFixedPoint(t *testing.T) {
 	u := NewUpdate(paperExample())
 	e := mat.Ones(4)
 	out := mat.NewVector(4)
-	u.ApplyU(out, e)
+	u.NewWorkspace().ApplyU(out, e)
 	if !out.Equal(e, 1e-12) {
 		t.Fatalf("U·e = %v", out)
 	}
@@ -452,7 +452,7 @@ func TestApplyLMatchesDenseLaplacian(t *testing.T) {
 	want := mat.NewVector(12)
 	l.MulVec(want, x)
 	got := mat.NewVector(12)
-	u.ApplyL(got, x, diag)
+	u.NewWorkspace().ApplyL(got, x, diag)
 	if !got.Equal(want, 1e-9) {
 		t.Fatalf("ApplyL = %v, want %v", got, want)
 	}

@@ -168,7 +168,7 @@ func (h HNDDeflation) Rank(ctx context.Context, m *response.Matrix) (Result, err
 	opts := h.Opts
 	opts.defaults()
 	u := opts.newUpdate(m)
-	hr, err := eigen.SecondEigenvectorHotelling(ctx, UOp{U: u, WS: u.NewWorkspace()}, eigen.HotellingOptions{
+	hr, err := eigen.SecondEigenvectorHotelling(ctx, UOp{WS: u.NewWorkspace()}, eigen.HotellingOptions{
 		Power: eigen.PowerOptions{
 			Tol:     opts.Tol,
 			MaxIter: opts.MaxIter,
@@ -206,7 +206,7 @@ func (a AvgHITS) Rank(ctx context.Context, m *response.Matrix) (Result, error) {
 	opts := a.Opts
 	opts.defaults()
 	u := opts.newUpdate(m)
-	pr, err := eigen.PowerIteration(ctx, UOp{U: u, WS: u.NewWorkspace()}, eigen.PowerOptions{
+	pr, err := eigen.PowerIteration(ctx, UOp{WS: u.NewWorkspace()}, eigen.PowerOptions{
 		Tol:     opts.Tol,
 		MaxIter: opts.MaxIter,
 		Seed:    opts.Seed,

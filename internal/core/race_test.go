@@ -9,10 +9,10 @@ import (
 )
 
 // TestUpdateConcurrentAppliers exercises the concurrency contract of
-// Update: many goroutines applying U, Uᵀ and L on the same Update must
-// neither race (the old implementation shared one scratch vector across all
-// three appliers, which the race detector catches) nor corrupt each other's
-// results (which the value comparison below catches even without -race).
+// Update: many goroutines, each owning a Workspace, applying U, Uᵀ and L on
+// the same Update must neither race (which the race detector catches) nor
+// corrupt each other's results (which the value comparison below catches
+// even without -race).
 func TestUpdateConcurrentAppliers(t *testing.T) {
 	cfg := irt.DefaultConfig(irt.ModelSamejima)
 	cfg.Users, cfg.Items, cfg.Seed = 120, 60, 5
@@ -28,12 +28,13 @@ func TestUpdateConcurrentAppliers(t *testing.T) {
 	for i := range x {
 		x[i] += float64(i%7) * 0.25
 	}
+	ref := u.NewWorkspace()
 	wantU := mat.NewVector(users)
-	u.ApplyU(wantU, x)
+	ref.ApplyU(wantU, x)
 	wantUT := mat.NewVector(users)
-	u.ApplyUT(wantUT, x)
+	ref.ApplyUT(wantUT, x)
 	wantL := mat.NewVector(users)
-	u.ApplyL(wantL, x, diag)
+	ref.ApplyL(wantL, x, diag)
 
 	const goroutines = 8
 	const rounds = 50
@@ -43,23 +44,24 @@ func TestUpdateConcurrentAppliers(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			ws := u.NewWorkspace()
 			dst := mat.NewVector(users)
 			for r := 0; r < rounds; r++ {
 				switch (g + r) % 3 {
 				case 0:
-					u.ApplyU(dst, x)
+					ws.ApplyU(dst, x)
 					if !dst.Equal(wantU, 0) {
 						errs <- "ApplyU corrupted by concurrent applier"
 						return
 					}
 				case 1:
-					u.ApplyUT(dst, x)
+					ws.ApplyUT(dst, x)
 					if !dst.Equal(wantUT, 0) {
 						errs <- "ApplyUT corrupted by concurrent applier"
 						return
 					}
 				default:
-					u.ApplyL(dst, x, diag)
+					ws.ApplyL(dst, x, diag)
 					if !dst.Equal(wantL, 0) {
 						errs <- "ApplyL corrupted by concurrent applier"
 						return
@@ -72,43 +74,5 @@ func TestUpdateConcurrentAppliers(t *testing.T) {
 	close(errs)
 	for msg := range errs {
 		t.Fatal(msg)
-	}
-}
-
-// TestWorkspaceApplyMatchesPooled asserts the owned-workspace appliers and
-// the pool-backed convenience appliers produce bitwise-identical results.
-func TestWorkspaceApplyMatchesPooled(t *testing.T) {
-	cfg := irt.DefaultConfig(irt.ModelGRM)
-	cfg.Users, cfg.Items, cfg.Seed = 90, 40, 3
-	d, err := irt.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := NewUpdate(d.Responses)
-	users := u.Users()
-	diag := u.DiagCCT()
-	ws := u.NewWorkspace()
-
-	x := mat.Ones(users)
-	for i := range x {
-		x[i] -= float64(i%5) * 0.1
-	}
-	pooled := mat.NewVector(users)
-	owned := mat.NewVector(users)
-
-	u.ApplyU(pooled, x)
-	ws.ApplyU(owned, x)
-	if !owned.Equal(pooled, 0) {
-		t.Fatal("Workspace.ApplyU differs from pooled ApplyU")
-	}
-	u.ApplyUT(pooled, x)
-	ws.ApplyUT(owned, x)
-	if !owned.Equal(pooled, 0) {
-		t.Fatal("Workspace.ApplyUT differs from pooled ApplyUT")
-	}
-	u.ApplyL(pooled, x, diag)
-	ws.ApplyL(owned, x, diag)
-	if !owned.Equal(pooled, 0) {
-		t.Fatal("Workspace.ApplyL differs from pooled ApplyL")
 	}
 }

@@ -77,8 +77,8 @@ type Options struct {
 	// input fetch. The caller guarantees it was built from the same matrix
 	// state (Update is immutable, so sharing across concurrent solves and
 	// snapshots is safe); a dimension mismatch falls back to a fresh build.
-	// When nil, the machinery comes from the matrix's normalization memo
-	// (NewUpdate).
+	// When nil, each solve builds it from the matrix's memoized one-hot
+	// encoding in O(m + nnz) (NewUpdate).
 	Update *Update
 	// Scratch, when non-nil, supplies pooled solve buffers (iteration
 	// vectors, apply workspace, orientation indices) that HnD-power binds

@@ -2,41 +2,50 @@ package core
 
 import (
 	"context"
-	"sync"
 
 	"hitsndiffs/internal/eigen"
 	"hitsndiffs/internal/mat"
 	"hitsndiffs/internal/response"
 )
 
-// Update bundles the normalized response matrices of the AVGHITS machinery
-// (Section III-B): C_row, C_col and matrix-free application of the update
-// matrix U = C_row·(C_col)ᵀ and of the ABH quantities derived from
-// L = D − C·Cᵀ. Building an Update costs O(nnz); every Apply costs O(nnz).
+// Update bundles the AVGHITS machinery (Section III-B) for one matrix
+// state: the one-hot response matrix C and the two scale vectors that
+// normalize it, C_row = diag(RowScale)·C and C_col = C·diag(ColScale).
+// Neither normalized form is stored — the appliers scale inside their
+// kernels — so building an Update costs O(m + nnz) and matrix-free
+// application of U = C_row·(C_col)ᵀ and of the ABH quantities derived from
+// L = D − C·Cᵀ costs O(nnz).
 //
-// An Update is immutable after construction and safe for concurrent
-// appliers: the ApplyU/ApplyUT/ApplyL convenience methods draw their scratch
-// space from an internal pool, and hot loops that want zero allocations and
-// no pool traffic own a Workspace (see NewWorkspace) instead.
+// An Update is immutable after construction; concurrent appliers each own
+// a Workspace (see NewWorkspace).
 type Update struct {
 	// C is the binary one-hot response matrix (m × Σkᵢ).
 	C *mat.CSR
-	// Crow and Ccol are the row- and column-normalized forms of C.
-	Crow, Ccol *mat.CSR
-
-	// pool recycles Workspaces for the convenience Apply* methods so
-	// concurrent appliers never share scratch space.
-	pool sync.Pool
+	// RowScale[i] is 1/(items user i answered) and ColScale[j] is
+	// 1/(users who chose option j); both are 0 for an empty row or column.
+	// They are exactly the values of C.RowNormalized() and
+	// C.ColNormalized().
+	RowScale, ColScale mat.Vector
 }
 
-// NewUpdate builds the update machinery for m through the matrix's
-// generation-keyed normalization memo (response.Matrix.Normalized): on an
-// unchanged matrix the three CSRs are served as-is, and after writes only
-// the touched rows (and affected column scales) are respliced — the path
-// that keeps a warm re-rank free of full O(nnz) normalization rebuilds.
+// NewUpdate builds the update machinery for m from its memoized one-hot
+// encoding (response.Matrix.Binary): the row scales come from C's row
+// lengths and the column scales from one column-count pass.
 func NewUpdate(m *response.Matrix) *Update {
-	c, crow, ccol := m.Normalized()
-	return &Update{C: c, Crow: crow, Ccol: ccol}
+	c := m.Binary()
+	rowScale := mat.NewVector(c.Rows())
+	for i := range rowScale {
+		if cols, _ := c.RowNNZ(i); len(cols) > 0 {
+			rowScale[i] = 1 / float64(len(cols))
+		}
+	}
+	colScale := c.ColSums() // one-hot entries: exact chooser counts
+	for j, n := range colScale {
+		if n != 0 {
+			colScale[j] = 1 / n
+		}
+	}
+	return &Update{C: c, RowScale: rowScale, ColScale: colScale}
 }
 
 // Users returns the number of users (the dimension of U).
@@ -57,16 +66,16 @@ func (u *Update) NewWorkspace() *Workspace {
 }
 
 // ApplyU computes dst = U·s = C_row·(C_col)ᵀ·s using two sparse mat-vec
-// products. dst must not alias s.
+// products over C's pattern. dst must not alias s.
 func (w *Workspace) ApplyU(dst, s mat.Vector) {
-	w.u.Ccol.MulVecT(w.opt, s)
-	w.u.Crow.MulVec(dst, w.opt)
+	w.u.C.MulVecTColScaled(w.opt, s, w.u.ColScale)
+	w.u.C.MulVecRowScaled(dst, w.opt, w.u.RowScale)
 }
 
 // ApplyUT computes dst = Uᵀ·s.
 func (w *Workspace) ApplyUT(dst, s mat.Vector) {
-	w.u.Crow.MulVecT(w.opt, s)
-	w.u.Ccol.MulVec(dst, w.opt)
+	w.u.C.MulVecTRowScaled(w.opt, s, w.u.RowScale)
+	w.u.C.MulVecColScaled(dst, w.opt, w.u.ColScale)
 }
 
 // ApplyL computes dst = L·s = D·s − C·(Cᵀ·s) matrix-free. d must be the
@@ -78,72 +87,28 @@ func (w *Workspace) ApplyL(dst, s, d mat.Vector) {
 	w.u.C.MulVecDiagSub(dst, w.opt, d, s)
 }
 
-// acquire fetches a pooled workspace for the convenience appliers, growing
-// the pool on first use (no New closure: the Update struct stays a plain
-// three-pointer bundle, cheap to mint per matrix generation).
-func (u *Update) acquire() *Workspace {
-	if w, _ := u.pool.Get().(*Workspace); w != nil {
-		return w
-	}
-	return u.NewWorkspace()
-}
-
-// ApplyU computes dst = U·s like Workspace.ApplyU, drawing scratch space
-// from the internal pool so concurrent appliers of one Update are safe.
-func (u *Update) ApplyU(dst, s mat.Vector) {
-	w := u.acquire()
-	w.ApplyU(dst, s)
-	u.pool.Put(w)
-}
-
-// ApplyUT computes dst = Uᵀ·s; see ApplyU for the concurrency contract.
-func (u *Update) ApplyUT(dst, s mat.Vector) {
-	w := u.acquire()
-	w.ApplyUT(dst, s)
-	u.pool.Put(w)
-}
-
-// ApplyL computes dst = L·s = D·s − C·(Cᵀ·s) matrix-free; see ApplyU for
-// the concurrency contract. d must be the vector returned by DiagCCT.
-func (u *Update) ApplyL(dst, s, d mat.Vector) {
-	w := u.acquire()
-	w.ApplyL(dst, s, d)
-	u.pool.Put(w)
-}
-
-// UOp exposes U as an eigen.TransposableOp without materializing it. When
-// WS is set the applications run through that workspace (single-goroutine
-// solvers: zero allocations per apply); when nil they fall back to the
-// Update's pooled scratch.
+// UOp exposes U as an eigen.TransposableOp without materializing it,
+// applying through the workspace WS (made by the Update's NewWorkspace and
+// owned by the single solver goroutine).
 type UOp struct {
-	U  *Update
 	WS *Workspace
 }
 
 // Dim implements eigen.Op.
-func (o UOp) Dim() int { return o.U.Users() }
+func (o UOp) Dim() int { return o.WS.u.Users() }
 
 // Apply implements eigen.Op.
-func (o UOp) Apply(dst, x mat.Vector) {
-	if o.WS != nil {
-		o.WS.ApplyU(dst, x)
-		return
-	}
-	o.U.ApplyU(dst, x)
-}
+func (o UOp) Apply(dst, x mat.Vector) { o.WS.ApplyU(dst, x) }
 
 // ApplyT implements eigen.TransposableOp.
-func (o UOp) ApplyT(dst, x mat.Vector) {
-	if o.WS != nil {
-		o.WS.ApplyUT(dst, x)
-		return
-	}
-	o.U.ApplyUT(dst, x)
-}
+func (o UOp) ApplyT(dst, x mat.Vector) { o.WS.ApplyUT(dst, x) }
 
-// UMatrix materializes the dense (m × m) update matrix U. O(m²n) — used by
+// UMatrix materializes the dense (m × m) update matrix U from the valued
+// forms C.ScaleRows(RowScale) and C.ScaleCols(ColScale). O(m²n) — used by
 // the "direct" method variants and by tests of the R-matrix lemmas.
-func (u *Update) UMatrix() *mat.Dense { return u.Crow.MulCSRT(u.Ccol) }
+func (u *Update) UMatrix() *mat.Dense {
+	return u.C.ScaleRows(u.RowScale).MulCSRT(u.C.ScaleCols(u.ColScale))
+}
 
 // UDiffMatrix materializes U_diff = S·U·T, the (m−1)×(m−1) difference
 // update matrix of HND.

@@ -211,129 +211,6 @@ func (m *CSR) ReplaceRows(rows []int, fill func(r int, emit func(col int, val fl
 	return out
 }
 
-// ReplaceRowsNormalized returns the row-normalized form of base, given that
-// m is the row-normalized form of an earlier version of base that differs
-// from base only in the listed rows (sorted ascending, no duplicates): each
-// listed row is re-derived from base (scaled to unit sum), and the values of
-// every other row are bulk-copied from m in contiguous runs. The result
-// shares base's structure arrays, so one splice costs a single value-array
-// allocation plus O(nnz) memmove — the kernel behind generation-keyed
-// normalized-matrix memos. Results are bitwise identical to
-// base.RowNormalized(). Replaced rows whose entries sum to zero must be
-// empty (one-hot encodings guarantee this); m and base are never modified.
-func (m *CSR) ReplaceRowsNormalized(base *CSR, rows []int) *CSR {
-	if m.rows != base.rows || m.cols != base.cols {
-		panic(fmt.Sprintf("mat: ReplaceRowsNormalized shape mismatch %dx%d vs %dx%d",
-			m.rows, m.cols, base.rows, base.cols))
-	}
-	if len(rows) == 0 {
-		return m
-	}
-	out := &CSR{rows: base.rows, cols: base.cols, rowPtr: base.rowPtr, colIdx: base.colIdx}
-	val := make([]float64, len(base.val))
-	done := 0 // rows already carried over from m
-	for k, r := range rows {
-		if r < 0 || r >= m.rows {
-			panic(fmt.Sprintf("mat: ReplaceRowsNormalized row %d outside %d rows", r, m.rows))
-		}
-		if k > 0 && r <= rows[k-1] {
-			panic("mat: ReplaceRowsNormalized rows not sorted ascending without duplicates")
-		}
-		// The run of clean rows [done, r) is structurally identical in m and
-		// base, so their normalized values copy over in one memmove.
-		copy(val[base.rowPtr[done]:base.rowPtr[r]], m.val[m.rowPtr[done]:m.rowPtr[r]])
-		lo, hi := base.rowPtr[r], base.rowPtr[r+1]
-		var s float64
-		for p := lo; p < hi; p++ {
-			s += base.val[p]
-		}
-		if s == 0 {
-			if lo != hi {
-				panic(fmt.Sprintf("mat: ReplaceRowsNormalized row %d sums to zero but is not empty", r))
-			}
-		} else {
-			inv := 1 / s
-			for p := lo; p < hi; p++ {
-				val[p] = base.val[p] * inv
-			}
-		}
-		done = r + 1
-	}
-	copy(val[base.rowPtr[done]:], m.val[m.rowPtr[done]:])
-	out.val = val
-	return out
-}
-
-// ReplaceRowsColNormalized returns the column-normalized form of base, given:
-// m, the column-normalized form of an earlier version of base differing from
-// base only in the listed rows (sorted ascending, no duplicates); sums, the
-// per-column sums of base, bitwise equal to base.ColSums(); and affected,
-// the sorted column indices whose sum differs (bitwise) from the earlier
-// version's. Listed rows and entries in affected columns are recomputed as
-// base value × 1/sums[col]; everything else bulk-copies from m. The result
-// shares base's structure arrays and is bitwise identical to
-// base.ColNormalized() whenever sums is (the caller maintains sums exactly —
-// trivial for one-hot counts). m and base are never modified.
-func (m *CSR) ReplaceRowsColNormalized(base *CSR, rows []int, sums Vector, affected []int) *CSR {
-	if m.rows != base.rows || m.cols != base.cols {
-		panic(fmt.Sprintf("mat: ReplaceRowsColNormalized shape mismatch %dx%d vs %dx%d",
-			m.rows, m.cols, base.rows, base.cols))
-	}
-	if len(sums) != base.cols {
-		panic("mat: ReplaceRowsColNormalized sums length mismatch")
-	}
-	if len(rows) == 0 && len(affected) == 0 {
-		return m
-	}
-	out := &CSR{rows: base.rows, cols: base.cols, rowPtr: base.rowPtr, colIdx: base.colIdx}
-	val := make([]float64, len(base.val))
-	// hot marks the affected columns for the per-entry rescale test. A dense
-	// flag vector keeps the clean-run patch sweep a branch-predictable scan.
-	hot := make([]bool, base.cols)
-	for k, j := range affected {
-		if j < 0 || j >= base.cols {
-			panic(fmt.Sprintf("mat: ReplaceRowsColNormalized affected column %d outside %d cols", j, base.cols))
-		}
-		if k > 0 && j <= affected[k-1] {
-			panic("mat: ReplaceRowsColNormalized affected columns not sorted ascending without duplicates")
-		}
-		hot[j] = true
-	}
-	rescaleRun := func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			if j := base.colIdx[p]; hot[j] {
-				if sums[j] == 0 {
-					panic(fmt.Sprintf("mat: ReplaceRowsColNormalized column %d sums to zero but has entries", j))
-				}
-				val[p] = base.val[p] * (1 / sums[j])
-			}
-		}
-	}
-	done := 0
-	for k, r := range rows {
-		if r < 0 || r >= m.rows {
-			panic(fmt.Sprintf("mat: ReplaceRowsColNormalized row %d outside %d rows", r, m.rows))
-		}
-		if k > 0 && r <= rows[k-1] {
-			panic("mat: ReplaceRowsColNormalized rows not sorted ascending without duplicates")
-		}
-		copy(val[base.rowPtr[done]:base.rowPtr[r]], m.val[m.rowPtr[done]:m.rowPtr[r]])
-		rescaleRun(base.rowPtr[done], base.rowPtr[r])
-		for p := base.rowPtr[r]; p < base.rowPtr[r+1]; p++ {
-			j := base.colIdx[p]
-			if sums[j] == 0 {
-				panic(fmt.Sprintf("mat: ReplaceRowsColNormalized column %d sums to zero but has entries", j))
-			}
-			val[p] = base.val[p] * (1 / sums[j])
-		}
-		done = r + 1
-	}
-	copy(val[base.rowPtr[done]:], m.val[m.rowPtr[done]:])
-	rescaleRun(base.rowPtr[done], len(base.val))
-	out.val = val
-	return out
-}
-
 // CSRFromDense converts a dense matrix to CSR, dropping zeros.
 func CSRFromDense(d *Dense) *CSR {
 	var entries []Coord
@@ -414,6 +291,89 @@ func (m *CSR) MulVecT(dst, x Vector) Vector {
 		}
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
 			dst[m.colIdx[p]] += m.val[p] * xi
+		}
+	}
+	return dst
+}
+
+// MulVecRowScaled computes dst = diag(r)·P·x, where P is m's pattern: every
+// stored entry reads as 1, so for a one-hot m this is MulVec on
+// m.ScaleRows(r) without materializing it. Each row accumulates r[i]·x[j]
+// in MulVec's order, the product MulVec forms with the stored value r[i],
+// so the result is bitwise that reference; scaling the row sum once
+// instead would round differently. dst must not alias x.
+func (m *CSR) MulVecRowScaled(dst, x, r Vector) Vector {
+	if len(x) != m.cols || len(dst) != m.rows || len(r) != m.rows {
+		panic("mat: CSR MulVecRowScaled shape mismatch")
+	}
+	for i := 0; i < m.rows; i++ {
+		ri := r[i]
+		var s float64
+		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
+			s += ri * x[m.colIdx[p]]
+		}
+		dst[i] = s
+	}
+	return dst
+}
+
+// MulVecColScaled computes dst = P·diag(c)·x over m's pattern P — MulVec on
+// m.ScaleCols(c) of a one-hot m, bitwise, by the argument of
+// MulVecRowScaled. dst must not alias x.
+func (m *CSR) MulVecColScaled(dst, x, c Vector) Vector {
+	if len(x) != m.cols || len(dst) != m.rows || len(c) != m.cols {
+		panic("mat: CSR MulVecColScaled shape mismatch")
+	}
+	for i := 0; i < m.rows; i++ {
+		var s float64
+		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
+			j := m.colIdx[p]
+			s += c[j] * x[j]
+		}
+		dst[i] = s
+	}
+	return dst
+}
+
+// MulVecTRowScaled computes dst = (diag(r)·P)ᵀ·x over m's pattern P —
+// MulVecT on m.ScaleRows(r) of a one-hot m, bitwise: each entry adds
+// r[i]·x[i] in MulVecT's order. The product stays inside the entry's
+// update rather than hoisted out of the row loop, so a compiler that fuses
+// multiply-add (arm64) fuses it exactly as in MulVecT. dst must not alias
+// x.
+func (m *CSR) MulVecTRowScaled(dst, x, r Vector) Vector {
+	if len(x) != m.rows || len(dst) != m.cols || len(r) != m.rows {
+		panic("mat: CSR MulVecTRowScaled shape mismatch")
+	}
+	dst.Fill(0)
+	for i := 0; i < m.rows; i++ {
+		xi := x[i]
+		if xi == 0 {
+			continue
+		}
+		ri := r[i]
+		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
+			dst[m.colIdx[p]] += ri * xi
+		}
+	}
+	return dst
+}
+
+// MulVecTColScaled computes dst = (P·diag(c))ᵀ·x over m's pattern P —
+// MulVecT on m.ScaleCols(c) of a one-hot m, bitwise. dst must not alias x.
+func (m *CSR) MulVecTColScaled(dst, x, c Vector) Vector {
+	if len(x) != m.rows || len(dst) != m.cols || len(c) != m.cols {
+		panic("mat: CSR MulVecTColScaled shape mismatch")
+	}
+	dst.Fill(0)
+	for i := 0; i < m.rows; i++ {
+		xi := x[i]
+		if xi == 0 {
+			continue
+		}
+		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
+			j := m.colIdx[p]
+			dst[j] += c[j] * xi
 		}
 	}
 	return dst

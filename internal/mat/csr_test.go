@@ -318,3 +318,54 @@ func TestNewCSRCountingSortAgainstDense(t *testing.T) {
 		}
 	}
 }
+
+// TestScaledMulVecMatchesScaledCopies asserts each pattern-scaled kernel
+// is bitwise MulVec/MulVecT on the valued form ScaleRows/ScaleCols
+// materializes, over a one-hot pattern with an empty row and an empty
+// column and an x with zero entries (the MulVecT skip path). The scales
+// carry full mantissas, so a kernel that sums a row before scaling it, or
+// reads its scale by the wrong index, changes low-order bits.
+func TestScaledMulVecMatchesScaledCopies(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const rows, items, k = 40, 12, 4 // 48 columns
+	var entries []Coord
+	for i := 0; i < rows; i++ {
+		if i == 5 {
+			continue // empty row
+		}
+		for it := 0; it < items; it++ {
+			if rng.Float64() < 0.6 {
+				if col := it*k + rng.Intn(k); col != 7 { // column 7 stays empty
+					entries = append(entries, Coord{Row: i, Col: col, Val: 1})
+				}
+			}
+		}
+	}
+	c := NewCSR(rows, items*k, entries)
+	withZeros := func(n int) Vector {
+		v := randomVector(rng, n)
+		for i := range v {
+			if rng.Intn(4) == 0 {
+				v[i] = 0
+			}
+		}
+		return v
+	}
+	r, s := randomVector(rng, rows), randomVector(rng, items*k)
+	byRow, byCol := c.ScaleRows(r), c.ScaleCols(s)
+
+	xc := withZeros(items * k)
+	if !bitsEqual(c.MulVecRowScaled(NewVector(rows), xc, r), byRow.MulVec(NewVector(rows), xc)) {
+		t.Fatal("MulVecRowScaled differs from MulVec on ScaleRows")
+	}
+	if !bitsEqual(c.MulVecColScaled(NewVector(rows), xc, s), byCol.MulVec(NewVector(rows), xc)) {
+		t.Fatal("MulVecColScaled differs from MulVec on ScaleCols")
+	}
+	xr := withZeros(rows)
+	if !bitsEqual(c.MulVecTRowScaled(NewVector(items*k), xr, r), byRow.MulVecT(NewVector(items*k), xr)) {
+		t.Fatal("MulVecTRowScaled differs from MulVecT on ScaleRows")
+	}
+	if !bitsEqual(c.MulVecTColScaled(NewVector(items*k), xr, s), byCol.MulVecT(NewVector(items*k), xr)) {
+		t.Fatal("MulVecTColScaled differs from MulVecT on ScaleCols")
+	}
+}

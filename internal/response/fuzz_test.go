@@ -8,13 +8,11 @@ import (
 
 // FuzzMemoInvariants drives an arbitrary byte-coded sequence of writes,
 // retractions, clones and memo reads through one matrix and asserts the
-// invariants of the generation-keyed caches: the generation counter bumps
-// exactly once per SetAnswer, the memoized one-hot encoding and its
-// normalized forms are never stale after SetAnswer or Clone (always bitwise
-// identical to from-scratch derivation), a clone's writes never move its
-// parent's generation or memo, and after the first from-scratch derivation
-// every normalization that follows writes is one touched-rows splice, never
-// a rebuild, while one with no writes since the last is a pure memo hit.
+// invariants of the generation-keyed one-hot memo: the generation counter
+// bumps exactly once per SetAnswer, the memoized encoding is never stale
+// after SetAnswer or Clone (always bitwise identical to a from-scratch
+// encoding), and a clone's writes never move its parent's generation or
+// memo.
 func FuzzMemoInvariants(f *testing.F) {
 	f.Add([]byte{0x00, 0x41, 0x13, 0x7f, 0x20})
 	f.Add([]byte("write-clone-write"))
@@ -27,70 +25,39 @@ func FuzzMemoInvariants(f *testing.F) {
 			ops = ops[:64]
 		}
 		gen := m.Generation()
-		written := false // rows written since the last normalization
-		normed := false  // whether m.Normalized has ever run
-		checkSplice := func(pc int) {
-			full0, delta0 := m.NormRebuilds()
-			m.Normalized()
-			full, delta := m.NormRebuilds()
-			switch {
-			case !normed:
-				if full != full0+1 || delta != delta0 {
-					t.Fatalf("op %d: first normalization must build from scratch (full %d->%d, delta %d->%d)",
-						pc, full0, full, delta0, delta)
-				}
-			case full != full0:
-				t.Fatalf("op %d: unexpected full normalization rebuild", pc)
-			case written && delta != delta0+1:
-				t.Fatalf("op %d: writes must be spliced exactly once (delta %d->%d)", pc, delta0, delta)
-			case !written && delta != delta0:
-				t.Fatalf("op %d: unchanged matrix re-normalized (delta %d->%d)", pc, delta0, delta)
-			}
-			normed = true
-			written = false
-		}
 		for pc, op := range ops {
 			u, i := int(op>>4)%users, int(op>>2)%items
 			switch op % 4 {
 			case 0: // answer
 				m.SetAnswer(u, i, int(op)%k)
 				gen++
-				written = true
 			case 1: // retract
 				m.SetAnswer(u, i, Unanswered)
 				gen++
-				written = true
-			case 2: // materialize the memos mid-sequence
-				m.Binary()
-				checkSplice(pc)
+			case 2: // materialize the memo mid-sequence
+				if got, want := m.Binary(), scratchBinary(m); !csrBitwiseEqual(got, want) {
+					t.Fatalf("op %d: memoized encoding stale", pc)
+				}
 			case 3: // copy-on-write fork: clone writes must not leak back
 				clone := m.Clone()
 				if clone.Generation() != gen {
 					t.Fatalf("op %d: clone generation %d, want inherited %d", pc, clone.Generation(), gen)
 				}
 				clone.SetAnswer(u, i, int(op)%k)
-				if _, crow, ccol := clone.Normalized(); true {
-					wantRow, wantCol := scratchNormalized(clone)
-					if !csrBitwiseEqual(crow, wantRow) || !csrBitwiseEqual(ccol, wantCol) {
-						t.Fatalf("op %d: clone memo stale after write", pc)
-					}
+				if got, want := clone.Binary(), scratchBinary(clone); !csrBitwiseEqual(got, want) {
+					t.Fatalf("op %d: clone memo stale after write", pc)
 				}
 			}
 			if g := m.Generation(); g != gen {
 				t.Fatalf("op %d: generation %d, want %d", pc, g, gen)
 			}
 		}
-		if got, want := m.Binary(), scratchBinary(m); !csrBitwiseEqual(got, want) {
+		got := m.Binary()
+		if want := scratchBinary(m); !csrBitwiseEqual(got, want) {
 			t.Fatal("memoized encoding stale at end of sequence")
 		}
-		checkSplice(len(ops))
-		_, crow, ccol := m.Normalized()
-		wantRow, wantCol := scratchNormalized(m)
-		if !csrBitwiseEqual(crow, wantRow) || !csrBitwiseEqual(ccol, wantCol) {
-			t.Fatal("memoized normalized forms stale at end of sequence")
-		}
-		if c, crow2, ccol2 := m.Normalized(); c != m.Binary() || crow2 != crow || ccol2 != ccol {
-			t.Fatal("unchanged matrix must serve the identical memo pointers")
+		if m.Binary() != got {
+			t.Fatal("unchanged matrix must serve the identical memo pointer")
 		}
 	})
 }

@@ -6,7 +6,6 @@ package response
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -49,27 +48,6 @@ type Matrix struct {
 	// fullBuilds and deltaBuilds count how often Binary() assembled the
 	// CSR from scratch vs. by touched-rows rebuild (see CSRRebuilds).
 	fullBuilds, deltaBuilds uint64
-
-	// crow and ccol memoize the row- and column-normalized forms of bin
-	// (see Normalized). Like bin they are immutable once published: a
-	// refresh splices new CSRs and swaps, never patches.
-	crow, ccol *mat.CSR
-	// normBase is the bin the normalized memo was derived from; the memo is
-	// fresh exactly when normBase is the current bin.
-	normBase *mat.CSR
-	// colSums holds the per-column sums of normBase, maintained
-	// incrementally (one-hot counts, so the arithmetic is exact). The slice
-	// is immutable once published — refreshes swap in a copy — so clones
-	// may share it.
-	colSums mat.Vector
-	// normDirty lists the user rows written since crow/ccol were built
-	// (append order, duplicates allowed). It can lag dirty: Binary() may
-	// splice bin several times between Normalized() calls, and normDirty
-	// accumulates the union.
-	normDirty []int
-	// normFull and normSplice count from-scratch vs. spliced normalization
-	// rebuilds (see NormRebuilds).
-	normFull, normSplice uint64
 }
 
 // New creates an empty response matrix for m users, n items, and the given
@@ -186,9 +164,6 @@ func (m *Matrix) SetAnswer(u, i, h int) {
 	if m.bin != nil {
 		m.dirty = append(m.dirty, u)
 	}
-	if m.crow != nil {
-		m.normDirty = append(m.normDirty, u)
-	}
 	m.binMu.Unlock()
 }
 
@@ -249,16 +224,6 @@ func (m *Matrix) Clone() *Matrix {
 	}
 	out.gen = m.gen
 	out.fullBuilds, out.deltaBuilds = m.fullBuilds, m.deltaBuilds
-	// The normalized memo travels too: crow/ccol/colSums are immutable by
-	// the swap protocol, so parent and clone share them, and the clone's
-	// next Normalized() pays a touched-rows splice instead of a from-scratch
-	// normalization.
-	out.crow, out.ccol, out.normBase = m.crow, m.ccol, m.normBase
-	out.colSums = m.colSums
-	if len(m.normDirty) > 0 {
-		out.normDirty = append([]int(nil), m.normDirty...)
-	}
-	out.normFull, out.normSplice = m.normFull, m.normSplice
 	m.binMu.Unlock()
 	return out
 }
@@ -273,11 +238,6 @@ func (m *Matrix) Clone() *Matrix {
 func (m *Matrix) Binary() *mat.CSR {
 	m.binMu.Lock()
 	defer m.binMu.Unlock()
-	return m.binaryLocked()
-}
-
-// binaryLocked is Binary's body; callers hold binMu.
-func (m *Matrix) binaryLocked() *mat.CSR {
 	if m.bin != nil && len(m.dirty) == 0 {
 		return m.bin
 	}
@@ -310,9 +270,8 @@ func (m *Matrix) binaryLocked() *mat.CSR {
 	return m.bin
 }
 
-// sortDedup sorts an index list (dirty rows, candidate columns) ascending
-// and removes duplicates, in place — the shape mat.ReplaceRows and the
-// normalization splices require.
+// sortDedup sorts the dirty-row list ascending and removes duplicates, in
+// place — the shape mat.ReplaceRows requires.
 func sortDedup(rows []int) []int {
 	sort.Ints(rows)
 	out := rows[:0]
@@ -324,85 +283,14 @@ func sortDedup(rows []int) []int {
 	return out
 }
 
-// Normalized returns the one-hot CSR encoding C together with its row- and
-// column-normalized forms C_row and C_col — the operands of the AVGHITS
-// update machinery — as one consistent triple for the current generation.
-// All three are memoized: repeated calls on an unchanged matrix return the
-// same pointers, and after writes only the touched rows (and the affected
-// columns' scale factors) are recomputed by splicing into fresh CSRs
-// (mat.ReplaceRowsNormalized / mat.ReplaceRowsColNormalized), bitwise
-// identical to from-scratch normalization. Like Binary, refreshes swap and
-// never patch, so previously returned forms stay valid and fully consistent
-// forever; callers must treat all three as read-only.
+// Normalized returns the one-hot CSR encoding C together with freshly
+// built row- and column-normalized forms C_row and C_col. No solve calls
+// it: the spectral methods apply both normalizations as scale vectors
+// inside their kernels (see core.NewUpdate). Each call builds the two
+// forms from the memoized C in O(nnz); callers must treat C as read-only.
 func (m *Matrix) Normalized() (c, crow, ccol *mat.CSR) {
-	m.binMu.Lock()
-	defer m.binMu.Unlock()
-	b := m.binaryLocked()
-	if m.crow != nil && m.normBase == b {
-		return b, m.crow, m.ccol
-	}
-	if m.crow == nil || m.normBase == nil {
-		m.normFull++
-		m.colSums = b.ColSums()
-		m.crow = b.RowNormalized()
-		m.ccol = b.ColNormalized()
-	} else {
-		m.normSplice++
-		rows := sortDedup(m.normDirty)
-		// Update the column sums over the touched rows only. Values are
-		// one-hot counts, so the ±1 arithmetic stays bitwise identical to a
-		// from-scratch ColSums. The sums vector is copy-on-write: clones may
-		// share the published slice, so mutate a fresh copy and swap.
-		// Candidate columns are gathered first (sorted, deduplicated) so
-		// their pre-delta sums can be snapshotted without a map.
-		sums := append(mat.Vector(nil), m.colSums...)
-		var cand []int
-		for _, r := range rows {
-			cols, _ := m.normBase.RowNNZ(r)
-			cand = append(cand, cols...)
-			cols, _ = b.RowNNZ(r)
-			cand = append(cand, cols...)
-		}
-		uniq := sortDedup(cand)
-		before := make(mat.Vector, len(uniq))
-		for i, j := range uniq {
-			before[i] = sums[j]
-		}
-		for _, r := range rows {
-			cols, vals := m.normBase.RowNNZ(r)
-			for i, j := range cols {
-				sums[j] -= vals[i]
-			}
-			cols, vals = b.RowNNZ(r)
-			for i, j := range cols {
-				sums[j] += vals[i]
-			}
-		}
-		affected := uniq[:0]
-		for i, j := range uniq {
-			if math.Float64bits(sums[j]) != math.Float64bits(before[i]) {
-				affected = append(affected, j)
-			}
-		}
-		m.crow = m.crow.ReplaceRowsNormalized(b, rows)
-		m.ccol = m.ccol.ReplaceRowsColNormalized(b, rows, sums, affected)
-		m.colSums = sums
-	}
-	m.normBase = b
-	m.normDirty = m.normDirty[:0] // keep the capacity for the next write burst
-	return b, m.crow, m.ccol
-}
-
-// NormRebuilds reports how many times Normalized() derived the normalized
-// forms from scratch (full) and how many times it spliced only the rows
-// touched since the previous derivation (delta). Clones inherit their
-// parent's counts — the same cumulative observability contract as
-// CSRRebuilds: under sparse write traffic, full must stop growing after the
-// first build while delta tracks the write rate.
-func (m *Matrix) NormRebuilds() (full, delta uint64) {
-	m.binMu.Lock()
-	defer m.binMu.Unlock()
-	return m.normFull, m.normSplice
+	c = m.Binary()
+	return c, c.RowNormalized(), c.ColNormalized()
 }
 
 // PermuteUsers returns a new matrix whose user u is m's user perm[u].
@@ -415,10 +303,9 @@ func (m *Matrix) PermuteUsers(perm []int) *Matrix {
 		copy(out.choices[u*m.items:(u+1)*m.items], m.choices[src*m.items:(src+1)*m.items])
 	}
 	// The rows were rewritten wholesale behind the memo's back: drop the
-	// cloned encoding, the normalized memo and all delta state instead of
-	// marking every row dirty.
+	// cloned encoding and its delta state instead of marking every row
+	// dirty.
 	out.bin, out.dirty = nil, nil
-	out.crow, out.ccol, out.normBase, out.colSums, out.normDirty = nil, nil, nil, nil, nil
 	out.gen++
 	return out
 }

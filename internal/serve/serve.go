@@ -25,8 +25,8 @@
 //
 // GET /metrics exposes the serve-layer counters together with a
 // per-tenant hitsndiffs.EngineMetrics snapshot (cache hits/misses, CSR
-// and normalized-matrix rebuild counters), each taken under the owning
-// engine's locks so the scrape never races engine internals.
+// rebuild counters), each taken under the owning engine's locks so the
+// scrape never races engine internals.
 package serve
 
 import (

@@ -58,12 +58,12 @@ type EngineMetrics struct {
 	CSRFullRebuilds uint64 `json:"csr_full_rebuilds"`
 	// CSRDeltaRebuilds counts touched-row CSR splices (see CSRFullRebuilds).
 	CSRDeltaRebuilds uint64 `json:"csr_delta_rebuilds"`
-	// NormFullRebuilds / NormSpliceRebuilds mirror
-	// ResponseMatrix.NormRebuilds: from-scratch normalized-triple
-	// derivations vs generation-keyed splices.
+	// NormFullRebuilds counted from-scratch builds of a normalized-matrix
+	// memo that solves no longer keep: they scale the one-hot encoding
+	// inside their kernels, so it always reads 0. The field and its JSON
+	// key stay for readers of earlier /metrics documents.
 	NormFullRebuilds uint64 `json:"norm_full_rebuilds"`
-	// NormSpliceRebuilds counts normalized-triple splices (see
-	// NormFullRebuilds).
+	// NormSpliceRebuilds always reads 0, like NormFullRebuilds.
 	NormSpliceRebuilds uint64 `json:"norm_delta_rebuilds"`
 }
 
