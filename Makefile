@@ -12,7 +12,7 @@ GO ?= go
 # (one solve per op on the serial kernels, the paper's single-core
 # setting), the isolated zero-alloc power-loop body, CSR assembly, the
 # Engine serving paths, the sharded-router scaling curves, the warm
-# re-rank allocation profile on the generation-keyed one-hot memo,
+# re-rank allocation profile on paged copy-on-write storage,
 # the durable WAL append path per fsync policy (always / interval / off) —
 # the write-path overhead record — the staleness-bounded read path under
 # steady writes (StaleRank: bound=0 inline baseline vs bounded stale

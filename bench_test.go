@@ -340,7 +340,7 @@ func BenchmarkAblationSymmetry(b *testing.B) {
 // O(mnt) vs O(m²n) argument in microcosm.
 func BenchmarkAblationSparse(b *testing.B) {
 	d := genOrDie(b, irt.ModelSamejima, func(c *irt.Config) { c.Users = 400 })
-	u := core.NewUpdate(d.Responses)
+	u, c := core.NewUpdate(d.Responses), d.Responses.Binary()
 	ws := u.NewWorkspace()
 	x := mat.Ones(u.Users())
 	y := mat.NewVector(u.Users())
@@ -353,11 +353,11 @@ func BenchmarkAblationSparse(b *testing.B) {
 	b.Run("dense-materialize-and-apply", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			um := u.UMatrix()
+			um := u.UMatrix(c)
 			um.MulVec(y, x)
 		}
 	})
-	um := u.UMatrix()
+	um := u.UMatrix(c)
 	b.Run("dense-apply-only", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -370,8 +370,7 @@ func BenchmarkAblationSparse(b *testing.B) {
 // same symmetric matrix.
 func BenchmarkAblationEigensolvers(b *testing.B) {
 	d := genOrDie(b, irt.ModelSamejima, func(c *irt.Config) { c.Users = 200 })
-	u := core.NewUpdate(d.Responses)
-	l := u.LaplacianMatrix()
+	l := d.Responses.Binary().Laplacian()
 	b.Run("dense-tred2-tql2", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := eigen.SymmetricEigen(l); err != nil {
@@ -545,17 +544,21 @@ func BenchmarkShardedRank(b *testing.B) {
 }
 
 // BenchmarkWarmRerankAllocs quantifies the steady-state serving path on
-// the generation-keyed one-hot memo.
+// paged copy-on-write storage.
 //
 //   - cache=true is one single-user Observe followed by a warm Rank (under
 //     an outstanding view, as serving traffic would have it): the write
-//     splices the touched rows of the one-hot CSR, and the solve scales
-//     that CSR inside its kernels, so no full O(nnz) rebuild runs anywhere
-//     on the warm path. The name is kept so the row compares with the
-//     committed BENCH_pr*.json records.
-//   - binary-memo-hit isolates the memo fetch every solve starts with on an
-//     unchanged matrix — the pure cache-hit body, CI-guarded at 0
+//     copies the one page it touches, and the solve rebuilds that page's
+//     one-hot pattern and scales the patterns inside its kernels, so no
+//     O(nnz) copy runs anywhere on the warm path. The name is kept so the
+//     row compares with the committed BENCH_pr*.json records.
+//   - pattern-hit isolates the page-pattern fetch every solve input starts
+//     with, on an unchanged matrix into a reused slice — CI-guarded at 0
 //     allocs/op.
+//   - observe-under-view is View plus one Observe: the write's
+//     copy-on-write clone copies the page table and the written page, not
+//     the matrix. CI gates its B/op at twice one page's cells (2 × 64 users
+//     × 150 items × 8 B); a clone of the whole 500×150 table is 600 KB.
 func BenchmarkWarmRerankAllocs(b *testing.B) {
 	cfg := irt.DefaultConfig(irt.ModelSamejima)
 	cfg.Users, cfg.Items, cfg.Seed = 500, 150, 42
@@ -589,14 +592,31 @@ func BenchmarkWarmRerankAllocs(b *testing.B) {
 		}
 	})
 
-	b.Run("binary-memo-hit", func(b *testing.B) {
+	b.Run("pattern-hit", func(b *testing.B) {
 		m := d.Responses.Clone()
-		c := m.Binary()
+		want := m.Patterns(nil)
+		buf := make([]*mat.CSR, 0, len(want))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if m.Binary() != c {
-				b.Fatal("lost the memo")
+			if got := m.Patterns(buf[:0]); got[len(got)-1] != want[len(want)-1] {
+				b.Fatal("rebuilt the pattern of an unchanged page")
+			}
+		}
+	})
+
+	b.Run("observe-under-view", func(b *testing.B) {
+		eng, err := NewEngine(d.Responses)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.View() // the next write must copy on write
+			user, item := i%cfg.Users, i%cfg.Items
+			if err := eng.Observe(user, item, i%d.Responses.OptionCount(item)); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})
@@ -605,9 +625,11 @@ func BenchmarkWarmRerankAllocs(b *testing.B) {
 // BenchmarkEngineSnapshot quantifies the copy-on-write snapshot redesign:
 // under unchanged-matrix traffic the serving paths take O(1) views instead
 // of the O(mn) deep clone Rank used to pay per call. "view" vs "deep-clone"
-// is the snapshot mechanism itself; "rank-cached" and "infer-labels-cached"
-// are the full serving paths, whose bytes/op must stay O(m) — independent
-// of the matrix area.
+// is the snapshot mechanism itself; "deep-clone" times Engine.Snapshot,
+// which paged storage made an O(pages) copy-on-write clone (the name is
+// kept so the row compares with the committed records). "rank-cached"
+// and "infer-labels-cached" are the full serving paths, whose bytes/op
+// must stay O(m) — independent of the matrix area.
 func BenchmarkEngineSnapshot(b *testing.B) {
 	cfg := irt.DefaultConfig(irt.ModelSamejima)
 	cfg.Users, cfg.Items, cfg.Seed = 2000, 300, 42

@@ -129,19 +129,20 @@ func TestUpdateCacheGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestWarmRerankAvoidsFullNormalizationRebuild is the counter assertion
-// of the one-hot memo the engine draws every solve input from: no solve
-// builds a normalized copy of it any more (the kernels apply the row and
-// column scales themselves), and concurrent cache misses on one version
-// share a single touched-rows CSR splice. The warm sequential case is
+// TestWarmRerankAvoidsFullNormalizationRebuild pins the solve input the
+// engine draws every solve from: no solve builds a normalized copy of it
+// (the kernels apply the row and column scales themselves), and concurrent
+// cache misses on one version share the snapshot's page patterns — the
+// written page's pattern is published once and every other page keeps the
+// pattern built before the write. The warm sequential case is
 // TestObserveRankAvoidsFullCSRRebuild.
 func TestWarmRerankAvoidsFullNormalizationRebuild(t *testing.T) {
 	ctx := context.Background()
 
 	// Every rank of one version solves on the same snapshot, so however
-	// many of them miss the result cache at once, the first to fetch the
-	// solve input splices the written rows into the memoized CSR and the
-	// rest read it — one delta rebuild, no full one.
+	// many of them miss the result cache at once, they all read its pages:
+	// the first to finish building the written page's pattern publishes
+	// it, and the untouched page is never rebuilt.
 	t.Run("concurrent-misses", func(t *testing.T) {
 		const rankers = 8
 		eng, err := NewEngine(engineWorkload(t, 120, 60, 9), WithRankOptions(WithSeed(4)))
@@ -151,11 +152,12 @@ func TestWarmRerankAvoidsFullNormalizationRebuild(t *testing.T) {
 		if _, err := eng.Rank(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Observe(7, 3, 0); err != nil {
+		old, _ := eng.View()
+		oldPages := old.Patterns(nil)
+		if err := eng.Observe(7, 3, 0); err != nil { // page 0 of 2
 			t.Fatal(err)
 		}
 		view, version := eng.View()
-		_, csrBefore := view.CSRRebuilds()
 		missesBefore := eng.Metrics().CacheMisses
 		start := make(chan struct{})
 		errs := make(chan error, rankers)
@@ -179,10 +181,14 @@ func TestWarmRerankAvoidsFullNormalizationRebuild(t *testing.T) {
 		if v := eng.Version(); v != version {
 			t.Fatalf("version moved from %d to %d without a write", version, v)
 		}
-		if full, delta := view.CSRRebuilds(); full != 1 || delta-csrBefore != 1 {
-			t.Fatalf("%d concurrent ranks paid %d full + %d delta CSR rebuilds, want 1 + 1",
-				rankers, full, delta-csrBefore)
+		pages, again := view.Patterns(nil), view.Patterns(nil)
+		if pages[0] == oldPages[0] || pages[0] != again[0] {
+			t.Fatal("the written page's pattern was not rebuilt once and kept")
 		}
+		if pages[1] != oldPages[1] {
+			t.Fatalf("%d concurrent ranks rebuilt the pattern of an unwritten page", rankers)
+		}
+		assertPatternsMatchBinary(t, view)
 		met := eng.Metrics()
 		if met.NormFullRebuilds != 0 || met.NormSpliceRebuilds != 0 {
 			t.Fatalf("solves built normalized copies (full=%d delta=%d), want none",
@@ -192,11 +198,11 @@ func TestWarmRerankAvoidsFullNormalizationRebuild(t *testing.T) {
 	})
 }
 
-// TestObserveRankAvoidsFullCSRRebuild is the delta-aware acceptance
-// criterion: after the engine's first solve, a single-user Observe followed
-// by a Rank must rebuild only the touched rows of the memoized one-hot CSR
-// — the full-assembly counter stays at one, under an outstanding
-// copy-on-write snapshot included.
+// TestObserveRankAvoidsFullCSRRebuild is the paged-storage acceptance
+// criterion: after the engine's first solve, single-user Observes followed
+// by Ranks rebuild only the written page's one-hot pattern — every other
+// page serves the pattern built by the first solve — under an outstanding
+// copy-on-write snapshot, which keeps its own patterns untouched.
 func TestObserveRankAvoidsFullCSRRebuild(t *testing.T) {
 	ctx := context.Background()
 	eng, err := NewEngine(engineWorkload(t, 120, 60, 9), WithRankOptions(WithSeed(4)))
@@ -206,12 +212,10 @@ func TestObserveRankAvoidsFullCSRRebuild(t *testing.T) {
 	if _, err := eng.Rank(ctx); err != nil {
 		t.Fatal(err)
 	}
-	view, _ := eng.View() // outstanding snapshot: the next write COW-clones
-	if full, _ := view.CSRRebuilds(); full != 1 {
-		t.Fatalf("cold rank paid %d full builds, want 1", full)
-	}
+	view, _ := eng.View() // outstanding snapshot: the next write copies on write
+	first := view.Patterns(nil)
 	for i := 0; i < 3; i++ {
-		if err := eng.Observe(7+i, 3, 0); err != nil {
+		if err := eng.Observe(7+i, 3, 0); err != nil { // page 0 of 2
 			t.Fatal(err)
 		}
 		if _, err := eng.Rank(ctx); err != nil {
@@ -219,17 +223,49 @@ func TestObserveRankAvoidsFullCSRRebuild(t *testing.T) {
 		}
 	}
 	m, _ := eng.View()
-	full, delta := m.CSRRebuilds()
-	if full != 1 {
-		t.Fatalf("single-user writes triggered %d full CSR rebuilds, want 1 (delta=%d)", full, delta)
-	}
-	if delta != 3 {
-		t.Fatalf("expected 3 delta rebuilds, got %d", delta)
-	}
-	// The outstanding snapshot still serves its original, fully consistent
-	// encoding.
-	if view.Binary() == nil || view == m {
+	if m == view {
 		t.Fatal("snapshot was not detached by the writes")
+	}
+	pages := m.Patterns(nil)
+	if pages[0] == first[0] {
+		t.Fatal("the written page kept its stale pattern")
+	}
+	if pages[1] != first[1] {
+		t.Fatal("single-user writes rebuilt the pattern of an unwritten page")
+	}
+	assertPatternsMatchBinary(t, m)
+	// The outstanding snapshot still serves its original patterns.
+	for p, c := range view.Patterns(nil) {
+		if c != first[p] {
+			t.Fatalf("snapshot's page %d pattern was replaced", p)
+		}
+	}
+	assertPatternsMatchBinary(t, view)
+}
+
+// assertPatternsMatchBinary checks that m's page patterns, stacked in
+// page order, are exactly its freshly assembled one-hot matrix.
+func assertPatternsMatchBinary(t *testing.T, m *ResponseMatrix) {
+	t.Helper()
+	c := m.Binary()
+	row := 0
+	for p, page := range m.Patterns(nil) {
+		for r := 0; r < page.Rows(); r++ {
+			gotCols, gotVals := page.RowNNZ(r)
+			wantCols, wantVals := c.RowNNZ(row)
+			if len(gotCols) != len(wantCols) {
+				t.Fatalf("page %d row %d: %d entries, want %d", p, r, len(gotCols), len(wantCols))
+			}
+			for j := range wantCols {
+				if gotCols[j] != wantCols[j] || gotVals[j] != wantVals[j] {
+					t.Fatalf("page %d row %d differs from the assembled encoding", p, r)
+				}
+			}
+			row++
+		}
+	}
+	if row != c.Rows() {
+		t.Fatalf("pages hold %d rows, matrix has %d", row, c.Rows())
 	}
 }
 
@@ -280,11 +316,11 @@ func assertNormalizedTripleConsistent(t *testing.T, m *ResponseMatrix) {
 }
 
 // TestUpdateCacheConcurrentStress hammers one engine with concurrent
-// Observe, Rank, InferLabels and View traffic over the generation-keyed
-// one-hot memo its solve inputs come from. Run under -race it is the memo
+// Observe, Rank, InferLabels and View traffic over the paged copy-on-write
+// storage its solve inputs come from. Run under -race it is the page
 // protocol's concurrency proof; the view checker additionally asserts
 // every snapshot observes a fully consistent (C, C_row, C_col) triple,
-// never a partially refreshed one.
+// never a partially written one.
 func TestUpdateCacheConcurrentStress(t *testing.T) {
 	const iters = 60
 	ctx := context.Background()
@@ -341,8 +377,8 @@ func TestUpdateCacheConcurrentStress(t *testing.T) {
 	wg.Wait()
 	<-viewerDone
 
-	// After the dust settles, the engine still ranks to finite scores on
-	// the one memo built at the start.
+	// After the dust settles, the engine still ranks to finite scores, on
+	// page patterns that encode its final matrix exactly.
 	res, err := eng.Rank(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -353,8 +389,5 @@ func TestUpdateCacheConcurrentStress(t *testing.T) {
 		}
 	}
 	m, _ := eng.View()
-	full, delta := m.CSRRebuilds()
-	if full != 1 {
-		t.Fatalf("stress traffic triggered %d full CSR rebuilds, want 1 (delta=%d)", full, delta)
-	}
+	assertPatternsMatchBinary(t, m)
 }

@@ -22,9 +22,11 @@ import (
 //   - Readers and writers share an RWMutex, and ranking never holds the
 //     lock or copies the matrix: Rank takes a copy-on-write snapshot (O(1))
 //     and iterates on that immutable view, so Observe is never blocked by a
-//     long spectral solve and Rank never pays an O(mn) clone. The first
-//     Observe after a snapshot was taken clones the matrix once before
-//     writing; versions nobody snapshotted are mutated in place.
+//     long spectral solve and Rank never pays an O(mn) clone. An Observe
+//     while a snapshot may still be read clones the matrix's page table
+//     (O(pages)), and each page it then writes is copied once; a matrix no
+//     reader holds — one whose solves have finished and that no View
+//     handed out — is mutated in place.
 //   - Results are cached keyed by a matrix version counter that every
 //     Observe bumps; repeated Rank calls between updates are O(m).
 //   - Re-ranks warm-start the power iteration from the previous score
@@ -69,12 +71,17 @@ type Engine struct {
 	fenced atomic.Bool
 
 	mu sync.RWMutex
-	// m is the current matrix. It is mutated in place only while shared is
-	// false; once a reader has taken it as a snapshot (shared true), the
-	// next write clones it first and the old pointer stays immutable
-	// forever — the copy-on-write discipline behind O(1) snapshots.
+	// m is the current matrix. It is mutated in place only while no reader
+	// may hold it: shared is false and no solve is reading it. Once a View
+	// has handed it out (shared true), or while solving counts solves
+	// reading it, the next write clones it first (O(pages), see
+	// ResponseMatrix.Clone) and the old pointer stays immutable forever —
+	// the copy-on-write discipline behind O(1) snapshots. A solve stops
+	// counting when it is done reading, so a matrix only the engine's own
+	// solves have read is written in place again afterwards.
 	m          *ResponseMatrix
 	shared     atomic.Bool
+	solving    atomic.Int64
 	version    uint64
 	lastScores []float64
 	cached     *engineCache
@@ -157,7 +164,7 @@ func WithRingPartition(replicas int) EngineOption {
 
 // NewEngine builds an engine serving the given response matrix, which may
 // be empty: answers can arrive later through Observe. The matrix is
-// deep-copied, so the caller's copy stays independent. The method name is
+// cloned copy-on-write, so the caller's copy stays independent. The method name is
 // resolved against the registry immediately so a typo fails at
 // construction, not at first request.
 func NewEngine(m *ResponseMatrix, opts ...EngineOption) (*Engine, error) {
@@ -222,9 +229,10 @@ func (e *Engine) MaxStaleness() uint64 { return e.maxStale }
 // Method returns the name of the registered method the engine serves.
 func (e *Engine) Method() string { return e.method }
 
-// Snapshot returns a deep copy of the current response matrix that the
-// caller may freely mutate. Serving paths that only read should prefer
-// View, which is O(1).
+// Snapshot returns a copy of the current response matrix that the caller
+// may freely mutate: an O(pages) copy-on-write clone, whose writes and the
+// engine's never reach each other (see ResponseMatrix.Clone). Serving
+// paths that only read should prefer View, which is O(1).
 func (e *Engine) Snapshot() *ResponseMatrix {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -321,7 +329,7 @@ func (e *Engine) Fenced() bool { return e.fenced.Load() }
 // Unlike Restore it is legal on an engine that already absorbed writes:
 // the version counter bumps so every cached result keyed to the old
 // matrix invalidates, and the write-generation counter continues from the
-// adopted matrix. Geometry must match. The matrix is deep-copied; the
+// adopted matrix. Geometry must match. The matrix is cloned copy-on-write; the
 // caller's copy stays independent.
 func (e *Engine) Adopt(m *ResponseMatrix) error {
 	if m == nil {
@@ -341,6 +349,7 @@ func (e *Engine) Adopt(m *ResponseMatrix) error {
 	}
 	e.m = m.Clone()
 	e.shared.Store(false)
+	e.solving.Store(0)
 	e.version++
 	e.cached = nil
 	e.lastScores = nil
@@ -351,7 +360,7 @@ func (e *Engine) Adopt(m *ResponseMatrix) error {
 // the matrix's write-generation counter (the key durability is stamped
 // with). It refuses geometry mismatches and engines that already absorbed
 // writes — recovery happens at startup, before traffic. The matrix is
-// deep-copied; the caller's copy stays independent.
+// cloned copy-on-write; the caller's copy stays independent.
 func (e *Engine) Restore(m *ResponseMatrix) error {
 	if m == nil {
 		return fmt.Errorf("hitsndiffs: Restore needs a response matrix")
@@ -373,6 +382,7 @@ func (e *Engine) Restore(m *ResponseMatrix) error {
 	}
 	e.m = m.Clone()
 	e.shared.Store(false)
+	e.solving.Store(0)
 	e.cached = nil
 	e.lastScores = nil
 	return nil
@@ -440,12 +450,14 @@ func (e *Engine) observeBatchLocked(obs []Observation) error {
 			return fmt.Errorf("hitsndiffs: durability hook rejected write: %w", err)
 		}
 	}
-	// Copy-on-write: if any reader holds the current matrix as a snapshot,
-	// detach from it once before mutating. Back-to-back Observes without an
-	// intervening snapshot keep writing in place.
-	if e.shared.Load() {
+	// Copy-on-write: if any reader may hold the current matrix, detach
+	// from it once before mutating; the clone then copies each page it
+	// writes. Back-to-back Observes with no reader in between keep writing
+	// in place.
+	if e.shared.Load() || e.solving.Load() > 0 {
 		e.m = e.m.Clone()
 		e.shared.Store(false)
+		e.solving.Store(0)
 	}
 	for _, o := range obs {
 		e.m.SetAnswer(o.User, o.Item, o.Option)
@@ -519,7 +531,12 @@ func (e *Engine) rank(ctx context.Context, needSnapshot, exact bool) (Result, ui
 	e.cacheMisses.Add(1)
 	version := e.version
 	snapshot := e.m
-	e.shared.Store(true)
+	if needSnapshot {
+		e.shared.Store(true) // the caller reads the snapshot after the solve
+	} else {
+		e.solving.Add(1)
+		defer e.doneSolving(snapshot)
+	}
 	var warmScores []float64
 	if len(e.lastScores) == snapshot.Users() {
 		warmScores = e.lastScores // copied by WithWarmStart below
@@ -538,10 +555,22 @@ func (e *Engine) rank(ctx context.Context, needSnapshot, exact bool) (Result, ui
 	return res, version, snapshot, nil
 }
 
+// doneSolving ends a solve's hold on the snapshot it read: once no solve
+// reads the engine's current matrix and no View handed it out, the next
+// write mutates it in place. A snapshot a write has since replaced is no
+// longer counted.
+func (e *Engine) doneSolving(snapshot *ResponseMatrix) {
+	e.mu.RLock()
+	if e.m == snapshot {
+		e.solving.Add(-1)
+	}
+	e.mu.RUnlock()
+}
+
 // solve runs one solve of the snapshot m with the engine's method and base
 // options, warm-started from warm when it is non-nil. The spectral methods
-// read their solve input from m's memoized one-hot encoding
-// (ResponseMatrix.Binary), which concurrent solves of one snapshot share,
+// read their solve input from m's page patterns
+// (ResponseMatrix.Patterns), which concurrent solves of one snapshot share,
 // and apply the row and column normalizations inside their kernels.
 // HnD-power solves bind a pooled core.SolveScratch. The returned scores
 // are the caller's.
@@ -641,16 +670,15 @@ func (e *Engine) InferLabels(ctx context.Context) ([]int, error) {
 }
 
 // Metrics returns a consistent point-in-time snapshot of the engine's
-// observability counters. The matrix-derived counters (CSR rebuilds) are
-// read under the engine's read lock, so the snapshot never races a
-// concurrent Observe swapping the matrix; the request counters are
+// observability counters. The matrix-derived counters (generation,
+// geometry) are read under the engine's read lock, so the snapshot never
+// races a concurrent Observe swapping the matrix; the request counters are
 // atomics and may lag a bump that is in flight, but never tear. Safe for
 // concurrent use — it is the accessor the serving tier's /metrics endpoint
 // scrapes per request.
 func (e *Engine) Metrics() EngineMetrics {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	cf, cd := e.m.CSRRebuilds()
 	return EngineMetrics{
 		Version:          e.version,
 		Generation:       e.m.Generation(),
@@ -661,7 +689,5 @@ func (e *Engine) Metrics() EngineMetrics {
 		Items:            e.m.Items(),
 		CacheHits:        e.cacheHits.Load(),
 		CacheMisses:      e.cacheMisses.Load(),
-		CSRFullRebuilds:  cf,
-		CSRDeltaRebuilds: cd,
 	}
 }

@@ -558,3 +558,56 @@ func TestEngineRankDoesNotCloneMatrix(t *testing.T) {
 		t.Fatalf("cached Rank+InferLabels allocations grew with matrix size: %v -> %v", small, large)
 	}
 }
+
+// TestWritesAfterSolvesGoInPlace pins the engine's copy-on-write decision:
+// a write after a rank whose solve has finished mutates the matrix in
+// place, while a write during a solve, or after a View handed the matrix
+// out, clones it first and leaves the old matrix untouched.
+func TestWritesAfterSolvesGoInPlace(t *testing.T) {
+	ctx := context.Background()
+	eng, err := NewEngine(engineWorkload(t, 120, 60, 9), WithRankOptions(WithSeed(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := func() *ResponseMatrix {
+		eng.mu.RLock()
+		defer eng.mu.RUnlock()
+		return eng.m
+	}
+	// flip rewrites user u's answer to item 3 with a different option.
+	flip := func(u int) {
+		t.Helper()
+		h := current().Answer(u, 3)
+		if err := eng.Observe(u, 3, (h+1)%current().OptionCount(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if _, err := eng.Rank(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := current()
+	flip(7)
+	if current() != before {
+		t.Fatal("a write after a finished solve cloned the matrix")
+	}
+
+	eng.solving.Add(1) // a solve still reading the matrix
+	held := current()
+	answer := held.Answer(8, 3)
+	flip(8)
+	if current() == held || held.Answer(8, 3) != answer {
+		t.Fatal("a write during a solve did not leave the solve's matrix untouched")
+	}
+	eng.doneSolving(held) // the solve ends on a matrix a write replaced
+	if n := eng.solving.Load(); n != 0 {
+		t.Fatalf("solving = %d after the clone, want 0", n)
+	}
+
+	view, _ := eng.View()
+	answer = view.Answer(9, 3)
+	flip(9)
+	if current() == view || view.Answer(9, 3) != answer {
+		t.Fatal("a write after a View did not leave the view untouched")
+	}
+}

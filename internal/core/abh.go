@@ -147,8 +147,7 @@ func (a ABHDirect) Rank(ctx context.Context, m *response.Matrix) (Result, error)
 	}
 	opts := a.Opts
 	opts.defaults()
-	u := opts.newUpdate(m)
-	l := u.LaplacianMatrix()
+	l := m.Binary().Laplacian()
 	_, fiedler, err := eigen.FiedlerVector(ctx, l)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: ABH-direct Fiedler vector: %w", err)

@@ -55,8 +55,8 @@ func allSpectralRankers() []Ranker {
 
 func TestURowStochastic(t *testing.T) {
 	// Lemma 3: each row of U sums to 1 (for users with answers).
-	u := NewUpdate(paperExample())
-	um := u.UMatrix()
+	m := paperExample()
+	um := NewUpdate(m).UMatrix(m.Binary())
 	for i := 0; i < um.Rows(); i++ {
 		if s := um.Row(i).Sum(); math.Abs(s-1) > 1e-12 {
 			t.Fatalf("row %d of U sums to %v", i, s)
@@ -79,8 +79,8 @@ func TestUSymmetricAndRMatrixOnPMatrix(t *testing.T) {
 	// Lemmas 5 & 6: for a P-matrix with equal row sums, U is a symmetric
 	// R-matrix. The paper example is already ability-sorted with equal row
 	// sums (3 answers per user).
-	u := NewUpdate(paperExample())
-	um := u.UMatrix()
+	m := paperExample()
+	um := NewUpdate(m).UMatrix(m.Binary())
 	if !um.IsSymmetric(1e-12) {
 		t.Fatal("U not symmetric on P-matrix input")
 	}
@@ -92,8 +92,8 @@ func TestUSymmetricAndRMatrixOnPMatrix(t *testing.T) {
 func TestUDiffNonNegativeOnPMatrix(t *testing.T) {
 	// Lemma 7 (interior step): U_diff = S·U·T is entrywise non-negative for
 	// an ability-sorted consistent matrix.
-	u := NewUpdate(paperExample())
-	ud := u.UDiffMatrix()
+	m := paperExample()
+	ud := NewUpdate(m).UDiffMatrix(m.Binary())
 	for i := 0; i < ud.Rows(); i++ {
 		for j := 0; j < ud.Cols(); j++ {
 			if ud.At(i, j) < -1e-12 {
@@ -106,8 +106,8 @@ func TestUDiffNonNegativeOnPMatrix(t *testing.T) {
 func TestUDiffMatrixMatchesDefinition(t *testing.T) {
 	// U_diff must equal S·U·T computed from first principles.
 	d := c1pDataset(t, 9, 6, 3, 3)
-	u := NewUpdate(d.Responses)
-	um := u.UMatrix()
+	u, c := NewUpdate(d.Responses), d.Responses.Binary()
+	um := u.UMatrix(c)
 	m := um.Rows()
 	want := mat.NewDense(m-1, m-1)
 	for r := 0; r < m-1; r++ {
@@ -120,7 +120,7 @@ func TestUDiffMatrixMatchesDefinition(t *testing.T) {
 			want.Set(r, j, s)
 		}
 	}
-	ud := u.UDiffMatrix()
+	ud := u.UDiffMatrix(c)
 	for r := 0; r < m-1; r++ {
 		for j := 0; j < m-1; j++ {
 			if math.Abs(ud.At(r, j)-want.At(r, j)) > 1e-10 {
@@ -132,9 +132,10 @@ func TestUDiffMatrixMatchesDefinition(t *testing.T) {
 
 func TestUDiffEigenvaluesAreUEigenvaluesMinusOne(t *testing.T) {
 	// Lemma 1: spec(U_diff) = spec(U) \ {1}.
-	u := NewUpdate(paperExample())
-	um := u.UMatrix()
-	ud := u.UDiffMatrix()
+	m := paperExample()
+	u, c := NewUpdate(m), m.Binary()
+	um := u.UMatrix(c)
+	ud := u.UDiffMatrix(c)
 	// U is symmetric here; its eigenvalues via the dense solver.
 	// U_diff is not symmetric; use Hessenberg QR after Arnoldi-free direct
 	// reduction: U_diff is small (3×3), QR on it directly via the dense
@@ -430,9 +431,9 @@ func TestABHPowerBetaOverride(t *testing.T) {
 
 func TestDiagCCTMatchesDense(t *testing.T) {
 	d := c1pDataset(t, 12, 10, 3, 37)
-	u := NewUpdate(d.Responses)
-	got := u.DiagCCT()
-	cct := u.C.MulCSRT(u.C)
+	got := NewUpdate(d.Responses).DiagCCT()
+	c := d.Responses.Binary()
+	cct := c.MulCSRT(c)
 	for i := 0; i < cct.Rows(); i++ {
 		if math.Abs(got[i]-cct.Row(i).Sum()) > 1e-10 {
 			t.Fatalf("D[%d] = %v, want %v", i, got[i], cct.Row(i).Sum())
@@ -443,7 +444,7 @@ func TestDiagCCTMatchesDense(t *testing.T) {
 func TestApplyLMatchesDenseLaplacian(t *testing.T) {
 	d := c1pDataset(t, 12, 10, 3, 41)
 	u := NewUpdate(d.Responses)
-	l := u.LaplacianMatrix()
+	l := d.Responses.Binary().Laplacian()
 	diag := u.DiagCCT()
 	x := mat.NewVector(12)
 	for i := range x {

@@ -138,7 +138,7 @@ func (h HNDDirect) Rank(ctx context.Context, m *response.Matrix) (Result, error)
 	opts := h.Opts
 	opts.defaults()
 	u := opts.newUpdate(m)
-	um := u.UMatrix()
+	um := u.UMatrix(m.Binary())
 	vec, err := SecondLargestEigenvectorDense(ctx, um, opts.Seed)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: HnD-direct eigensolve: %w", err)

@@ -57,15 +57,15 @@ func TestPaddingRestoresLemmaPreconditions(t *testing.T) {
 	if !isPMatrix(padded) {
 		t.Fatal("padding broke the P-matrix property")
 	}
-	u := NewUpdate(padded)
-	um := u.UMatrix()
+	u, c := NewUpdate(padded), padded.Binary()
+	um := u.UMatrix(c)
 	if !um.IsSymmetric(1e-9) {
 		t.Fatal("padded U not symmetric (Lemma 5)")
 	}
 	if !um.IsRMatrix(1e-9) {
 		t.Fatal("padded U not an R-matrix (Lemma 6)")
 	}
-	ud := u.UDiffMatrix()
+	ud := u.UDiffMatrix(c)
 	for i := 0; i < ud.Rows(); i++ {
 		for j := 0; j < ud.Cols(); j++ {
 			if ud.At(i, j) < -1e-9 {

@@ -39,8 +39,7 @@ func TestPropertyURowStochastic(t *testing.T) {
 		items := 2 + rng.Intn(15)
 		k := 2 + rng.Intn(4)
 		m := randomResponses(rng, users, items, k, 0.3+0.7*rng.Float64())
-		u := NewUpdate(m)
-		um := u.UMatrix()
+		um := NewUpdate(m).UMatrix(m.Binary())
 		for i := 0; i < users; i++ {
 			if s := um.Row(i).Sum(); math.Abs(s-1) > 1e-9 {
 				t.Fatalf("trial %d: row %d of U sums to %v", trial, i, s)

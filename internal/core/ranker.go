@@ -77,8 +77,8 @@ type Options struct {
 	// input fetch. The caller guarantees it was built from the same matrix
 	// state (Update is immutable, so sharing across concurrent solves and
 	// snapshots is safe); a dimension mismatch falls back to a fresh build.
-	// When nil, each solve builds it from the matrix's memoized one-hot
-	// encoding in O(m + nnz) (NewUpdate).
+	// When nil, each solve builds it from the matrix's page patterns in
+	// O(m + nnz) (NewUpdate).
 	Update *Update
 	// Scratch, when non-nil, supplies pooled solve buffers (iteration
 	// vectors, apply workspace, orientation indices) that HnD-power binds
@@ -93,7 +93,7 @@ type Options struct {
 // newUpdate adopts the prebuilt Options.Update when its dimensions match m,
 // and otherwise builds the AVGHITS update machinery for m.
 func (o Options) newUpdate(m *response.Matrix) *Update {
-	if u := o.Update; u != nil && u.Users() == m.Users() && u.C.Cols() == m.TotalOptions() {
+	if u := o.Update; u != nil && u.Users() == m.Users() && len(u.ColScale) == m.TotalOptions() {
 		return u
 	}
 	return NewUpdate(m)
@@ -163,12 +163,12 @@ func orientByDecileEntropy(scores mat.Vector, m *response.Matrix, sc *SolveScrat
 	bottom := order[len(order)-d:]
 	var buf []int
 	if sc != nil {
-		if cap(sc.counts) < m.MaxOptions() {
-			sc.counts = make([]int, m.MaxOptions())
+		if cap(sc.counts) < m.TotalOptions() {
+			sc.counts = make([]int, m.TotalOptions())
 		}
-		buf = sc.counts[:m.MaxOptions()]
+		buf = sc.counts[:m.TotalOptions()]
 	} else {
-		buf = make([]int, m.MaxOptions())
+		buf = make([]int, m.TotalOptions())
 	}
 	te, be := groupEntropy(m, top, buf), groupEntropy(m, bottom, buf)
 	flip := func() (mat.Vector, bool) {
@@ -221,25 +221,31 @@ func majorityAgreement(m *response.Matrix, users []int) float64 {
 }
 
 // groupEntropy returns the average Shannon entropy over items of the option
-// distribution chosen by the given users. One caller-supplied counts buffer
-// (sized at least to the widest item) serves every item, keeping the
-// per-rank orientation pass allocation-free.
-func groupEntropy(m *response.Matrix, users []int, buf []int) float64 {
-	var total float64
-	items := m.Items()
-	for i := 0; i < items; i++ {
-		counts := buf[:m.OptionCount(i)]
-		for h := range counts {
-			counts[h] = 0
-		}
-		for _, u := range users {
-			if h := m.Answer(u, i); h != response.Unanswered {
-				counts[h]++
+// distribution chosen by the given users. It reads each user's row once,
+// counting every chosen option into a caller-supplied buffer of one count
+// per column of the one-hot encoding (Σkᵢ, keeping the per-rank
+// orientation pass allocation-free), then adds the item entropies in item
+// order: the counts and the additions are those of an item-by-item scan,
+// so the result is bitwise the same.
+func groupEntropy(m *response.Matrix, users []int, counts []int) float64 {
+	clear(counts)
+	for _, u := range users {
+		col := 0 // first column of item i
+		for i, h := range m.Row(u) {
+			if h != response.Unanswered {
+				counts[col+h]++
 			}
+			col += m.OptionCount(i)
 		}
-		total += rank.Entropy(counts)
 	}
-	return total / float64(items)
+	var total float64
+	col := 0
+	for i := 0; i < m.Items(); i++ {
+		k := m.OptionCount(i)
+		total += rank.Entropy(counts[col : col+k])
+		col += k
+	}
+	return total / float64(m.Items())
 }
 
 // convergenceGap returns the sign-insensitive L2 distance between two unit

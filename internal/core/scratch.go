@@ -16,7 +16,7 @@ type SolveScratch struct {
 	sdiff, s, us, next mat.Vector
 	ws                 Workspace
 	order, sortBuf     []int
-	counts             []int
+	counts             []int // orientation's option counts, one per column (Σkᵢ)
 }
 
 // bind sizes every buffer for u and points the workspace at it. Buffers keep
@@ -29,7 +29,7 @@ func (sc *SolveScratch) bind(u *Update) {
 	sc.us = resizeVec(sc.us, users)
 	sc.next = resizeVec(sc.next, users-1)
 	sc.ws.u = u
-	sc.ws.opt = resizeVec(sc.ws.opt, u.C.Cols())
+	sc.ws.opt = resizeVec(sc.ws.opt, len(u.ColScale))
 	sc.order = resizeInts(sc.order, users)
 	sc.sortBuf = resizeInts(sc.sortBuf, users)
 }

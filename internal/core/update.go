@@ -9,18 +9,21 @@ import (
 )
 
 // Update bundles the AVGHITS machinery (Section III-B) for one matrix
-// state: the one-hot response matrix C and the two scale vectors that
-// normalize it, C_row = diag(RowScale)·C and C_col = C·diag(ColScale).
-// Neither normalized form is stored — the appliers scale inside their
-// kernels — so building an Update costs O(m + nnz) and matrix-free
+// state: the one-hot response matrix C, as the per-page patterns the
+// response matrix stores (response.Matrix.Patterns), and the two scale
+// vectors that normalize it, C_row = diag(RowScale)·C and
+// C_col = C·diag(ColScale). Neither normalized form is stored — the
+// appliers scale inside their kernels — so building an Update costs
+// O(m + nnz) plus the rebuild of any page a write dropped, and matrix-free
 // application of U = C_row·(C_col)ᵀ and of the ABH quantities derived from
 // L = D − C·Cᵀ costs O(nnz).
 //
 // An Update is immutable after construction; concurrent appliers each own
 // a Workspace (see NewWorkspace).
 type Update struct {
-	// C is the binary one-hot response matrix (m × Σkᵢ).
-	C *mat.CSR
+	// Pages holds C's rows in pages of response.PageUsers users, in row
+	// order; each page spans all Σkᵢ columns.
+	Pages []*mat.CSR
 	// RowScale[i] is 1/(items user i answered) and ColScale[j] is
 	// 1/(users who chose option j); both are 0 for an empty row or column.
 	// They are exactly the values of C.RowNormalized() and
@@ -28,28 +31,52 @@ type Update struct {
 	RowScale, ColScale mat.Vector
 }
 
-// NewUpdate builds the update machinery for m from its memoized one-hot
-// encoding (response.Matrix.Binary): the row scales come from C's row
-// lengths and the column scales from one column-count pass.
+// NewUpdate builds the update machinery for m from its page patterns: the
+// row scales come from the pages' row lengths and the column scales from
+// one column-count pass over the pages.
 func NewUpdate(m *response.Matrix) *Update {
-	c := m.Binary()
-	rowScale := mat.NewVector(c.Rows())
-	for i := range rowScale {
-		if cols, _ := c.RowNNZ(i); len(cols) > 0 {
-			rowScale[i] = 1 / float64(len(cols))
+	u := &Update{Pages: m.Patterns(nil), RowScale: mat.NewVector(m.Users())}
+	for k, p := range u.Pages {
+		lo, _ := span(k, p)
+		for i := 0; i < p.Rows(); i++ {
+			if cols, _ := p.RowNNZ(i); len(cols) > 0 {
+				u.RowScale[lo+i] = 1 / float64(len(cols))
+			}
 		}
 	}
-	colScale := c.ColSums() // one-hot entries: exact chooser counts
-	for j, n := range colScale {
+	u.ColScale = u.columnCounts(m.TotalOptions()) // exact chooser counts
+	for j, n := range u.ColScale {
 		if n != 0 {
-			colScale[j] = 1 / n
+			u.ColScale[j] = 1 / n
 		}
 	}
-	return &Update{C: c, RowScale: rowScale, ColScale: colScale}
+	return u
+}
+
+// columnCounts returns the number of users choosing each of the cols
+// options — C's column sums, accumulated page by page in C.ColSums' order.
+func (u *Update) columnCounts(cols int) mat.Vector {
+	counts := mat.NewVector(cols)
+	for _, p := range u.Pages {
+		for i := 0; i < p.Rows(); i++ {
+			js, _ := p.RowNNZ(i)
+			for _, j := range js {
+				counts[j]++
+			}
+		}
+	}
+	return counts
+}
+
+// span returns the rows [lo, hi) of C that page k holds: every page but
+// the last holds response.PageUsers rows.
+func span(k int, p *mat.CSR) (lo, hi int) {
+	lo = k * response.PageUsers
+	return lo, lo + p.Rows()
 }
 
 // Users returns the number of users (the dimension of U).
-func (u *Update) Users() int { return u.C.Rows() }
+func (u *Update) Users() int { return len(u.RowScale) }
 
 // Workspace holds the scratch buffer one applier goroutine needs: the
 // option-weight vector (length Σkᵢ). A Workspace must not be shared by
@@ -62,20 +89,43 @@ type Workspace struct {
 
 // NewWorkspace returns a fresh workspace for applying u.
 func (u *Update) NewWorkspace() *Workspace {
-	return &Workspace{u: u, opt: mat.NewVector(u.C.Cols())}
+	return &Workspace{u: u, opt: mat.NewVector(len(u.ColScale))}
 }
+
+// The appliers below run each kernel page by page on the matching
+// sub-slices of the user-indexed vectors. A transpose product zeroes the
+// option vector once and accumulates every page into it in row order, so
+// each option's sum adds the same terms in the same order as one product
+// over the whole of C: the results are bitwise those of the unpaged
+// kernels.
 
 // ApplyU computes dst = U·s = C_row·(C_col)ᵀ·s using two sparse mat-vec
 // products over C's pattern. dst must not alias s.
 func (w *Workspace) ApplyU(dst, s mat.Vector) {
-	w.u.C.MulVecTColScaled(w.opt, s, w.u.ColScale)
-	w.u.C.MulVecRowScaled(dst, w.opt, w.u.RowScale)
+	u := w.u
+	w.opt.Fill(0)
+	for k, p := range u.Pages {
+		lo, hi := span(k, p)
+		p.MulVecTColScaledAdd(w.opt, s[lo:hi], u.ColScale)
+	}
+	for k, p := range u.Pages {
+		lo, hi := span(k, p)
+		p.MulVecRowScaled(dst[lo:hi], w.opt, u.RowScale[lo:hi])
+	}
 }
 
 // ApplyUT computes dst = Uᵀ·s.
 func (w *Workspace) ApplyUT(dst, s mat.Vector) {
-	w.u.C.MulVecTRowScaled(w.opt, s, w.u.RowScale)
-	w.u.C.MulVecColScaled(dst, w.opt, w.u.ColScale)
+	u := w.u
+	w.opt.Fill(0)
+	for k, p := range u.Pages {
+		lo, hi := span(k, p)
+		p.MulVecTRowScaledAdd(w.opt, s[lo:hi], u.RowScale[lo:hi])
+	}
+	for k, p := range u.Pages {
+		lo, hi := span(k, p)
+		p.MulVecColScaled(dst[lo:hi], w.opt, u.ColScale)
+	}
 }
 
 // ApplyL computes dst = L·s = D·s − C·(Cᵀ·s) matrix-free. d must be the
@@ -83,8 +133,15 @@ func (w *Workspace) ApplyUT(dst, s mat.Vector) {
 // sweep of the second mat-vec, so the whole apply is two passes over the
 // non-zeros with no extra sweep over dst.
 func (w *Workspace) ApplyL(dst, s, d mat.Vector) {
-	w.u.C.MulVecT(w.opt, s)
-	w.u.C.MulVecDiagSub(dst, w.opt, d, s)
+	w.opt.Fill(0)
+	for k, p := range w.u.Pages {
+		lo, hi := span(k, p)
+		p.MulVecTAdd(w.opt, s[lo:hi])
+	}
+	for k, p := range w.u.Pages {
+		lo, hi := span(k, p)
+		p.MulVecDiagSub(dst[lo:hi], w.opt, d[lo:hi], s[lo:hi])
+	}
 }
 
 // UOp exposes U as an eigen.TransposableOp without materializing it,
@@ -104,16 +161,18 @@ func (o UOp) Apply(dst, x mat.Vector) { o.WS.ApplyU(dst, x) }
 func (o UOp) ApplyT(dst, x mat.Vector) { o.WS.ApplyUT(dst, x) }
 
 // UMatrix materializes the dense (m × m) update matrix U from the valued
-// forms C.ScaleRows(RowScale) and C.ScaleCols(ColScale). O(m²n) — used by
-// the "direct" method variants and by tests of the R-matrix lemmas.
-func (u *Update) UMatrix() *mat.Dense {
-	return u.C.ScaleRows(u.RowScale).MulCSRT(u.C.ScaleCols(u.ColScale))
+// forms c.ScaleRows(RowScale) and c.ScaleCols(ColScale), where c is the
+// assembled one-hot matrix the Update was built from
+// (response.Matrix.Binary). O(m²n) — used by the "direct" method variants
+// and by tests of the R-matrix lemmas.
+func (u *Update) UMatrix(c *mat.CSR) *mat.Dense {
+	return c.ScaleRows(u.RowScale).MulCSRT(c.ScaleCols(u.ColScale))
 }
 
 // UDiffMatrix materializes U_diff = S·U·T, the (m−1)×(m−1) difference
-// update matrix of HND.
-func (u *Update) UDiffMatrix() *mat.Dense {
-	um := u.UMatrix()
+// update matrix of HND, from the assembled one-hot matrix c (see UMatrix).
+func (u *Update) UDiffMatrix(c *mat.CSR) *mat.Dense {
+	um := u.UMatrix(c)
 	m := um.Rows()
 	out := mat.NewDense(m-1, m-1)
 	// (S·U)[r][c] = U[r+1][c] − U[r][c]; (S·U·T)[r][j] = Σ_{c>j} (S·U)[r][c].
@@ -131,15 +190,14 @@ func (u *Update) UDiffMatrix() *mat.Dense {
 // DiagCCT returns the diagonal D of ABH's Laplacian: D_ii = (C·Cᵀ·e)_i,
 // computed in O(nnz) as C·(Cᵀ·e).
 func (u *Update) DiagCCT() mat.Vector {
-	colSums := u.C.ColSums()
+	colSums := u.columnCounts(len(u.ColScale))
 	d := mat.NewVector(u.Users())
-	u.C.MulVec(d, colSums)
+	for k, p := range u.Pages {
+		lo, hi := span(k, p)
+		p.MulVec(d[lo:hi], colSums)
+	}
 	return d
 }
-
-// LaplacianMatrix materializes the dense Laplacian L = D − C·Cᵀ (O(m²n)),
-// used by ABH-direct.
-func (u *Update) LaplacianMatrix() *mat.Dense { return u.C.Laplacian() }
 
 // SecondLargestEigenvectorDense computes the 2nd largest eigenvector of the
 // materialized U using Arnoldi + Hessenberg QR. Exposed for the HND-direct

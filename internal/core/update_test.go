@@ -9,18 +9,19 @@ import (
 	"hitsndiffs/internal/response"
 )
 
-// TestAppliersMatchNormalizedReference asserts the Workspace appliers and
-// UMatrix, which scale the one-hot C inside their kernels, are bitwise the
-// reference computed on the materialized forms C.RowNormalized() and
-// C.ColNormalized() with MulVec, MulVecT and MulCSRT — on random matrices,
-// after writes, and after retractions that empty a user row and an option
-// column.
+// TestAppliersMatchNormalizedReference asserts the Workspace appliers,
+// DiagCCT and UMatrix, which walk C page by page and scale it inside their
+// kernels, are bitwise the reference computed on the whole assembled C and
+// its materialized forms C.RowNormalized() and C.ColNormalized() with
+// MulVec, MulVecT and MulCSRT — on random matrices of one to three pages
+// (user counts not a multiple of the page size), after writes, and after
+// retractions that empty a user row and an option column.
 func TestAppliersMatchNormalizedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	check := func(t *testing.T, m *response.Matrix) {
 		t.Helper()
 		u := NewUpdate(m)
-		c := u.C
+		c := m.Binary()
 		crow, ccol := c.RowNormalized(), c.ColNormalized()
 		users, cols := c.Rows(), c.Cols()
 		s := mat.NewVector(users)
@@ -30,6 +31,7 @@ func TestAppliersMatchNormalizedReference(t *testing.T) {
 			}
 		}
 		d := u.DiagCCT()
+		assertBits(t, "DiagCCT", d, c.MulVec(mat.NewVector(users), c.ColSums()))
 		ws := u.NewWorkspace()
 		opt := mat.NewVector(cols)
 		got, want := mat.NewVector(users), mat.NewVector(users)
@@ -49,13 +51,13 @@ func TestAppliersMatchNormalizedReference(t *testing.T) {
 		}
 		assertBits(t, "ApplyL", got, want)
 
-		gotU, wantU := u.UMatrix(), crow.MulCSRT(ccol)
+		gotU, wantU := u.UMatrix(c), crow.MulCSRT(ccol)
 		for i := 0; i < users; i++ {
 			assertBits(t, "UMatrix row", gotU.Row(i), wantU.Row(i))
 		}
 	}
-	for trial := 0; trial < 6; trial++ {
-		users, items, k := 10+rng.Intn(40), 3+rng.Intn(12), 2+rng.Intn(3)
+	for trial, users := range []int{17, 63, 65, 2*response.PageUsers + 1, 150, 3*response.PageUsers - 1} {
+		items, k := 3+rng.Intn(12), 2+rng.Intn(3)
 		m := randomResponses(rng, users, items, k, 0.4+0.5*rng.Float64())
 		check(t, m)
 		for w := 0; w < 10; w++ {

@@ -157,58 +157,33 @@ func NewCSR(rows, cols int, entries []Coord) *CSR {
 	return m
 }
 
-// ReplaceRows returns a new CSR equal to m except that every row listed in
-// rows (sorted ascending, no duplicates) is replaced by the entries the
-// fill callback emits for it. fill must call emit with strictly increasing
-// in-range column indices and non-zero values. Untouched rows are
-// bulk-copied from m in contiguous runs, so the cost is O(nnz) with
-// memmove-speed constants — the kernel behind delta-aware rebuilds of
-// memoized encodings. m itself is never modified.
-func (m *CSR) ReplaceRows(rows []int, fill func(r int, emit func(col int, val float64))) *CSR {
-	out := &CSR{rows: m.rows, cols: m.cols, rowPtr: make([]int, m.rows+1)}
-	colIdx := make([]int, 0, len(m.colIdx))
-	val := make([]float64, 0, len(m.val))
-	prevCol := -1
-	emit := func(col int, v float64) {
-		if col <= prevCol || col >= m.cols {
-			panic(fmt.Sprintf("mat: ReplaceRows emit column %d out of order or range (prev %d, cols %d)", col, prevCol, m.cols))
-		}
-		if v == 0 {
-			panic("mat: ReplaceRows emit zero value")
-		}
-		prevCol = col
-		colIdx = append(colIdx, col)
-		val = append(val, v)
+// NewPattern assembles the rows×cols 0/1 matrix whose row r holds a one
+// at each column of colIdx[rowPtr[r]:rowPtr[r+1]] — the one-hot encoding's
+// shape, built straight from column lists with no triplet staging. Each
+// row's columns must be strictly increasing and in range. The matrix
+// adopts rowPtr and colIdx; callers must not modify them afterwards.
+func NewPattern(rows, cols int, rowPtr, colIdx []int) *CSR {
+	if rows <= 0 || cols <= 0 || len(rowPtr) != rows+1 || rowPtr[0] != 0 || rowPtr[rows] != len(colIdx) {
+		panic(fmt.Sprintf("mat: NewPattern invalid shape %dx%d with %d row pointers and %d entries", rows, cols, len(rowPtr), len(colIdx)))
 	}
-	done := 0 // rows of m already carried over
-	for k, r := range rows {
-		if r < 0 || r >= m.rows {
-			panic(fmt.Sprintf("mat: ReplaceRows row %d outside %d rows", r, m.rows))
+	for r := 0; r < rows; r++ {
+		lo, hi := rowPtr[r], rowPtr[r+1]
+		if hi < lo || hi > len(colIdx) {
+			panic(fmt.Sprintf("mat: NewPattern row %d spans [%d,%d) of %d entries", r, lo, hi, len(colIdx)))
 		}
-		if k > 0 && r <= rows[k-1] {
-			panic("mat: ReplaceRows rows not sorted ascending without duplicates")
+		prev := -1
+		for _, c := range colIdx[lo:hi] {
+			if c <= prev || c >= cols {
+				panic(fmt.Sprintf("mat: NewPattern row %d column %d out of order or range", r, c))
+			}
+			prev = c
 		}
-		// Copy the run of clean rows [done, r) in one append each.
-		lo, hi := m.rowPtr[done], m.rowPtr[r]
-		colIdx = append(colIdx, m.colIdx[lo:hi]...)
-		val = append(val, m.val[lo:hi]...)
-		for i := done; i < r; i++ {
-			out.rowPtr[i+1] = out.rowPtr[i] + (m.rowPtr[i+1] - m.rowPtr[i])
-		}
-		prevCol = -1
-		fill(r, emit)
-		out.rowPtr[r+1] = len(colIdx)
-		done = r + 1
 	}
-	lo, hi := m.rowPtr[done], m.rowPtr[m.rows]
-	colIdx = append(colIdx, m.colIdx[lo:hi]...)
-	val = append(val, m.val[lo:hi]...)
-	for i := done; i < m.rows; i++ {
-		out.rowPtr[i+1] = out.rowPtr[i] + (m.rowPtr[i+1] - m.rowPtr[i])
+	val := make([]float64, len(colIdx))
+	for p := range val {
+		val[p] = 1
 	}
-	out.colIdx = colIdx
-	out.val = val
-	return out
+	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
 }
 
 // CSRFromDense converts a dense matrix to CSR, dropping zeros.
@@ -280,10 +255,18 @@ func (m *CSR) MulVec(dst, x Vector) Vector {
 // MulVecT computes dst = mᵀ·x without materializing the transpose.
 // dst must not alias x.
 func (m *CSR) MulVecT(dst, x Vector) Vector {
+	dst.Fill(0)
+	return m.MulVecTAdd(dst, x)
+}
+
+// MulVecTAdd adds mᵀ·x into dst, row by row in column order — MulVecT
+// without the zeroing, so a matrix stored as row blocks accumulates its
+// transpose product block after block in MulVecT's order. dst must not
+// alias x.
+func (m *CSR) MulVecTAdd(dst, x Vector) Vector {
 	if len(x) != m.rows || len(dst) != m.cols {
 		panic("mat: CSR MulVecT shape mismatch")
 	}
-	dst.Fill(0)
 	for i := 0; i < m.rows; i++ {
 		xi := x[i]
 		if xi == 0 {
@@ -335,17 +318,16 @@ func (m *CSR) MulVecColScaled(dst, x, c Vector) Vector {
 	return dst
 }
 
-// MulVecTRowScaled computes dst = (diag(r)·P)ᵀ·x over m's pattern P —
-// MulVecT on m.ScaleRows(r) of a one-hot m, bitwise: each entry adds
+// MulVecTRowScaledAdd adds (diag(r)·P)ᵀ·x into dst over m's pattern P —
+// MulVecTAdd on m.ScaleRows(r) of a one-hot m, bitwise: each entry adds
 // r[i]·x[i] in MulVecT's order. The product stays inside the entry's
 // update rather than hoisted out of the row loop, so a compiler that fuses
 // multiply-add (arm64) fuses it exactly as in MulVecT. dst must not alias
 // x.
-func (m *CSR) MulVecTRowScaled(dst, x, r Vector) Vector {
+func (m *CSR) MulVecTRowScaledAdd(dst, x, r Vector) Vector {
 	if len(x) != m.rows || len(dst) != m.cols || len(r) != m.rows {
-		panic("mat: CSR MulVecTRowScaled shape mismatch")
+		panic("mat: CSR MulVecTRowScaledAdd shape mismatch")
 	}
-	dst.Fill(0)
 	for i := 0; i < m.rows; i++ {
 		xi := x[i]
 		if xi == 0 {
@@ -359,13 +341,13 @@ func (m *CSR) MulVecTRowScaled(dst, x, r Vector) Vector {
 	return dst
 }
 
-// MulVecTColScaled computes dst = (P·diag(c))ᵀ·x over m's pattern P —
-// MulVecT on m.ScaleCols(c) of a one-hot m, bitwise. dst must not alias x.
-func (m *CSR) MulVecTColScaled(dst, x, c Vector) Vector {
+// MulVecTColScaledAdd adds (P·diag(c))ᵀ·x into dst over m's pattern P —
+// MulVecTAdd on m.ScaleCols(c) of a one-hot m, bitwise. dst must not alias
+// x.
+func (m *CSR) MulVecTColScaledAdd(dst, x, c Vector) Vector {
 	if len(x) != m.rows || len(dst) != m.cols || len(c) != m.cols {
-		panic("mat: CSR MulVecTColScaled shape mismatch")
+		panic("mat: CSR MulVecTColScaledAdd shape mismatch")
 	}
-	dst.Fill(0)
 	for i := 0; i < m.rows; i++ {
 		xi := x[i]
 		if xi == 0 {

@@ -320,7 +320,8 @@ func TestNewCSRCountingSortAgainstDense(t *testing.T) {
 }
 
 // TestScaledMulVecMatchesScaledCopies asserts each pattern-scaled kernel
-// is bitwise MulVec/MulVecT on the valued form ScaleRows/ScaleCols
+// (the transpose ones adding into a zero dst) is bitwise MulVec/MulVecT on
+// the valued form ScaleRows/ScaleCols
 // materializes, over a one-hot pattern with an empty row and an empty
 // column and an x with zero entries (the MulVecT skip path). The scales
 // carry full mantissas, so a kernel that sums a row before scaling it, or
@@ -362,10 +363,70 @@ func TestScaledMulVecMatchesScaledCopies(t *testing.T) {
 		t.Fatal("MulVecColScaled differs from MulVec on ScaleCols")
 	}
 	xr := withZeros(rows)
-	if !bitsEqual(c.MulVecTRowScaled(NewVector(items*k), xr, r), byRow.MulVecT(NewVector(items*k), xr)) {
-		t.Fatal("MulVecTRowScaled differs from MulVecT on ScaleRows")
+	if !bitsEqual(c.MulVecTRowScaledAdd(NewVector(items*k), xr, r), byRow.MulVecT(NewVector(items*k), xr)) {
+		t.Fatal("MulVecTRowScaledAdd differs from MulVecT on ScaleRows")
 	}
-	if !bitsEqual(c.MulVecTColScaled(NewVector(items*k), xr, s), byCol.MulVecT(NewVector(items*k), xr)) {
-		t.Fatal("MulVecTColScaled differs from MulVecT on ScaleCols")
+	if !bitsEqual(c.MulVecTColScaledAdd(NewVector(items*k), xr, s), byCol.MulVecT(NewVector(items*k), xr)) {
+		t.Fatal("MulVecTColScaledAdd differs from MulVecT on ScaleCols")
 	}
+}
+
+// TestNewPatternMatchesNewCSR asserts the column-list constructor builds
+// exactly the CSR NewCSR assembles from the same entries with value 1,
+// empty rows included, and rejects malformed column lists.
+func TestNewPatternMatchesNewCSR(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const rows, cols = 30, 17
+	rowPtr := make([]int, rows+1)
+	var colIdx []int
+	var entries []Coord
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if r%7 != 3 && rng.Float64() < 0.3 { // rows 3, 10, ... stay empty
+				colIdx = append(colIdx, c)
+				entries = append(entries, Coord{Row: r, Col: c, Val: 1})
+			}
+		}
+		rowPtr[r+1] = len(colIdx)
+	}
+	got, want := NewPattern(rows, cols, rowPtr, colIdx), NewCSR(rows, cols, entries)
+	if got.Rows() != rows || got.Cols() != cols || got.NNZ() != want.NNZ() {
+		t.Fatalf("shape %dx%d nnz %d, want %dx%d nnz %d", got.Rows(), got.Cols(), got.NNZ(), rows, cols, want.NNZ())
+	}
+	for r := 0; r < rows; r++ {
+		gc, gv := got.RowNNZ(r)
+		wc, wv := want.RowNNZ(r)
+		if !intsEqual(gc, wc) || !bitsEqual(gv, wv) {
+			t.Fatalf("row %d: %v %v, want %v %v", r, gc, gv, wc, wv)
+		}
+	}
+	for name, bad := range map[string]func(){
+		"unsorted":     func() { NewPattern(1, 4, []int{0, 2}, []int{2, 1}) },
+		"duplicate":    func() { NewPattern(1, 4, []int{0, 2}, []int{1, 1}) },
+		"out-of-range": func() { NewPattern(1, 4, []int{0, 1}, []int{4}) },
+		"bad-rowptr":   func() { NewPattern(2, 4, []int{0, 1}, []int{1}) },
+		"short-rowptr": func() { NewPattern(1, 4, []int{0, 2}, []int{1}) },
+		"negative-row": func() { NewPattern(2, 4, []int{0, 2, 1}, []int{1}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewPattern accepted a malformed column list", name)
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
+func intsEqual(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -34,10 +34,12 @@ const binaryMagic = "HNDSNAP1"
 // WAL framing checksums.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// maxSnapshotCells bounds users*items on read, so a corrupted header that
-// survives long enough to be parsed can never drive a huge allocation.
-// (In practice corruption is caught by the checksum first: ReadBinary
-// verifies the CRC over the raw bytes before parsing anything.)
+// maxSnapshotCells bounds users×items and Σkᵢ of every matrix (see
+// CheckShape), so a corrupted header that survives long enough to be
+// parsed can never drive a huge allocation, and no matrix is built that
+// its snapshot could not restore. (In practice corruption is caught by the
+// checksum first: ReadBinary verifies the CRC over the raw bytes before
+// parsing anything.)
 const maxSnapshotCells = 1 << 32
 
 // WriteBinary serializes m in the binary snapshot format, including the
@@ -46,12 +48,10 @@ const maxSnapshotCells = 1 << 32
 // one buffer and handed to w in a single Write call, so a snapshot file
 // costs one write(2) whatever the matrix size.
 func (m *Matrix) WriteBinary(w io.Writer) error {
-	m.binMu.Lock()
-	gen := m.gen
-	m.binMu.Unlock()
+	gen := m.Generation()
 	// A cell encodes in one byte while its item has at most 127 options;
 	// wider items only grow the buffer.
-	buf := make([]byte, 0, len(binaryMagic)+(3+len(m.options))*binary.MaxVarintLen64+len(m.choices)+4)
+	buf := make([]byte, 0, len(binaryMagic)+(3+len(m.options))*binary.MaxVarintLen64+m.users*m.items+4)
 	buf = append(buf, binaryMagic...)
 	buf = binary.AppendUvarint(buf, uint64(m.users))
 	buf = binary.AppendUvarint(buf, uint64(m.items))
@@ -59,8 +59,10 @@ func (m *Matrix) WriteBinary(w io.Writer) error {
 		buf = binary.AppendUvarint(buf, uint64(k))
 	}
 	buf = binary.AppendUvarint(buf, gen)
-	for _, h := range m.choices {
-		buf = binary.AppendUvarint(buf, uint64(h+1)) // Unanswered (-1) → 0
+	for u := 0; u < m.users; u++ {
+		for _, h := range m.Row(u) {
+			buf = binary.AppendUvarint(buf, uint64(h+1)) // Unanswered (-1) → 0
+		}
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
 	if _, err := w.Write(buf); err != nil {
@@ -107,7 +109,7 @@ func ReadBinary(r io.Reader) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	if users == 0 || items == 0 || users > 1<<31 || items > 1<<31 || users*items > maxSnapshotCells {
+	if users > maxSnapshotCells || items > maxSnapshotCells || CheckShape(int(users), int(items), 1) != nil {
 		return nil, fmt.Errorf("response: snapshot declares invalid shape %d×%d", users, items)
 	}
 	options := make([]int, items)
@@ -121,25 +123,30 @@ func ReadBinary(r io.Reader) (*Matrix, error) {
 		}
 		options[i] = int(k)
 	}
+	if err := CheckShape(int(users), int(items), options...); err != nil {
+		return nil, fmt.Errorf("response: snapshot declares invalid shape: %w", err)
+	}
 	gen, err := next("generation")
 	if err != nil {
 		return nil, err
 	}
 	m := New(int(users), int(items), options...)
-	for c := range m.choices {
-		v, err := next("choices")
-		if err != nil {
-			return nil, err
+	for u := 0; u < m.users; u++ {
+		row := m.Row(u) // m is fresh and owns every page
+		for i := range row {
+			v, err := next("choices")
+			if err != nil {
+				return nil, err
+			}
+			if v == 0 {
+				continue // Unanswered, already the New default
+			}
+			if h := v - 1; h < uint64(m.options[i]) {
+				row[i] = int(h)
+			} else {
+				return nil, fmt.Errorf("response: snapshot cell %d option %d out of range [0,%d)", u*m.items+i, h, m.options[i])
+			}
 		}
-		if v == 0 {
-			continue // Unanswered, already the New default
-		}
-		h := int(v - 1)
-		i := c % m.items
-		if h >= m.options[i] {
-			return nil, fmt.Errorf("response: snapshot cell %d option %d out of range [0,%d)", c, h, m.options[i])
-		}
-		m.choices[c] = h
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("response: snapshot has %d trailing bytes", len(p))

@@ -41,14 +41,13 @@ func codecFixtures(t *testing.T) map[string]*Matrix {
 	retracted.SetAnswer(1, 1, Unanswered)
 	fixtures["retracted-cells"] = retracted
 
-	// Dirty memo state: encode, then overwrite rows so the memoized CSR
-	// lags the choices and the dirty list is non-empty at serialization
-	// time. The codecs must serialize the live choices, not the memo.
+	// Dropped pattern: encode, then overwrite rows so the page's one-hot
+	// pattern lags the choices at serialization time. The codecs must
+	// serialize the live choices, not the pattern.
 	dirty := New(4, 2, 3)
 	dirty.SetAnswer(0, 0, 1)
 	dirty.SetAnswer(1, 1, 2)
-	dirty.Binary()
-	dirty.Normalized()
+	dirty.Patterns(nil)
 	dirty.SetAnswer(0, 0, 2)
 	dirty.SetAnswer(3, 1, 0)
 	fixtures["post-setanswer-dirty"] = dirty

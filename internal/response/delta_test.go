@@ -28,96 +28,128 @@ func csrBitwiseEqual(a, b *mat.CSR) bool {
 	return true
 }
 
-// scratchBinary builds the one-hot encoding from scratch on an independent
-// copy whose memo has never been populated.
-func scratchBinary(m *Matrix) *mat.CSR {
-	fresh := New(m.Users(), m.Items(), m.options...)
-	for u := 0; u < m.Users(); u++ {
+// scratchBinary builds the one-hot encoding of users [lo, hi) from
+// triplets through mat.NewCSR — a reference independent of the paged
+// encoder.
+func scratchBinary(m *Matrix, lo, hi int) *mat.CSR {
+	var entries []mat.Coord
+	for u := lo; u < hi; u++ {
 		for i := 0; i < m.Items(); i++ {
-			fresh.SetAnswer(u, i, m.Answer(u, i))
+			if h := m.Answer(u, i); h != Unanswered {
+				entries = append(entries, mat.Coord{Row: u - lo, Col: m.Column(i, h), Val: 1})
+			}
 		}
 	}
-	return fresh.Binary()
+	return mat.NewCSR(hi-lo, m.TotalOptions(), entries)
 }
 
-// TestDeltaRebuildBitwiseIdentical drives random write bursts through the
-// memoized encoding and asserts every delta rebuild is bitwise identical to
-// a from-scratch assembly — answers changed, added (previously unanswered)
-// and retracted.
+// solveInputMatchesScratch reports whether m's page patterns and its
+// assembled Binary() are bitwise the from-scratch encoding.
+func solveInputMatchesScratch(m *Matrix) bool {
+	if !csrBitwiseEqual(m.Binary(), scratchBinary(m, 0, m.Users())) {
+		return false
+	}
+	pages := m.Patterns(nil)
+	if len(pages) != (m.Users()+PageUsers-1)/PageUsers {
+		return false
+	}
+	for p, c := range pages {
+		lo := p * PageUsers
+		if !csrBitwiseEqual(c, scratchBinary(m, lo, min(lo+PageUsers, m.Users()))) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDeltaRebuildBitwiseIdentical drives random write bursts through a
+// four-page matrix (the last page partial) and asserts that after each
+// burst the solve input is bitwise a from-scratch encoding — answers
+// changed, added and retracted — and that only the written pages' patterns
+// were rebuilt: every other page serves the identical pattern.
 func TestDeltaRebuildBitwiseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	m := randomMatrix(rng, 50, 30, 4, 0.7)
-	m.Binary() // populate the memo
+	m := randomMatrix(rng, 3*PageUsers+8, 30, 4, 0.7)
+	before := m.Patterns(nil)
 
 	for round := 0; round < 20; round++ {
-		writes := 1 + rng.Intn(5)
-		for w := 0; w < writes; w++ {
+		written := map[int]bool{}
+		for w := 1 + rng.Intn(3); w > 0; w-- {
 			u, i := rng.Intn(m.Users()), rng.Intn(m.Items())
+			written[u/PageUsers] = true
 			if rng.Float64() < 0.2 {
 				m.SetAnswer(u, i, Unanswered) // retraction empties row entries
 			} else {
 				m.SetAnswer(u, i, rng.Intn(4))
 			}
 		}
-		got := m.Binary()
-		if want := scratchBinary(m); !csrBitwiseEqual(got, want) {
-			t.Fatalf("round %d: delta rebuild differs from scratch rebuild", round)
+		after := m.Patterns(nil)
+		for p := range after {
+			if rebuilt := after[p] != before[p]; rebuilt != written[p] {
+				t.Fatalf("round %d: page %d rebuilt=%v, written=%v", round, p, rebuilt, written[p])
+			}
 		}
-	}
-	full, delta := m.CSRRebuilds()
-	if full != 1 {
-		t.Fatalf("expected exactly 1 full build, got %d", full)
-	}
-	if delta != 20 {
-		t.Fatalf("expected 20 delta rebuilds, got %d", delta)
+		if !solveInputMatchesScratch(m) {
+			t.Fatalf("round %d: paged encoding differs from scratch encoding", round)
+		}
+		before = after
 	}
 }
 
 // TestDeltaRebuildUnderOutstandingSnapshot is the copy-on-write contract:
-// a clone taken while the memo is populated (what Engine.Observe does under
-// an outstanding View) must leave the snapshot's encoding untouched, and
-// the clone's next Binary() must be a delta rebuild that is bitwise
-// identical to a from-scratch assembly of the written matrix.
+// a clone of a snapshot (what Engine.Observe does under an outstanding
+// View) that is then written must leave the snapshot's choices and
+// patterns untouched, share every page it did not write, and encode its
+// own writes bitwise as a from-scratch assembly.
 func TestDeltaRebuildUnderOutstandingSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	snapshot := randomMatrix(rng, 40, 25, 3, 0.8)
-	before := snapshot.Binary()
-	beforeCopy := before.Clone()
+	snapshot := randomMatrix(rng, 2*PageUsers+20, 25, 3, 0.8)
+	before := snapshot.Patterns(nil)
+	beforeCopies := make([]*mat.CSR, len(before))
+	for p, c := range before {
+		beforeCopies[p] = c.Clone()
+	}
+	cellsBefore := snapshot.Binary()
 
 	clone := snapshot.Clone()
-	clone.SetAnswer(3, 5, 2)
-	clone.SetAnswer(17, 0, Unanswered)
+	clone.SetAnswer(3, 5, 2)           // page 0
+	clone.SetAnswer(17, 0, Unanswered) // page 0 again: copied once
+	clone.SetAnswer(PageUsers+1, 4, 1) // page 1
 
-	got := clone.Binary()
-	if want := scratchBinary(clone); !csrBitwiseEqual(got, want) {
-		t.Fatal("clone's delta rebuild differs from scratch rebuild")
+	if !solveInputMatchesScratch(clone) {
+		t.Fatal("clone's paged encoding differs from scratch encoding")
 	}
-	if _, delta := clone.CSRRebuilds(); delta != 1 {
-		t.Fatal("clone should have paid a delta rebuild, not a full one")
+	got := clone.Patterns(nil)
+	if got[0] == before[0] || got[1] == before[1] || got[2] != before[2] {
+		t.Fatal("clone must rebuild exactly the two pages it wrote and share the third")
 	}
 
-	// The snapshot never observes the rebuild: same pointer, same bits.
-	if snapshot.Binary() != before {
-		t.Fatal("snapshot's memoized encoding was replaced")
+	// The snapshot never observes the clone's writes: same patterns, same
+	// bits, same choices.
+	for p, c := range snapshot.Patterns(nil) {
+		if c != before[p] || !csrBitwiseEqual(c, beforeCopies[p]) {
+			t.Fatalf("snapshot's page %d pattern was replaced or mutated", p)
+		}
 	}
-	if !csrBitwiseEqual(before, beforeCopy) {
-		t.Fatal("snapshot's memoized encoding was mutated in place")
+	if !csrBitwiseEqual(snapshot.Binary(), cellsBefore) {
+		t.Fatal("snapshot's choices moved")
 	}
 }
 
-// TestCloneCarriesPendingDirtyRows clones between a write and the rebuild:
-// the pending delta must travel with the clone.
+// TestCloneCarriesPendingDirtyRows clones between a write and the pattern
+// rebuild: the write must travel with the clone, and the rebuild either
+// side publishes must serve both.
 func TestCloneCarriesPendingDirtyRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := randomMatrix(rng, 20, 10, 3, 0.9)
-	m.Binary()
-	m.SetAnswer(4, 4, 1) // dirty, not yet rebuilt
+	m.Patterns(nil)
+	m.SetAnswer(4, 4, 1) // pattern dropped, not yet rebuilt
 	clone := m.Clone()
-	if want := scratchBinary(clone); !csrBitwiseEqual(clone.Binary(), want) {
-		t.Fatal("clone lost the pending dirty row")
+	if !solveInputMatchesScratch(clone) || clone.Answer(4, 4) != 1 {
+		t.Fatal("clone lost the pending write")
 	}
-	if want := scratchBinary(m); !csrBitwiseEqual(m.Binary(), want) {
-		t.Fatal("parent lost the pending dirty row")
+	if !solveInputMatchesScratch(m) {
+		t.Fatal("parent lost the pending write")
 	}
 }
 
@@ -141,15 +173,18 @@ func TestGenerationCountsWrites(t *testing.T) {
 	}
 }
 
-// TestPermuteUsersDropsMemo guards the one transform that rewrites rows
-// behind the memo's back.
+// TestPermuteUsersDropsMemo guards the one transform that rewrites every
+// row: its output must encode its own rows, not its source's patterns.
 func TestPermuteUsersDropsMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	m := randomMatrix(rng, 10, 6, 3, 0.9)
-	m.Binary()
-	perm := rng.Perm(10)
+	m := randomMatrix(rng, PageUsers+10, 6, 3, 0.9)
+	m.Patterns(nil)
+	perm := rng.Perm(m.Users())
 	p := m.PermuteUsers(perm)
-	if want := scratchBinary(p); !csrBitwiseEqual(p.Binary(), want) {
-		t.Fatal("PermuteUsers served a stale memoized encoding")
+	if !solveInputMatchesScratch(p) {
+		t.Fatal("PermuteUsers served a stale encoding")
+	}
+	if p.Generation() != m.Generation()+1 {
+		t.Fatalf("PermuteUsers generation %d, want %d", p.Generation(), m.Generation()+1)
 	}
 }

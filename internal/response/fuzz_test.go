@@ -7,59 +7,115 @@ import (
 )
 
 // FuzzMemoInvariants drives an arbitrary byte-coded sequence of writes,
-// retractions, clones and memo reads through one matrix and asserts the
-// invariants of the generation-keyed one-hot memo: the generation counter
-// bumps exactly once per SetAnswer, the memoized encoding is never stale
-// after SetAnswer or Clone (always bitwise identical to a from-scratch
-// encoding), and a clone's writes never move its parent's generation or
-// memo.
+// retractions, clones, clone writes and solve-input reads through one
+// matrix and its latest clone, and asserts the invariants of paged
+// copy-on-write storage: the generation counter bumps exactly once per
+// SetAnswer on each side; a clone's writes never reach its parent's cells
+// and the parent's writes never reach the clone's; and the solve input
+// (the page patterns, and Binary) is always bitwise a from-scratch
+// encoding. The first byte picks the user count from {1, 63, 64, 65, 131},
+// so sequences straddle page boundaries; each op is then a pair of bytes
+// (kind and item and option, user).
 func FuzzMemoInvariants(f *testing.F) {
-	f.Add([]byte{0x00, 0x41, 0x13, 0x7f, 0x20})
+	// 131 users: write page 0, fork, write the shared page 0 on the parent
+	// and page 1 on the clone, read the solve input.
+	f.Add([]byte{0x04, 0x00, 0x05, 0x02, 0x00, 0x28, 0x06, 0x03, 0x46, 0x04, 0x00})
 	f.Add([]byte("write-clone-write"))
-	f.Add([]byte{0xff, 0xff, 0x00, 0x00, 0x91, 0x55})
+	// 65 users: fork, then both sides write the one-user last page.
+	f.Add([]byte{0x03, 0x02, 0x00, 0x03, 0x40, 0x28, 0x40, 0x04, 0x00, 0x01, 0x3f, 0x04, 0x00})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		const users, items, k = 7, 5, 3
-		m := New(users, items, k)
-		if len(ops) > 64 {
-			ops = ops[:64]
+		const items, k = 5, 3
+		users := []int{1, 63, 64, 65, 131}[0]
+		if len(ops) > 0 {
+			users = []int{1, 63, 64, 65, 131}[int(ops[0])%5]
+			ops = ops[1:]
 		}
-		gen := m.Generation()
-		for pc, op := range ops {
-			u, i := int(op>>4)%users, int(op>>2)%items
-			switch op % 4 {
+		if len(ops) > 128 {
+			ops = ops[:128]
+		}
+		m := New(users, items, k)
+		want := dense(m)
+		var clone *Matrix
+		var wantClone [][]int
+		gen, cloneGen := m.Generation(), uint64(0)
+		for pc := 0; pc+1 < len(ops); pc += 2 {
+			op := ops[pc]
+			u, i, h := int(ops[pc+1])%users, int(op>>3)%items, int(op>>5)%k
+			switch op % 5 {
 			case 0: // answer
-				m.SetAnswer(u, i, int(op)%k)
+				m.SetAnswer(u, i, h)
+				want[u][i] = h
 				gen++
 			case 1: // retract
 				m.SetAnswer(u, i, Unanswered)
+				want[u][i] = Unanswered
 				gen++
-			case 2: // materialize the memo mid-sequence
-				if got, want := m.Binary(), scratchBinary(m); !csrBitwiseEqual(got, want) {
-					t.Fatalf("op %d: memoized encoding stale", pc)
-				}
-			case 3: // copy-on-write fork: clone writes must not leak back
-				clone := m.Clone()
+			case 2: // copy-on-write fork
+				clone, wantClone, cloneGen = m.Clone(), dense(m), gen
 				if clone.Generation() != gen {
 					t.Fatalf("op %d: clone generation %d, want inherited %d", pc, clone.Generation(), gen)
 				}
-				clone.SetAnswer(u, i, int(op)%k)
-				if got, want := clone.Binary(), scratchBinary(clone); !csrBitwiseEqual(got, want) {
-					t.Fatalf("op %d: clone memo stale after write", pc)
+			case 3: // write the clone, in a page it may share with m
+				if clone != nil {
+					clone.SetAnswer(u, i, h)
+					wantClone[u][i] = h
+					cloneGen++
+				}
+			case 4: // read the solve input mid-sequence
+				if !solveInputMatchesScratch(m) {
+					t.Fatalf("op %d: solve input differs from scratch encoding", pc)
+				}
+				if clone != nil && !solveInputMatchesScratch(clone) {
+					t.Fatalf("op %d: clone solve input differs from scratch encoding", pc)
 				}
 			}
 			if g := m.Generation(); g != gen {
 				t.Fatalf("op %d: generation %d, want %d", pc, g, gen)
 			}
+			if !sameCells(m, want) {
+				t.Fatalf("op %d: parent cells moved by a clone write", pc)
+			}
+			if clone != nil {
+				if g := clone.Generation(); g != cloneGen {
+					t.Fatalf("op %d: clone generation %d, want %d", pc, g, cloneGen)
+				}
+				if !sameCells(clone, wantClone) {
+					t.Fatalf("op %d: clone cells moved by a parent write", pc)
+				}
+			}
 		}
-		got := m.Binary()
-		if want := scratchBinary(m); !csrBitwiseEqual(got, want) {
-			t.Fatal("memoized encoding stale at end of sequence")
+		if !solveInputMatchesScratch(m) {
+			t.Fatal("solve input stale at end of sequence")
 		}
-		if m.Binary() != got {
-			t.Fatal("unchanged matrix must serve the identical memo pointer")
+		first, again := m.Patterns(nil), m.Patterns(nil)
+		for p := range first {
+			if first[p] != again[p] {
+				t.Fatalf("unchanged matrix rebuilt page %d's pattern", p)
+			}
 		}
 	})
+}
+
+// dense copies m's choices into a users×items table.
+func dense(m *Matrix) [][]int {
+	out := make([][]int, m.Users())
+	for u := range out {
+		out[u] = append([]int(nil), m.Row(u)...)
+	}
+	return out
+}
+
+// sameCells reports whether m's choices equal the table want.
+func sameCells(m *Matrix, want [][]int) bool {
+	for u, row := range want {
+		for i, h := range row {
+			if m.Answer(u, i) != h {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // FuzzReadCSV asserts that arbitrary input never panics the parser and that

@@ -6,8 +6,8 @@ package response
 
 import (
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"hitsndiffs/internal/mat"
 )
@@ -15,75 +15,119 @@ import (
 // Unanswered marks an item a user did not answer.
 const Unanswered = -1
 
+// PageUsers is the number of users per storage page. A Matrix stores its
+// users in consecutive pages of this many (the last page may be shorter),
+// and a copy-on-write write copies one page. It is a fixed constant of the
+// storage layout, not a tuning knob.
+const PageUsers = 64
+
+// page holds the choices of up to PageUsers consecutive users together
+// with their one-hot pattern. A page reachable from two matrices is never
+// written: a matrix writes only the pages it owns (see Matrix.owned).
+type page struct {
+	cells []int // rows×items row-major; Unanswered for no response
+	// pattern is the one-hot CSR of the page's rows over all Σkᵢ columns,
+	// or nil after a write until the next Patterns call rebuilds it. It is
+	// published once per page version through the atomic pointer, so
+	// concurrent solves of one snapshot may race to build it and all read
+	// the same encoding.
+	pattern atomic.Pointer[mat.CSR]
+}
+
 // Matrix holds the responses of m users to n items. Each item i has
 // OptionCount(i) options numbered from 0. Option 0 is, by generator
 // convention, the best-fitting option, but nothing in the algorithms relies
 // on that: they see only the one-hot encoding.
+//
+// The responses live in immutable pages of PageUsers users. Clone copies
+// the page table, so a copy-on-write snapshot costs O(pages), and the first
+// write to a page two matrices share copies that one page.
 type Matrix struct {
 	users   int
 	items   int
-	options []int // options[i] = number of options of item i
-	offsets []int // offsets[i] = first column of item i in the flat encoding
-	choices []int // users×items row-major; Unanswered for no response
+	options []int // options[i] = number of options of item i; never modified
+	offsets []int // offsets[i] = first column of item i; never modified
 
-	// binMu guards the memoized one-hot CSR encoding and its delta state
-	// below. Concurrent readers of an otherwise-immutable Matrix (e.g.
-	// several Engine ranks on one snapshot) share a single build.
-	binMu sync.Mutex
-	// bin is the memoized one-hot CSR. It is immutable once published:
-	// SetAnswer never touches it (it only records the written row in dirty),
-	// and a delta rebuild swaps in a freshly assembled CSR instead of
-	// patching in place — so a clone or snapshot sharing the pointer can
-	// never observe a partial rebuild.
-	bin *mat.CSR
-	// dirty lists the user rows written since bin was assembled (append
-	// order, duplicates allowed; sorted and deduplicated at rebuild). The
-	// next Binary() call re-encodes only these rows and bulk-copies the
-	// rest (see mat.ReplaceRows), which is what makes a single-user write
-	// cheap to absorb under sparse write traffic.
-	dirty []int
+	// mu guards the page table, the ownership flags and the generation.
+	mu    sync.Mutex
+	pages []*page
+	// owned[p] reports that pages[p] is reachable from this matrix alone,
+	// so SetAnswer may write it in place. Clone clears the flags on both
+	// sides, and SetAnswer copies a page it does not own before writing.
+	owned []bool
 	// gen counts every SetAnswer — the write generation staleness and
 	// durability are measured in (see Generation).
 	gen uint64
-	// fullBuilds and deltaBuilds count how often Binary() assembled the
-	// CSR from scratch vs. by touched-rows rebuild (see CSRRebuilds).
-	fullBuilds, deltaBuilds uint64
+}
+
+// CheckShape reports whether New accepts the geometry: positive users and
+// items, one option count or one per item, each at least 1, and both
+// users×items and Σkᵢ at most 2^32 — the bound the binary snapshot codec
+// reads back, so every matrix that can be built can also be recovered. The
+// arithmetic cannot overflow.
+func CheckShape(users, items int, options ...int) error {
+	if users <= 0 || items <= 0 {
+		return fmt.Errorf("response: invalid shape %d users × %d items", users, items)
+	}
+	if uint64(users) > maxSnapshotCells/uint64(items) {
+		return fmt.Errorf("response: %d users × %d items exceeds %d cells", users, items, uint64(maxSnapshotCells))
+	}
+	switch len(options) {
+	case 0:
+		return fmt.Errorf("response: at least one option count is required")
+	case 1:
+		if k := options[0]; k < 1 || uint64(k) > maxSnapshotCells/uint64(items) {
+			return fmt.Errorf("response: %d items × %d options is not in [1, %d] columns", items, k, uint64(maxSnapshotCells))
+		}
+		return nil
+	case items:
+	default:
+		return fmt.Errorf("response: got %d option counts for %d items", len(options), items)
+	}
+	var total uint64
+	for i, k := range options {
+		if k < 1 {
+			return fmt.Errorf("response: item %d has %d options", i, k)
+		}
+		if total += uint64(k); total > maxSnapshotCells {
+			return fmt.Errorf("response: option counts exceed %d columns at item %d", uint64(maxSnapshotCells), i)
+		}
+	}
+	return nil
 }
 
 // New creates an empty response matrix for m users, n items, and the given
 // per-item option counts. A single int may be passed to give every item the
-// same number of options.
+// same number of options. It panics on a shape CheckShape rejects.
 func New(users, items int, options ...int) *Matrix {
-	if users <= 0 || items <= 0 {
-		panic(fmt.Sprintf("response: New invalid shape %d users × %d items", users, items))
+	if err := CheckShape(users, items, options...); err != nil {
+		panic(err.Error())
 	}
 	var per []int
-	switch len(options) {
-	case 1:
+	if len(options) == 1 {
 		per = make([]int, items)
 		for i := range per {
 			per[i] = options[0]
 		}
-	case 0:
-		panic("response: New requires at least one option count")
-	default:
-		if len(options) != items {
-			panic(fmt.Sprintf("response: New got %d option counts for %d items", len(options), items))
-		}
+	} else {
 		per = append([]int(nil), options...)
 	}
 	offsets := make([]int, items+1)
 	for i, k := range per {
-		if k < 1 {
-			panic(fmt.Sprintf("response: item %d has %d options", i, k))
-		}
 		offsets[i+1] = offsets[i] + k
 	}
-	choices := make([]int, users*items)
-	for i := range choices {
-		choices[i] = Unanswered
+	n := (users + PageUsers - 1) / PageUsers
+	m := &Matrix{users: users, items: items, options: per, offsets: offsets,
+		pages: make([]*page, n), owned: make([]bool, n)}
+	for p := range m.pages {
+		cells := make([]int, min(PageUsers, users-p*PageUsers)*items)
+		for c := range cells {
+			cells[c] = Unanswered
+		}
+		m.pages[p] = &page{cells: cells}
+		m.owned[p] = true
 	}
-	return &Matrix{users: users, items: items, options: per, offsets: offsets, choices: choices}
+	return m
 }
 
 // FromChoices builds a response matrix from a users×items table of option
@@ -151,20 +195,26 @@ func (m *Matrix) Column(item, option int) int {
 }
 
 // SetAnswer records that user u chose option h for item i. Passing
-// Unanswered clears the response. A write does not discard the memoized
-// one-hot CSR: it marks row u dirty, and the next Binary() call rebuilds
-// only the touched rows.
+// Unanswered clears the response. A write to a page this matrix shares
+// with a clone copies that page first; either way it drops only the
+// written page's one-hot pattern, which the next Patterns call rebuilds.
 func (m *Matrix) SetAnswer(u, i, h int) {
 	if h != Unanswered && (h < 0 || h >= m.options[i]) {
 		panic(fmt.Sprintf("response: SetAnswer option %d out of range for item %d (k=%d)", h, i, m.options[i]))
 	}
-	m.choices[u*m.items+i] = h
-	m.binMu.Lock()
-	m.gen++
-	if m.bin != nil {
-		m.dirty = append(m.dirty, u)
+	p := u / PageUsers
+	m.mu.Lock()
+	pg := m.pages[p]
+	if m.owned[p] {
+		pg.pattern.Store(nil)
+	} else {
+		pg = &page{cells: append([]int(nil), pg.cells...)}
+		m.pages[p] = pg
+		m.owned[p] = true
 	}
-	m.binMu.Unlock()
+	pg.cells[(u-p*PageUsers)*m.items+i] = h
+	m.gen++
+	m.mu.Unlock()
 }
 
 // Generation returns a counter bumped by every SetAnswer — the unit of
@@ -172,141 +222,125 @@ func (m *Matrix) SetAnswer(u, i, h int) {
 // carry (equal generations on the same Matrix imply identical responses);
 // a Clone starts from its parent's generation.
 func (m *Matrix) Generation() uint64 {
-	m.binMu.Lock()
-	defer m.binMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.gen
 }
 
-// CSRRebuilds reports how many times Binary() assembled the memoized
-// one-hot CSR from scratch (full) and how many times it rebuilt only the
-// rows touched since the previous build (delta). Clones inherit their
-// parent's counts, so the pair is a cumulative observability signal for a
-// copy-on-write engine matrix: under sparse write traffic, full must stop
-// growing after the first build while delta tracks the write rate.
-func (m *Matrix) CSRRebuilds() (full, delta uint64) {
-	m.binMu.Lock()
-	defer m.binMu.Unlock()
-	return m.fullBuilds, m.deltaBuilds
-}
-
 // Answer returns the option user u chose for item i, or Unanswered.
-func (m *Matrix) Answer(u, i int) int { return m.choices[u*m.items+i] }
+func (m *Matrix) Answer(u, i int) int { return m.Row(u)[i] }
+
+// Row returns the choices of user u, one per item (Unanswered for none),
+// as a read-only view: callers must not modify it, and it reflects later
+// SetAnswer calls on m only until m copies the page on write. Reading a
+// whole row through it avoids one page lookup per Answer.
+func (m *Matrix) Row(u int) []int {
+	p := u / PageUsers
+	lo := (u - p*PageUsers) * m.items
+	return m.pages[p].cells[lo : lo+m.items : lo+m.items]
+}
 
 // AnswerCount returns the number of items user u answered.
 func (m *Matrix) AnswerCount(u int) int {
 	c := 0
-	for i := 0; i < m.items; i++ {
-		if m.Answer(u, i) != Unanswered {
-			c++
-		}
+	for _, h := range m.Row(u) {
+		c += answered(h)
 	}
 	return c
 }
 
-// Clone returns a deep copy of m. The memoized one-hot CSR travels with
-// the clone: the memo is immutable by construction (delta rebuilds swap,
-// never patch), so parent and clone can share it safely, and a clone taken
-// by a copy-on-write engine pays only a touched-rows rebuild on its next
-// Binary() instead of a from-scratch assembly. Pending dirty rows and the
-// generation counter travel too.
+// answered is 1 for an answer and 0 for Unanswered, without a branch:
+// rows mix the two at random, so a branch would mispredict often.
+func answered(h int) int { return 1 + h>>63 }
+
+// Clone returns a copy of m that shares every page with it, in O(pages):
+// both matrices give up ownership of the shared pages, so whichever writes
+// a page first copies it, and neither ever sees the other's writes. Page
+// patterns travel with their pages, and the clone starts at m's
+// generation.
 func (m *Matrix) Clone() *Matrix {
-	out := &Matrix{
-		users:   m.users,
-		items:   m.items,
-		options: append([]int(nil), m.options...),
-		offsets: append([]int(nil), m.offsets...),
-		choices: append([]int(nil), m.choices...),
-	}
-	m.binMu.Lock()
-	out.bin = m.bin
-	if len(m.dirty) > 0 {
-		out.dirty = append([]int(nil), m.dirty...)
-	}
+	out := &Matrix{users: m.users, items: m.items, options: m.options, offsets: m.offsets}
+	m.mu.Lock()
+	out.pages = append([]*page(nil), m.pages...)
+	out.owned = make([]bool, len(m.pages))
+	clear(m.owned)
 	out.gen = m.gen
-	out.fullBuilds, out.deltaBuilds = m.fullBuilds, m.deltaBuilds
-	m.binMu.Unlock()
+	m.mu.Unlock()
 	return out
 }
 
-// Binary returns the (m × Σkᵢ) one-hot CSR response matrix C of the paper.
-// The encoding is memoized, so repeated solves on an unchanged matrix
-// (Engine re-ranks, method comparisons) build it once; callers must treat
-// the returned CSR as read-only. After writes, only the touched user rows
-// are re-encoded — the remaining rows are bulk-copied from the previous
-// memo — and the rebuild swaps in a new CSR, so any previously returned
-// encoding stays valid and fully consistent forever.
-func (m *Matrix) Binary() *mat.CSR {
-	m.binMu.Lock()
-	defer m.binMu.Unlock()
-	if m.bin != nil && len(m.dirty) == 0 {
-		return m.bin
-	}
-	if m.bin == nil {
-		m.fullBuilds++
-		entries := make([]mat.Coord, 0, m.users*m.items)
-		for u := 0; u < m.users; u++ {
-			for i := 0; i < m.items; i++ {
-				if h := m.Answer(u, i); h != Unanswered {
-					entries = append(entries, mat.Coord{Row: u, Col: m.Column(i, h), Val: 1})
-				}
+// Patterns appends to dst the one-hot pattern of each page in row order:
+// page p's pattern is rows [p·PageUsers, p·PageUsers+rows) of the
+// (m × Σkᵢ) one-hot matrix C, over all Σkᵢ columns. Patterns dropped by a
+// write are rebuilt in O(page) and published on their page; on an
+// unchanged matrix the call only reads them. Callers must treat the
+// patterns as read-only.
+func (m *Matrix) Patterns(dst []*mat.CSR) []*mat.CSR {
+	for p, pg := range m.pages {
+		c := pg.pattern.Load()
+		if c == nil {
+			lo := p * PageUsers
+			c = m.encode(lo, lo+len(pg.cells)/m.items)
+			if !pg.pattern.CompareAndSwap(nil, c) {
+				c = pg.pattern.Load()
 			}
 		}
-		m.bin = mat.NewCSR(m.users, m.TotalOptions(), entries)
-		m.dirty = m.dirty[:0] // keep the capacity for the next write burst
-		return m.bin
+		dst = append(dst, c)
 	}
-	m.deltaBuilds++
-	rows := sortDedup(m.dirty)
-	// Item offsets grow with the item index, so emitting in item order
-	// satisfies ReplaceRows' increasing-column contract.
-	m.bin = m.bin.ReplaceRows(rows, func(u int, emit func(col int, val float64)) {
-		for i := 0; i < m.items; i++ {
-			if h := m.Answer(u, i); h != Unanswered {
-				emit(m.Column(i, h), 1)
-			}
-		}
-	})
-	m.dirty = m.dirty[:0] // keep the capacity for the next write burst
-	return m.bin
+	return dst
 }
 
-// sortDedup sorts the dirty-row list ascending and removes duplicates, in
-// place — the shape mat.ReplaceRows requires.
-func sortDedup(rows []int) []int {
-	sort.Ints(rows)
-	out := rows[:0]
-	for i, r := range rows {
-		if i == 0 || r != rows[i-1] {
-			out = append(out, r)
-		}
+// Binary returns the (m × Σkᵢ) one-hot CSR response matrix C of the paper,
+// freshly assembled from the choices in O(nnz) on each call. The solvers
+// read the per-page Patterns instead; Binary serves the methods that need
+// C whole.
+func (m *Matrix) Binary() *mat.CSR { return m.encode(0, m.users) }
+
+// encode builds the one-hot pattern of users [lo, hi): two passes over the
+// rows, the first sizing the column list exactly. The second writes every
+// cell's column and advances past it only for an answer, so it too runs
+// without a branch per cell.
+func (m *Matrix) encode(lo, hi int) *mat.CSR {
+	nnz := 0
+	for u := lo; u < hi; u++ {
+		nnz += m.AnswerCount(u)
 	}
-	return out
+	rowPtr := make([]int, hi-lo+1)
+	colIdx := make([]int, nnz+1) // one spare slot for a trailing unanswered write
+	n := 0
+	for u := lo; u < hi; u++ {
+		row := m.Row(u)
+		offsets := m.offsets[:len(row)]
+		for i, h := range row {
+			colIdx[n] = offsets[i] + h
+			n += answered(h)
+		}
+		rowPtr[u-lo+1] = n
+	}
+	return mat.NewPattern(hi-lo, m.TotalOptions(), rowPtr, colIdx[:nnz:nnz])
 }
 
 // Normalized returns the one-hot CSR encoding C together with freshly
 // built row- and column-normalized forms C_row and C_col. No solve calls
 // it: the spectral methods apply both normalizations as scale vectors
-// inside their kernels (see core.NewUpdate). Each call builds the two
-// forms from the memoized C in O(nnz); callers must treat C as read-only.
+// inside their kernels (see core.NewUpdate). Each call assembles all three
+// in O(nnz).
 func (m *Matrix) Normalized() (c, crow, ccol *mat.CSR) {
 	c = m.Binary()
 	return c, c.RowNormalized(), c.ColNormalized()
 }
 
-// PermuteUsers returns a new matrix whose user u is m's user perm[u].
+// PermuteUsers returns a new matrix whose user u is m's user perm[u], one
+// generation past m's.
 func (m *Matrix) PermuteUsers(perm []int) *Matrix {
 	if len(perm) != m.users {
 		panic("response: PermuteUsers length mismatch")
 	}
-	out := m.Clone()
+	out := New(m.users, m.items, m.options...)
 	for u, src := range perm {
-		copy(out.choices[u*m.items:(u+1)*m.items], m.choices[src*m.items:(src+1)*m.items])
+		copy(out.Row(u), m.Row(src)) // out is fresh and owns every page
 	}
-	// The rows were rewritten wholesale behind the memo's back: drop the
-	// cloned encoding and its delta state instead of marking every row
-	// dirty.
-	out.bin, out.dirty = nil, nil
-	out.gen++
+	out.gen = m.Generation() + 1
 	return out
 }
 

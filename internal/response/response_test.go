@@ -50,6 +50,10 @@ func TestNewPanicsOnBadCounts(t *testing.T) {
 		func() { New(1, 2, 2, 2, 2) },
 		func() { New(1, 1, 0) },
 		func() { New(1, 1) },
+		func() { New(1<<62, 4, 2) },          // users×items wraps to 0
+		func() { New(1<<31, 4, 2) },          // 2^33 cells
+		func() { New(4, 1, 1<<40) },          // 2^40 option columns
+		func() { New(4, 2, 1<<31, 1<<31+1) }, // Σkᵢ past 2^32
 	} {
 		func() {
 			defer func() {

@@ -186,3 +186,35 @@ func TestDurableCrashDebrisIsReused(t *testing.T) {
 		t.Fatalf("generation %d, want 1", dur.Stats.Generation)
 	}
 }
+
+// TestCreateTenantRejectsOversizedGeometry covers geometries past the
+// matrix bound (2^32 cells or option columns): users×items that wraps a
+// 64-bit int to zero, a product that fits in an int but not the bound, and
+// an option count past it. Each create must answer 400 before reserving a
+// data directory or building an engine, so no tenant exists afterwards and
+// an observe to it is a 404, not a panic.
+func TestCreateTenantRejectsOversizedGeometry(t *testing.T) {
+	dir := t.TempDir()
+	_, c := newTestServer(t, durableConfig(dir))
+	for _, req := range []serve.CreateTenantRequest{
+		{Name: "wraps", Users: 1 << 62, Items: 4, Options: []int{2}},
+		{Name: "too-many-cells", Users: 1 << 31, Items: 4, Options: []int{2}},
+		{Name: "too-many-options", Users: 4, Items: 1, Options: []int{1 << 40}},
+		{Name: "option-sum", Users: 4, Items: 2, Options: []int{1 << 31, 1<<31 + 1}},
+	} {
+		if code, body := c.post("/v1/tenants", req, nil); code != http.StatusBadRequest {
+			t.Fatalf("%s: HTTP %d (%s), want 400", req.Name, code, body)
+		}
+		if _, err := os.Stat(filepath.Join(dir, req.Name)); !os.IsNotExist(err) {
+			t.Fatalf("%s: rejected create left a data directory (stat: %v)", req.Name, err)
+		}
+		obs := serve.ObserveRequest{Tenant: req.Name, User: 0, Item: 0, Option: 0}
+		if code, body := c.post("/v1/observe", obs, nil); code != http.StatusNotFound {
+			t.Fatalf("%s: observe after rejected create: HTTP %d (%s), want 404", req.Name, code, body)
+		}
+	}
+	var list serve.ListTenantsResponse
+	if code := c.get("/v1/tenants", &list); code != http.StatusOK || len(list.Tenants) != 0 {
+		t.Fatalf("tenant list after rejected creates: HTTP %d, %d tenants", code, len(list.Tenants))
+	}
+}

@@ -24,9 +24,9 @@
 //     performs on SIGTERM before http.Server.Shutdown.
 //
 // GET /metrics exposes the serve-layer counters together with a
-// per-tenant hitsndiffs.EngineMetrics snapshot (cache hits/misses, CSR
-// rebuild counters), each taken under the owning engine's locks so the
-// scrape never races engine internals.
+// per-tenant hitsndiffs.EngineMetrics snapshot (cache hits/misses, write
+// and served generations), each taken under the owning engine's locks so
+// the scrape never races engine internals.
 package serve
 
 import (
@@ -45,6 +45,7 @@ import (
 	"hitsndiffs"
 	"hitsndiffs/internal/durable"
 	"hitsndiffs/internal/refresh"
+	"hitsndiffs/internal/response"
 	"hitsndiffs/internal/testclock"
 )
 
@@ -331,6 +332,12 @@ func (s *Server) CreateTenant(req CreateTenantRequest) (TenantInfo, error) {
 			return TenantInfo{}, &apiError{http.StatusBadRequest,
 				fmt.Sprintf("every item needs at least 2 options, got %d", k)}
 		}
+	}
+	// The matrix bound: a geometry past it would overflow or exhaust
+	// memory at the first write, or could not be recovered from its
+	// snapshot.
+	if err := response.CheckShape(req.Users, req.Items, req.Options...); err != nil {
+		return TenantInfo{}, &apiError{http.StatusBadRequest, err.Error()}
 	}
 	s.createMu.Lock()
 	defer s.createMu.Unlock()

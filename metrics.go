@@ -51,13 +51,6 @@ type EngineMetrics struct {
 	CacheHits uint64 `json:"cache_hits"`
 	// CacheMisses counts solves actually started (cache cold or stale).
 	CacheMisses uint64 `json:"cache_misses"`
-	// CSRFullRebuilds / CSRDeltaRebuilds mirror ResponseMatrix.CSRRebuilds
-	// for the engine's current matrix: from-scratch one-hot encodings vs
-	// touched-row splices. Under sparse write traffic full must stop
-	// growing after the first build.
-	CSRFullRebuilds uint64 `json:"csr_full_rebuilds"`
-	// CSRDeltaRebuilds counts touched-row CSR splices (see CSRFullRebuilds).
-	CSRDeltaRebuilds uint64 `json:"csr_delta_rebuilds"`
 	// NormFullRebuilds counted from-scratch builds of a normalized-matrix
 	// memo that solves no longer keep: they scale the one-hot encoding
 	// inside their kernels, so it always reads 0. The field and its JSON
@@ -78,8 +71,6 @@ func (m *EngineMetrics) add(o EngineMetrics) {
 	}
 	m.CacheHits += o.CacheHits
 	m.CacheMisses += o.CacheMisses
-	m.CSRFullRebuilds += o.CSRFullRebuilds
-	m.CSRDeltaRebuilds += o.CSRDeltaRebuilds
 	m.NormFullRebuilds += o.NormFullRebuilds
 	m.NormSpliceRebuilds += o.NormSpliceRebuilds
 }
