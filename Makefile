@@ -16,22 +16,22 @@ GO ?= go
 # the durable WAL append path per fsync policy (always / interval / off) —
 # the write-path overhead record — the staleness-bounded read path under
 # steady writes (StaleRank: bound=0 inline baseline vs bounded stale
-# serving), and the pooled zero-alloc warm HnD-power solve itself
-# (WarmSolveKernel).
-BENCH_PATTERN ?= Fig5aScaleUsers|Fig5bScaleQuestions|HNDPowerInnerLoop|EngineSnapshot|EngineWarmVsCold|NewCSRAssembly|ShardedObserve|ShardedRank|WarmRerankAllocs|WALAppend|StaleRank|WarmSolveKernel
+# serving), the pooled zero-alloc warm HnD-power solve itself
+# (WarmSolveKernel), and its zero-alloc orientation pass alone
+# (OrientDeciles: decile selection and group entropies on 2,000 users).
+BENCH_PATTERN ?= Fig5aScaleUsers|Fig5bScaleQuestions|HNDPowerInnerLoop|EngineSnapshot|EngineWarmVsCold|NewCSRAssembly|ShardedObserve|ShardedRank|WarmRerankAllocs|WALAppend|StaleRank|WarmSolveKernel|OrientDeciles
 BENCH_TIME ?= 1x
 BENCH_OUT ?= BENCH_pr10.json
 
-# Serving-tier benchmark: scripts/serve_bench.sh starts hndserver, drives
-# it with the hndload closed-loop generator (zipfian tenants, mixed
+# Serving-tier smoke: scripts/serve_bench.sh starts hndserver, drives it
+# with the hndload closed-loop generator (zipfian tenants, mixed
 # read/write), converts the latency/throughput lines to JSON, and asserts
-# a clean SIGTERM drain. serve-smoke is the short CI variant; it adds a
+# a clean SIGTERM drain; serve-smoke asserts non-zero throughput, adds a
 # write-burst leg under -max-staleness 16 (stale-ratio must be > 0 and the
 # bound must hold) and runs scripts/serve_crash.sh, the kill-9-and-recover
 # leg for durable mode.
-SERVE_BENCH_OUT ?= BENCH_serve6.json
 
-.PHONY: build test check bench serve-bench serve-smoke servebench-smoke handoff-smoke clean
+.PHONY: build test check bench serve-smoke servebench-smoke handoff-smoke clean
 
 build:
 	$(GO) build ./...
@@ -45,13 +45,10 @@ check:
 	$(GO) test -count=2 -race -shuffle=on ./...
 
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime $(BENCH_TIME) -timeout 30m . ./internal/mat/ ./internal/durable/ | tee bench.out
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime $(BENCH_TIME) -timeout 30m . ./internal/core/ ./internal/mat/ ./internal/durable/ | tee bench.out
 	$(GO) run ./cmd/bench2json < bench.out > $(BENCH_OUT)
 	@rm -f bench.out
 	@echo "wrote $(BENCH_OUT)"
-
-serve-bench:
-	scripts/serve_bench.sh $(SERVE_BENCH_OUT)
 
 serve-smoke:
 	DURATION=2s TENANTS=3 USERS=400 CONCURRENCY=16 scripts/serve_bench.sh serve_smoke.json

@@ -45,8 +45,8 @@
 // fenced and redirected write counts from the source's /metrics.
 //
 // Results are printed to stdout in `go test -bench` format so the
-// existing cmd/bench2json converter archives them (the serve-bench Make
-// target pipes them into BENCH_serve6.json); a human-readable summary
+// existing cmd/bench2json converter archives them (scripts/serve_bench.sh
+// pipes them into a JSON record); a human-readable summary
 // goes to stderr. The exit status is non-zero if no request succeeded,
 // which lets CI's serve-smoke job assert non-zero throughput.
 package main

@@ -8,7 +8,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"hitsndiffs/internal/mat"
 	"hitsndiffs/internal/rank"
@@ -126,126 +125,6 @@ func validateInput(m *response.Matrix) error {
 		return fmt.Errorf("core: need at least 2 users with answers, got %d", answered)
 	}
 	return nil
-}
-
-// OrientByDecileEntropy applies the paper's symmetry-breaking heuristic
-// (Section III-D): among the top and bottom user deciles of the candidate
-// ranking, the side whose chosen options have lower average entropy across
-// items is declared the high-ability side. If that is the bottom side, the
-// scores are negated. It returns the oriented scores and whether a flip
-// occurred.
-func OrientByDecileEntropy(scores mat.Vector, m *response.Matrix) (mat.Vector, bool) {
-	return orientByDecileEntropy(scores, m, nil)
-}
-
-// orientByDecileEntropy is OrientByDecileEntropy with optional pooled
-// buffers: a non-nil scratch supplies the sort indices and entropy counts,
-// and flips in place (exact negation) instead of cloning — the orientation
-// pass of a scratch-backed solve performs zero steady-state allocations.
-// The ordering and decisions are identical either way.
-func orientByDecileEntropy(scores mat.Vector, m *response.Matrix, sc *SolveScratch) (mat.Vector, bool) {
-	var order []int
-	if sc != nil && len(sc.order) >= len(scores) {
-		// Ascending stable argsort then in-place reversal — the exact
-		// permutation rank.OrderFromScores produces.
-		order = scores.ArgSortInto(sc.order[:len(scores)], sc.sortBuf[:len(scores)])
-		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-			order[i], order[j] = order[j], order[i]
-		}
-	} else {
-		order = rank.OrderFromScores(scores) // best-first under current sign
-	}
-	d := len(order) / 10
-	if d < 1 {
-		d = 1
-	}
-	top := order[:d]
-	bottom := order[len(order)-d:]
-	var buf []int
-	if sc != nil {
-		if cap(sc.counts) < m.TotalOptions() {
-			sc.counts = make([]int, m.TotalOptions())
-		}
-		buf = sc.counts[:m.TotalOptions()]
-	} else {
-		buf = make([]int, m.TotalOptions())
-	}
-	te, be := groupEntropy(m, top, buf), groupEntropy(m, bottom, buf)
-	flip := func() (mat.Vector, bool) {
-		if sc != nil {
-			return scores.Scale(-1), true
-		}
-		return scores.Clone().Scale(-1), true
-	}
-	if math.Abs(te-be) < 1e-12 {
-		// Entropy cannot discriminate (e.g. single-user deciles on
-		// noise-free data). Fall back to agreement with the per-item
-		// majority: abler users side with the plurality more often.
-		ta, ba := majorityAgreement(m, top), majorityAgreement(m, bottom)
-		if ta >= ba {
-			return scores, false
-		}
-		return flip()
-	}
-	if te < be {
-		return scores, false
-	}
-	return flip()
-}
-
-// majorityAgreement returns the fraction of the group's answers that match
-// the per-item plurality option over all users.
-func majorityAgreement(m *response.Matrix, users []int) float64 {
-	var agree, total float64
-	for i := 0; i < m.Items(); i++ {
-		counts := m.OptionCounts(i)
-		best := 0
-		for h, c := range counts {
-			if c > counts[best] {
-				best = h
-			}
-		}
-		for _, u := range users {
-			if h := m.Answer(u, i); h != response.Unanswered {
-				total++
-				if h == best {
-					agree++
-				}
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return agree / total
-}
-
-// groupEntropy returns the average Shannon entropy over items of the option
-// distribution chosen by the given users. It reads each user's row once,
-// counting every chosen option into a caller-supplied buffer of one count
-// per column of the one-hot encoding (Σkᵢ, keeping the per-rank
-// orientation pass allocation-free), then adds the item entropies in item
-// order: the counts and the additions are those of an item-by-item scan,
-// so the result is bitwise the same.
-func groupEntropy(m *response.Matrix, users []int, counts []int) float64 {
-	clear(counts)
-	for _, u := range users {
-		col := 0 // first column of item i
-		for i, h := range m.Row(u) {
-			if h != response.Unanswered {
-				counts[col+h]++
-			}
-			col += m.OptionCount(i)
-		}
-	}
-	var total float64
-	col := 0
-	for i := 0; i < m.Items(); i++ {
-		k := m.OptionCount(i)
-		total += rank.Entropy(counts[col : col+k])
-		col += k
-	}
-	return total / float64(m.Items())
 }
 
 // convergenceGap returns the sign-insensitive L2 distance between two unit

@@ -3,9 +3,10 @@ package core
 import "hitsndiffs/internal/mat"
 
 // SolveScratch owns every buffer an HnD-power solve needs: the four
-// iteration vectors, an apply workspace and the orientation index buffers.
-// Binding one via Options.Scratch makes a warm re-rank allocation-free in
-// steady state; the engines keep a pool of these.
+// iteration vectors, an apply workspace, the user indices orientation
+// selects its two deciles in, and orientation's option counts. Binding one
+// via Options.Scratch makes a warm re-rank allocation-free in steady state;
+// the engines keep a pool of these.
 //
 // A SolveScratch must not be shared by concurrent solves. When Options.
 // Scratch is set, Result.Scores may alias scratch memory: the caller must
@@ -15,12 +16,13 @@ import "hitsndiffs/internal/mat"
 type SolveScratch struct {
 	sdiff, s, us, next mat.Vector
 	ws                 Workspace
-	order, sortBuf     []int
-	counts             []int // orientation's option counts, one per column (Σkᵢ)
+	order              []int // user indices, the two deciles selected in place
+	counts             []int // orientation's option counts: a spare slot, then one per column (Σkᵢ+1)
 }
 
-// bind sizes every buffer for u and points the workspace at it. Buffers keep
-// their capacity across matrices of shrinking size; every entry is fully
+// bind sizes the iteration buffers for u and points the workspace at it;
+// orientation sizes its own two buffers when it runs. Buffers keep their
+// capacity across matrices of shrinking size; every entry is fully
 // overwritten before its first read, so stale contents are harmless.
 func (sc *SolveScratch) bind(u *Update) {
 	users := u.Users()
@@ -30,8 +32,6 @@ func (sc *SolveScratch) bind(u *Update) {
 	sc.next = resizeVec(sc.next, users-1)
 	sc.ws.u = u
 	sc.ws.opt = resizeVec(sc.ws.opt, len(u.ColScale))
-	sc.order = resizeInts(sc.order, users)
-	sc.sortBuf = resizeInts(sc.sortBuf, users)
 }
 
 func resizeVec(v mat.Vector, n int) mat.Vector {

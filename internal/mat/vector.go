@@ -265,36 +265,13 @@ func (v Vector) ArgSort() []int {
 	return idx
 }
 
-// ArgSortInto is ArgSort with caller-provided buffers: idx receives the
-// permutation and buf is merge scratch; both must have length len(v). The
-// ordering is identical to ArgSort (same stable merge), and the call
-// performs no allocations — the variant the pooled orientation pass of a
-// scratch-backed HnD-power solve uses.
-func (v Vector) ArgSortInto(idx, buf []int) []int {
-	if len(idx) != len(v) || len(buf) != len(v) {
-		panic(fmt.Sprintf("mat: ArgSortInto buffer length mismatch %d/%d vs %d", len(idx), len(buf), len(v)))
-	}
-	for i := range idx {
-		idx[i] = i
-	}
-	stableSortByValueBuf(idx, buf, v)
-	return idx
-}
-
+// stableSortByValue is a bottom-up stable merge sort of idx by v.
 func stableSortByValue(idx []int, v Vector) {
-	if len(idx) < 2 {
-		return
-	}
-	stableSortByValueBuf(idx, make([]int, len(idx)), v)
-}
-
-// stableSortByValueBuf is the bottom-up stable merge sort shared by ArgSort
-// and ArgSortInto; buf must have the same length as idx.
-func stableSortByValueBuf(idx, buf []int, v Vector) {
 	n := len(idx)
 	if n < 2 {
 		return
 	}
+	buf := make([]int, n)
 	for width := 1; width < n; width *= 2 {
 		for lo := 0; lo < n; lo += 2 * width {
 			mid := lo + width

@@ -212,49 +212,6 @@ func TestEqualDifferentLengths(t *testing.T) {
 	}
 }
 
-func TestArgSortIntoMatchesArgSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(40)
-		v := NewVector(n)
-		for i := range v {
-			// Coarse values force ties so stability is exercised.
-			v[i] = float64(rng.Intn(5))
-		}
-		want := v.ArgSort()
-		idx := make([]int, n)
-		buf := make([]int, n)
-		got := v.ArgSortInto(idx, buf)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: length %d vs %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: ArgSortInto = %v, ArgSort = %v", trial, got, want)
-			}
-		}
-	}
-}
-
-func TestArgSortIntoNoAllocs(t *testing.T) {
-	v := Vector{3, 1, 2, 1, 5, 0, 4}
-	idx := make([]int, len(v))
-	buf := make([]int, len(v))
-	allocs := testing.AllocsPerRun(50, func() { v.ArgSortInto(idx, buf) })
-	if allocs != 0 {
-		t.Fatalf("ArgSortInto allocated %v times per run, want 0", allocs)
-	}
-}
-
-func TestArgSortIntoBadBuffers(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ArgSortInto with short buffers must panic")
-		}
-	}()
-	(Vector{1, 2, 3}).ArgSortInto(make([]int, 2), make([]int, 3))
-}
-
 // TestFusedVectorKernels pins the fused AXPY/scale/dot helpers against
 // their unfused equivalents.
 func TestFusedVectorKernels(t *testing.T) {

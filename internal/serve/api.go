@@ -92,10 +92,12 @@ type RankRequest struct {
 	Tenant string `json:"tenant"`
 }
 
-// RankResponse carries one tenant's ranking. Scores are encoded as JSON
-// float64s, which round-trip bitwise (encoding/json emits the shortest
-// representation that decodes back to the same value) — the property the
-// golden equivalence tests pin.
+// RankResponse carries one tenant's ranking. The rank handlers encode it
+// directly into a pooled buffer, byte for byte as encoding/json would:
+// each score is the shortest decimal that decodes back to the same
+// float64, so scores round-trip bitwise — the property the golden
+// equivalence tests pin. A NaN or infinite score has no JSON form and
+// answers 500.
 type RankResponse struct {
 	// Tenant echoes the ranked tenant's name (set in batch responses).
 	Tenant string `json:"tenant,omitempty"`

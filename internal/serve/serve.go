@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -640,7 +641,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, solveError(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, rankResponse("", res, version, coalesced))
+	s.writeRanks(w, []RankResponse{rankResponse("", res, version, coalesced)}, false)
 }
 
 func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
@@ -662,7 +663,7 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		ts[i] = t
 	}
-	resp := RankBatchResponse{Results: make([]RankResponse, len(ts))}
+	results := make([]RankResponse, len(ts))
 	errs := make([]error, len(ts))
 	var wg sync.WaitGroup
 	for i, t := range ts {
@@ -674,7 +675,7 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 				errs[i] = err
 				return
 			}
-			resp.Results[i] = rankResponse(t.name, res, version, coalesced)
+			results[i] = rankResponse(t.name, res, version, coalesced)
 		}(i, t)
 	}
 	wg.Wait()
@@ -684,7 +685,7 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeRanks(w, results, true)
 }
 
 func (s *Server) handleInferLabels(w http.ResponseWriter, r *http.Request) {
@@ -738,12 +739,20 @@ func solveError(err error) error {
 	return &apiError{http.StatusUnprocessableEntity, err.Error()}
 }
 
-// decode parses a JSON request body strictly (unknown fields rejected, so
-// client typos surface as 400s instead of silent zero values).
+// decode parses a JSON request body strictly: unknown fields are rejected,
+// so client typos surface as 400s instead of silent zero values, and only
+// whitespace may follow the value, so a second request concatenated onto
+// the first is refused instead of silently dropped.
 func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
 		return &apiError{http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err)}
 	}
 	return nil

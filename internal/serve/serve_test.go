@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -65,6 +67,22 @@ func (c *testClient) post(path string, body, out any) (int, string) {
 		}
 	}
 	return resp.StatusCode, string(raw)
+}
+
+// postRaw sends body verbatim and returns the status, the response body
+// and its headers.
+func (c *testClient) postRaw(path, body string) (int, string, http.Header) {
+	c.t.Helper()
+	resp, err := c.http.Post(c.base+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return resp.StatusCode, string(raw), resp.Header
 }
 
 // get fetches path and decodes the JSON response into out.
@@ -496,6 +514,99 @@ func TestRankBatchHTTP(t *testing.T) {
 	}
 	if code, _ := c.post("/v1/rankbatch", serve.RankBatchRequest{Tenants: []string{"a", "nope"}}, nil); code != http.StatusNotFound {
 		t.Fatalf("rankbatch with unknown tenant: HTTP %d, want 404", code)
+	}
+}
+
+// TestRankBodiesMatchEncodingJSON checks the /v1/rank and /v1/rankbatch
+// bodies byte for byte against encoding/json's encoding of the response
+// they decode to — the response the handler encoded, since every score
+// round-trips — and that each carries a matching Content-Length.
+func TestRankBodiesMatchEncodingJSON(t *testing.T) {
+	_, c := newTestServer(t, serve.Config{RankOptions: []hitsndiffs.Option{hitsndiffs.WithSeed(5)}})
+	names := []string{"a", "<b&c> \u2028"}
+	for i, name := range names {
+		cfg := irt.DefaultConfig(irt.ModelSamejima)
+		cfg.Users, cfg.Items, cfg.Seed = 40+25*i, 12, int64(51+i)
+		d, err := irt.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.mustCreate(name, cfg.Users, cfg.Items, cfg.Options)
+		c.mustObserve(name, observationsOf(d.Responses))
+	}
+	check := func(path string, req, resp any) {
+		t.Helper()
+		reqBody, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body, hdr := c.postRaw(path, string(reqBody))
+		if code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", path, code, body)
+		}
+		if err := json.Unmarshal([]byte(body), resp); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		if body != want.String() {
+			t.Fatalf("%s body differs from encoding/json:\n got %s\nwant %s", path, body, want.String())
+		}
+		if cl := hdr.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+			t.Fatalf("%s: Content-Length %q for a %d-byte body", path, cl, len(body))
+		}
+	}
+	for _, name := range names {
+		check("/v1/rank", serve.RankRequest{Tenant: name}, &serve.RankResponse{})
+	}
+	check("/v1/rankbatch", serve.RankBatchRequest{Tenants: names}, &serve.RankBatchResponse{})
+}
+
+// TestRequestBodiesRejectTrailingData posts to every POST /v1 endpoint a
+// request that decodes on its own, followed by trailing junk, by a second
+// object or by itself again: each answers 400 "bad request body", and the
+// rejected writes leave the tenant's generation and the tenant list as
+// they were. The same requests followed only by whitespace decode.
+func TestRequestBodiesRejectTrailingData(t *testing.T) {
+	_, c := newTestServer(t, serve.Config{})
+	c.mustCreate("t0", 10, 5, 3)
+	c.mustObserve("t0", []serve.Observation{{User: 0, Item: 0, Option: 1}, {User: 1, Item: 1, Option: 2}, {User: 2, Item: 0, Option: 0}})
+	before := c.tenantEngine("t0")
+	requests := []struct{ path, body string }{
+		{"/v1/tenants", `{"name":"t1","users":4,"items":2,"options":[2]}`},
+		{"/v1/observe", `{"tenant":"t0","user":3,"item":1,"option":2}`},
+		{"/v1/observebatch", `{"tenant":"t0","observations":[{"user":3,"item":1,"option":2}]}`},
+		{"/v1/rank", `{"tenant":"t0"}`},
+		{"/v1/rankbatch", `{"tenants":["t0"]}`},
+		{"/v1/inferlabels", `{"tenant":"t0"}`},
+		{"/v1/admin/handoff", `{"tenant":"t0","shard":0,"action":"status"}`},
+		{"/v1/admin/partition", `{"tenant":"t0"}`},
+	}
+	for _, r := range requests {
+		for _, tail := range []string{" trailing junk", `{"tenant":"nope"}`, "\n" + r.body, "}", "]"} {
+			code, body, _ := c.postRaw(r.path, r.body+tail)
+			if code != http.StatusBadRequest || !strings.Contains(body, "bad request body") {
+				t.Fatalf("%s with %q after the request: HTTP %d %s, want 400 bad request body", r.path, tail, code, body)
+			}
+		}
+	}
+	if after := c.tenantEngine("t0"); after.Generation != before.Generation || after.Version != before.Version {
+		t.Fatalf("rejected writes moved t0: generation %d → %d, version %d → %d",
+			before.Generation, after.Generation, before.Version, after.Version)
+	}
+	var list serve.ListTenantsResponse
+	if code := c.get("/v1/tenants", &list); code != http.StatusOK || len(list.Tenants) != 1 {
+		t.Fatalf("rejected create: HTTP %d, tenants %+v", code, list.Tenants)
+	}
+	for _, r := range requests {
+		if code, body, _ := c.postRaw(r.path, r.body+" \n\t"); strings.Contains(body, "bad request body") {
+			t.Fatalf("%s followed by whitespace: HTTP %d %s", r.path, code, body)
+		}
+	}
+	if after := c.tenantEngine("t0"); after.Generation != before.Generation+2 {
+		t.Fatalf("accepted observe and observebatch: generation %d → %d, want +2", before.Generation, after.Generation)
 	}
 }
 

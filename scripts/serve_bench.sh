@@ -1,21 +1,21 @@
 #!/usr/bin/env bash
 # serve_bench.sh — end-to-end serving-tier benchmark: start hndserver,
 # drive it with the hndload closed-loop generator, convert the emitted
-# go-bench lines to the tracked JSON baseline, and verify the server
-# drains cleanly on SIGTERM.
+# go-bench lines to JSON, and verify the server drains cleanly on SIGTERM.
+# `make serve-smoke` runs it in CI; the serving benchmark whose numbers
+# are compared across changes is servebench (see BENCHMARK.json).
 #
 # Usage: scripts/serve_bench.sh [out.json]
 #
 # Tunables (env): SHARDS (4), TENANTS (6), USERS (1200), DURATION (5s),
 # CONCURRENCY (32), READRATIO (0.9), MAX_STALENESS (0),
-# ADDR (127.0.0.1:8791). The defaults are the committed-baseline
-# workload: a 4-shard server under mixed read/write traffic across
-# zipfian-sized tenants. With MAX_STALENESS > 0 the server serves
+# ADDR (127.0.0.1:8791). The defaults are a 4-shard server under mixed
+# read/write traffic across zipfian-sized tenants. With MAX_STALENESS > 0 the server serves
 # staleness-bounded ranks refreshed in the background, and hndload
 # asserts the bound is never exceeded (it exits non-zero on violation).
 set -euo pipefail
 
-OUT="${1:-BENCH_serve6.json}"
+OUT="${1:-serve_bench.json}"
 SHARDS="${SHARDS:-4}"
 TENANTS="${TENANTS:-6}"
 USERS="${USERS:-1200}"
