@@ -514,7 +514,7 @@ func BenchmarkShardedObserve(b *testing.B) {
 // BenchmarkShardedRank measures steady-state re-rank latency across shard
 // counts: each op is one single-user write followed by a full cluster Rank.
 // Only the written user's shard re-solves (warm-started, 1/N of the users);
-// the other shards answer from their version-keyed caches, so re-rank
+// the other shards answer from their generation-keyed caches, so re-rank
 // latency drops as shards are added.
 func BenchmarkShardedRank(b *testing.B) {
 	m := shardedBenchMatrix(b, 1000, 100)
@@ -645,7 +645,7 @@ func BenchmarkEngineSnapshot(b *testing.B) {
 	if _, err := eng.Rank(ctx); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := eng.InferLabels(ctx); err != nil {
+	if _, _, err := eng.InferLabels(ctx); err != nil {
 		b.Fatal(err)
 	}
 
@@ -676,7 +676,7 @@ func BenchmarkEngineSnapshot(b *testing.B) {
 	b.Run("infer-labels-cached", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.InferLabels(ctx); err != nil {
+			if _, _, err := eng.InferLabels(ctx); err != nil {
 				b.Fatal(err)
 			}
 		}

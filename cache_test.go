@@ -132,17 +132,17 @@ func TestUpdateCacheGoldenEquivalence(t *testing.T) {
 // TestWarmRerankAvoidsFullNormalizationRebuild pins the solve input the
 // engine draws every solve from: no solve builds a normalized copy of it
 // (the kernels apply the row and column scales themselves), and concurrent
-// cache misses on one version share the snapshot's page patterns — the
+// cache misses on one generation share the snapshot's page patterns — the
 // written page's pattern is published once and every other page keeps the
 // pattern built before the write. The warm sequential case is
 // TestObserveRankAvoidsFullCSRRebuild.
 func TestWarmRerankAvoidsFullNormalizationRebuild(t *testing.T) {
 	ctx := context.Background()
 
-	// Every rank of one version solves on the same snapshot, so however
-	// many of them miss the result cache at once, they all read its pages:
-	// the first to finish building the written page's pattern publishes
-	// it, and the untouched page is never rebuilt.
+	// Every rank of one generation reads the same snapshot — however many
+	// of them miss the result cache at once, they share one solve of it:
+	// the written page's pattern is built and published once, and the
+	// untouched page is never rebuilt.
 	t.Run("concurrent-misses", func(t *testing.T) {
 		const rankers = 8
 		eng, err := NewEngine(engineWorkload(t, 120, 60, 9), WithRankOptions(WithSeed(4)))
@@ -157,7 +157,7 @@ func TestWarmRerankAvoidsFullNormalizationRebuild(t *testing.T) {
 		if err := eng.Observe(7, 3, 0); err != nil { // page 0 of 2
 			t.Fatal(err)
 		}
-		view, version := eng.View()
+		view, gen := eng.View()
 		missesBefore := eng.Metrics().CacheMisses
 		start := make(chan struct{})
 		errs := make(chan error, rankers)
@@ -178,8 +178,8 @@ func TestWarmRerankAvoidsFullNormalizationRebuild(t *testing.T) {
 		for err := range errs {
 			t.Fatal(err)
 		}
-		if v := eng.Version(); v != version {
-			t.Fatalf("version moved from %d to %d without a write", version, v)
+		if g := eng.Generation(); g != gen {
+			t.Fatalf("generation moved from %d to %d without a write", gen, g)
 		}
 		pages, again := view.Patterns(nil), view.Patterns(nil)
 		if pages[0] == oldPages[0] || pages[0] != again[0] {
@@ -361,7 +361,7 @@ func TestUpdateCacheConcurrentStress(t *testing.T) {
 		})
 	}
 	run(func(i int) error { // label inference shares the cache machinery
-		_, err := eng.InferLabels(ctx)
+		_, _, err := eng.InferLabels(ctx)
 		return err
 	})
 	viewerDone := make(chan struct{})

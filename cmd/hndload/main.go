@@ -583,8 +583,9 @@ func percentile(sorted []time.Duration, q float64) time.Duration {
 func report(bench, human io.Writer, st *stats, duration time.Duration, before, after serve.Snapshot) {
 	secs := duration.Seconds()
 	coalesced := after.RankCoalesced - before.RankCoalesced
-	// Actual solves are the engines' cache misses; flight leaders that hit
-	// a version-keyed engine cache never solve.
+	// Actual solves are the engines' cache misses; ranks that hit a
+	// generation-keyed engine cache, or coalesce onto another's solve,
+	// never solve.
 	var solves, hits uint64
 	misses := func(snap serve.Snapshot) (m, h uint64) {
 		for _, t := range snap.Tenants {

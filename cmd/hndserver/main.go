@@ -27,11 +27,11 @@
 //	GET  /metrics          serve + engine counter snapshot
 //	GET  /healthz          200 "ok" serving / 503 "draining"
 //
-// Concurrent ranks of one tenant at one write version coalesce into a
-// single solve. Writes are admission-controlled: -maxwrites bounds
-// in-flight writes per tenant and -maxlag bounds how far a tenant's write
-// version may outrun its last served rank; both reject with 429 +
-// Retry-After.
+// Concurrent ranks, refreshes and label inferences of one tenant at one
+// write generation share a single solve. Writes are admission-controlled:
+// -maxwrites bounds in-flight writes per tenant and -maxlag bounds how many
+// answers a tenant's write generation may run ahead of its last served
+// rank; both reject with 429 + Retry-After.
 //
 // With -max-staleness N ranks serve the last solved scores while a
 // tenant's matrix is at most N write generations ahead — decoupling reads
@@ -94,7 +94,7 @@ func main() {
 	maxIter := flag.Int("maxiter", 20000, "iteration budget for iterative methods")
 	seed := flag.Int64("seed", 0, "random seed for the spectral starting vector")
 	maxWrites := flag.Int("maxwrites", 64, "max in-flight writes per tenant before 429 (0 = unbounded)")
-	maxLag := flag.Int("maxlag", 0, "max write versions a tenant may outrun its last served rank before writes 429 (0 = unbounded)")
+	maxLag := flag.Int("maxlag", 0, "max write generations (answers) a tenant may run ahead of its last served rank before writes 429 (0 = unbounded)")
 	maxTenants := flag.Int("maxtenants", serve.DefaultMaxTenants, "max hosted tenants")
 	maxStaleness := flag.Uint64("max-staleness", 0, "max write generations a served rank may trail the matrix, refreshed in the background (0 = every rank exact)")
 	refreshInterval := flag.Duration("refresh-interval", 0, "background refresh round cadence under -max-staleness (0 = default 25ms)")

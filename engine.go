@@ -27,8 +27,11 @@ import (
 //     (O(pages)), and each page it then writes is copied once; a matrix no
 //     reader holds — one whose solves have finished and that no View
 //     handed out — is mutated in place.
-//   - Results are cached keyed by a matrix version counter that every
-//     Observe bumps; repeated Rank calls between updates are O(m).
+//   - Results are cached keyed by the matrix write generation, which every
+//     observation advances; repeated Rank calls between updates are O(m).
+//     Concurrent misses on one matrix — from Rank, Refresh or InferLabels
+//     alike — share a single solve, and a solve installs its result only
+//     while the engine still holds the matrix it read.
 //   - Re-ranks warm-start the power iteration from the previous score
 //     vector, so steady-state convergence takes a fraction of the
 //     cold-start iterations (see BenchmarkEngineWarmVsCold).
@@ -49,16 +52,18 @@ type Engine struct {
 	scratchPool sync.Pool
 
 	// cacheHits / cacheMisses feed Metrics: requests served from the
-	// version-keyed result cache vs solves actually started. Atomics so
+	// generation-keyed result cache vs solves actually started. Atomics so
 	// the read path (rank's RLock section) can bump them without upgrading
 	// to the write lock.
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
 
 	// staleServes counts results served behind the write frontier under a
-	// WithMaxStaleness bound; servedGen is the monotone watermark of the
-	// highest generation the matrix was served at (CAS-max, so concurrent
-	// ranks finishing out of order never move it backwards).
+	// WithMaxStaleness bound; servedGen is the watermark of the highest
+	// generation the matrix was served at (CAS-max, so concurrent ranks
+	// finishing out of order never move it backwards). It starts at the
+	// generation the matrix was built, restored or adopted at: answers the
+	// engine started with owe no rank.
 	staleServes atomic.Uint64
 	servedGen   atomic.Uint64
 
@@ -82,20 +87,37 @@ type Engine struct {
 	m          *ResponseMatrix
 	shared     atomic.Bool
 	solving    atomic.Int64
-	version    uint64
-	lastScores []float64
+	lastScores []float64 // the latest solve's scores, read-only
 	cached     *engineCache
+	// restoreGen is the matrix generation at construction or at the last
+	// Restore: Restore refuses an engine whose matrix has moved past it.
+	restoreGen uint64
+
+	// flight is the solve in progress, if any. It is set under mu
+	// read-locked with flightMu held and cleared under mu write-locked, so
+	// a reader holding mu sees it consistent with cached.
+	flightMu sync.Mutex
+	flight   *flight
 }
 
-// engineCache holds the results computed for one matrix version, together
-// with the matrix write generation they were solved at — the key staleness
-// is measured against when a WithMaxStaleness bound lets the entry outlive
-// its version.
+// engineCache holds the result solved at res.Generation — exact while the
+// matrix is still at that generation, stale (servable under a
+// WithMaxStaleness bound) once writes move it on.
 type engineCache struct {
-	version uint64
-	gen     uint64
-	res     Result
-	labels  []int // nil until InferLabels fills it
+	res    Result
+	labels []int // nil until InferLabels fills it
+}
+
+// flight is one solve in progress. Concurrent misses on the matrix m wait
+// for it instead of solving again; done closes once res and err are
+// final, and after that they are read-only: every caller copies the
+// scores out.
+type flight struct {
+	m    *ResponseMatrix
+	warm []float64
+	done chan struct{}
+	res  Result
+	err  error
 }
 
 // casMax raises a to at least v (monotone watermark update; concurrent
@@ -180,12 +202,16 @@ func NewEngine(m *ResponseMatrix, opts ...EngineOption) (*Engine, error) {
 	if _, ok := Describe(s.method); !ok {
 		return nil, fmt.Errorf("hitsndiffs: NewEngine: unknown method %q (known: %v)", s.method, MethodNames())
 	}
-	return &Engine{
-		method:   s.method,
-		base:     s.base,
-		maxStale: s.maxStale,
-		m:        m.Clone(),
-	}, nil
+	clone := m.Clone()
+	e := &Engine{
+		method:     s.method,
+		base:       s.base,
+		maxStale:   s.maxStale,
+		m:          clone,
+		restoreGen: clone.Generation(),
+	}
+	e.servedGen.Store(e.restoreGen)
+	return e, nil
 }
 
 // Users returns the number of users the engine tracks.
@@ -202,20 +228,11 @@ func (e *Engine) Items() int {
 	return e.m.Items()
 }
 
-// Version returns the matrix version counter: it starts at zero and every
-// successful Observe / ObserveBatch increments it once. Cached results are
-// keyed by it.
-func (e *Engine) Version() uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.version
-}
-
 // Generation returns the matrix's write-generation counter — one tick per
-// observation ever applied (ResponseMatrix.Generation), the unit the
-// WithMaxStaleness bound is measured in. Unlike Version, which ticks once
-// per Observe/ObserveBatch call, it also survives restarts through the
-// durable log.
+// observation ever applied (ResponseMatrix.Generation). It is the engine's
+// only write counter: results are cached under it, the WithMaxStaleness
+// bound is measured in it, and it survives restarts through the durable
+// log.
 func (e *Engine) Generation() uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -240,26 +257,38 @@ func (e *Engine) Snapshot() *ResponseMatrix {
 }
 
 // View returns the current response matrix as a copy-on-write snapshot in
-// O(1), together with the version it corresponds to. The returned matrix is
+// O(1), together with its write generation. The returned matrix is
 // immutable by contract: the engine clones its internal state before the
 // next write, so the view stays consistent forever, but callers must not
 // mutate it. It is the zero-copy read path behind Rank and InferLabels.
 func (e *Engine) View() (*ResponseMatrix, uint64) {
 	e.mu.RLock()
-	m, version := e.m, e.version
+	m, gen := e.held()
 	e.shared.Store(true)
 	e.mu.RUnlock()
-	return m, version
+	return m, gen
+}
+
+// held returns the current matrix and its generation without marking it
+// shared: the caller compares the pointer but never reads through it.
+// Caller holds mu.
+func (e *Engine) held() (*ResponseMatrix, uint64) { return e.m, e.m.Generation() }
+
+// holds reports whether the engine still serves m at generation gen: no
+// write, Adopt or Restore has happened since a result was taken from it.
+func (e *Engine) holds(m *ResponseMatrix, gen uint64) bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	cur, g := e.held()
+	return cur == m && g == gen
 }
 
 // answeredAtLeast reports whether at least n users currently have one or
-// more recorded answers. It scans under the read lock without taking a
-// snapshot, so — unlike View — it never marks the matrix shared and never
-// triggers a copy-on-write clone on the next write. The sharded router
-// uses it to detect shards too sparse to rank.
+// more recorded answers. It scans without taking a snapshot, so — unlike
+// View — it never marks the matrix shared and never triggers a
+// copy-on-write clone on the next write. The sharded router uses it to
+// detect shards too sparse to rank. Caller holds mu.
 func (e *Engine) answeredAtLeast(n int) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	count := 0
 	for u := 0; u < e.m.Users() && count < n; u++ {
 		if e.m.AnswerCount(u) > 0 {
@@ -327,9 +356,10 @@ func (e *Engine) Fenced() bool { return e.fenced.Load() }
 // Adopt replaces the engine's matrix with state imported from another
 // process — the commit step of a shard handoff on the receiving side.
 // Unlike Restore it is legal on an engine that already absorbed writes:
-// the version counter bumps so every cached result keyed to the old
-// matrix invalidates, and the write-generation counter continues from the
-// adopted matrix. Geometry must match. The matrix is cloned copy-on-write; the
+// the cached result and warm start are dropped, a solve still in flight on
+// the old matrix no longer installs its result, and the write-generation
+// counter and served watermark continue from the adopted matrix — whose
+// generation may equal the old one's. Geometry must match. The matrix is cloned copy-on-write; the
 // caller's copy stays independent.
 func (e *Engine) Adopt(m *ResponseMatrix) error {
 	if m == nil {
@@ -348,9 +378,9 @@ func (e *Engine) Adopt(m *ResponseMatrix) error {
 		}
 	}
 	e.m = m.Clone()
+	e.servedGen.Store(e.m.Generation())
 	e.shared.Store(false)
 	e.solving.Store(0)
-	e.version++
 	e.cached = nil
 	e.lastScores = nil
 	return nil
@@ -358,7 +388,7 @@ func (e *Engine) Adopt(m *ResponseMatrix) error {
 
 // Restore replaces the engine's matrix with recovered state, preserving
 // the matrix's write-generation counter (the key durability is stamped
-// with). It refuses geometry mismatches and engines that already absorbed
+// with), where the served watermark starts too. It refuses geometry mismatches and engines that already absorbed
 // writes — recovery happens at startup, before traffic. The matrix is
 // cloned copy-on-write; the caller's copy stays independent.
 func (e *Engine) Restore(m *ResponseMatrix) error {
@@ -367,8 +397,8 @@ func (e *Engine) Restore(m *ResponseMatrix) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.version != 0 {
-		return fmt.Errorf("hitsndiffs: Restore on an engine that already absorbed %d writes", e.version)
+	if e.m.Generation() != e.restoreGen {
+		return fmt.Errorf("hitsndiffs: Restore on an engine that already absorbed writes")
 	}
 	if m.Users() != e.m.Users() || m.Items() != e.m.Items() {
 		return fmt.Errorf("hitsndiffs: Restore matrix is %dx%d, engine serves %dx%d",
@@ -381,6 +411,8 @@ func (e *Engine) Restore(m *ResponseMatrix) error {
 		}
 	}
 	e.m = m.Clone()
+	e.restoreGen = e.m.Generation()
+	e.servedGen.Store(e.restoreGen)
 	e.shared.Store(false)
 	e.solving.Store(0)
 	e.cached = nil
@@ -406,16 +438,16 @@ func validateObservation(o Observation, users, items int, optionCount func(int) 
 }
 
 // Observe records that user picked option of item, replacing any earlier
-// answer; pass Unanswered to retract one. It bumps the version counter,
-// invalidating cached results.
+// answer; pass Unanswered to retract one. It advances the write
+// generation by one, so cached results stop being exact.
 func (e *Engine) Observe(user, item, option int) error {
 	return e.ObserveBatch([]Observation{{User: user, Item: item, Option: option}})
 }
 
-// ObserveBatch records several responses under one lock acquisition and a
-// single version bump — the cheap way to absorb a burst of traffic. The
-// batch is validated before anything is applied, so an out-of-range
-// observation leaves the matrix untouched.
+// ObserveBatch records several responses under one lock acquisition — the
+// cheap way to absorb a burst of traffic; the write generation advances
+// once per observation. The batch is validated before anything is
+// applied, so an out-of-range observation leaves the matrix untouched.
 func (e *Engine) ObserveBatch(obs []Observation) error {
 	if len(obs) == 0 {
 		return nil
@@ -462,10 +494,8 @@ func (e *Engine) observeBatchLocked(obs []Observation) error {
 	for _, o := range obs {
 		e.m.SetAnswer(o.User, o.Item, o.Option)
 	}
-	e.version++
-	// The cached result is now behind the write frontier but is kept: its
-	// version key no longer matches (so exact paths miss, same as the old
-	// e.cached = nil), while a WithMaxStaleness bound may still serve it as
+	// The cached result is now behind the write frontier but is kept: exact
+	// paths miss it, while a WithMaxStaleness bound may still serve it as
 	// the last solved scores.
 	return nil
 }
@@ -476,95 +506,140 @@ func (e *Engine) observeBatchLocked(obs []Observation) error {
 // WithMaxStaleness bound lets the previous scores keep serving, in which
 // case the result returns immediately tagged with its Generation and
 // Staleness and a refresher (see Refresh) re-solves in the background.
-// Rank honors ctx cancellation and deadlines mid-iteration. The returned
-// Result owns its score slice; callers may mutate it freely.
+// Concurrent misses on one matrix share a single solve; Result.Coalesced
+// reports a result that rode another call's solve. Rank honors ctx
+// cancellation and deadlines mid-iteration, and a caller whose ctx ends
+// leaves the shared solve running for the others. The returned Result
+// owns its score slice; callers may mutate it freely.
 func (e *Engine) Rank(ctx context.Context) (Result, error) {
-	res, _, _, err := e.rank(ctx, false, false)
+	res, _, err := e.rank(ctx, false, false)
 	return res, err
 }
 
 // Refresh ranks with the staleness bound ignored: it re-solves (or
-// confirms, when the version-keyed cache is already exact) the current
-// matrix, pushing the served watermark to the write frontier. It is the
-// path the background refresh scheduler (internal/refresh) drives; under a
-// zero bound it is identical to Rank.
+// confirms, when the cache is already exact) the current matrix, pushing
+// the served watermark to the write frontier. It is the path the
+// background refresh scheduler (internal/refresh) drives, and it shares
+// solves with concurrent Rank and InferLabels calls; under a zero bound it
+// is identical to Rank.
 func (e *Engine) Refresh(ctx context.Context) (Result, error) {
-	res, _, _, err := e.rank(ctx, false, true)
+	res, _, err := e.rank(ctx, false, true)
 	return res, err
 }
 
-// rank is the shared solve path behind Rank, Refresh and InferLabels. It
-// returns the result (with caller-owned scores), the matrix version the
-// scores correspond to, and — when needSnapshot is set — the exact
-// copy-on-write view they were computed from, so label inference never
-// mixes scores of one version with responses of another; needSnapshot
-// therefore also forces exactness, as does exact (the Refresh entry). No
-// path through rank copies the matrix: snapshots are O(1) COW views.
-func (e *Engine) rank(ctx context.Context, needSnapshot, exact bool) (Result, uint64, *ResponseMatrix, error) {
-	e.mu.RLock()
-	if c := e.cached; c != nil {
-		fresh := c.version == e.version
-		stale := uint64(0)
-		if !fresh && !exact && !needSnapshot && e.maxStale > 0 {
-			stale = e.m.Generation() - c.gen
+// rank is the shared solve path behind Rank, Refresh, InferLabels and the
+// sharded router. It serves the cache — exact only, when exact is set —
+// or else joins the solve in flight on the current matrix, starting one
+// if there is none. It returns the result with caller-owned scores and,
+// for an exact result, the matrix they were solved from. With
+// needSnapshot set the caller may read that matrix afterwards, so it is
+// marked shared before the solve ends; otherwise the pointer is for
+// comparison only. No path through rank copies the matrix: snapshots are
+// O(1) COW views.
+func (e *Engine) rank(ctx context.Context, needSnapshot, exact bool) (Result, *ResponseMatrix, error) {
+	for {
+		e.mu.RLock()
+		if needSnapshot {
+			e.shared.Store(true)
 		}
-		if fresh || (stale > 0 && stale <= e.maxStale) {
-			res := c.res
-			res.Scores = append([]float64(nil), c.res.Scores...)
-			res.Generation = c.gen
-			res.Staleness = stale
-			var snapshot *ResponseMatrix
-			if needSnapshot {
-				snapshot = e.m
-				e.shared.Store(true)
-			}
-			version := c.version
+		if res, ok := e.cachedLocked(exact); ok {
+			m := e.m
 			e.mu.RUnlock()
-			e.cacheHits.Add(1)
-			if stale > 0 {
-				e.staleServes.Add(1)
-			}
-			casMax(&e.servedGen, c.gen)
-			return res, version, snapshot, nil
+			return res, m, nil
 		}
+		f, lead := e.joinFlight()
+		e.mu.RUnlock()
+		if lead {
+			e.fly(ctx, f)
+		} else {
+			select {
+			case <-f.done:
+			case <-ctx.Done():
+				return Result{}, nil, ctx.Err()
+			}
+		}
+		if err := f.err; err != nil {
+			// The leader's own context ended: its waiters solve again.
+			if !lead && ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+				continue
+			}
+			return Result{}, nil, err
+		}
+		res := f.res
+		res.Scores = append(mat.Vector(nil), f.res.Scores...)
+		res.Coalesced = !lead
+		return res, f.m, nil
 	}
-	e.cacheMisses.Add(1)
-	version := e.version
-	snapshot := e.m
-	if needSnapshot {
-		e.shared.Store(true) // the caller reads the snapshot after the solve
-	} else {
-		e.solving.Add(1)
-		defer e.doneSolving(snapshot)
-	}
-	var warmScores []float64
-	if len(e.lastScores) == snapshot.Users() {
-		warmScores = e.lastScores // copied by WithWarmStart below
-	}
-	e.mu.RUnlock()
-
-	res, err := e.solve(ctx, snapshot, warmScores)
-	if err != nil {
-		return Result{}, 0, nil, err
-	}
-	res.Generation = snapshot.Generation()
-	res.Staleness = 0
-	// storeSolved copies the scores into the warm-start and cache state, so
-	// the returned slice stays exclusively the caller's.
-	e.storeSolved(version, res)
-	return res, version, snapshot, nil
 }
 
-// doneSolving ends a solve's hold on the snapshot it read: once no solve
-// reads the engine's current matrix and no View handed it out, the next
-// write mutates it in place. A snapshot a write has since replaced is no
-// longer counted.
-func (e *Engine) doneSolving(snapshot *ResponseMatrix) {
-	e.mu.RLock()
-	if e.m == snapshot {
-		e.solving.Add(-1)
+// cachedLocked serves a copy of the cached result if it is exact or —
+// unless exact is set — if the WithMaxStaleness bound still covers it.
+// Caller holds mu.
+func (e *Engine) cachedLocked(exact bool) (Result, bool) {
+	c := e.cached
+	if c == nil {
+		return Result{}, false
 	}
-	e.mu.RUnlock()
+	stale := e.m.Generation() - c.res.Generation
+	if stale > 0 && (exact || stale > e.maxStale) {
+		return Result{}, false
+	}
+	res := c.res
+	res.Scores = append(mat.Vector(nil), c.res.Scores...)
+	res.Staleness = stale
+	e.cacheHits.Add(1)
+	if stale > 0 {
+		e.staleServes.Add(1)
+	}
+	casMax(&e.servedGen, res.Generation)
+	return res, true
+}
+
+// joinFlight returns the solve in flight on the current matrix, or starts
+// one that the caller leads (lead true). Caller holds mu read-locked.
+func (e *Engine) joinFlight() (f *flight, lead bool) {
+	e.flightMu.Lock()
+	defer e.flightMu.Unlock()
+	if f := e.flight; f != nil && f.m == e.m {
+		return f, false
+	}
+	f = &flight{m: e.m, done: make(chan struct{})}
+	if len(e.lastScores) == e.m.Users() {
+		f.warm = e.lastScores // copied by WithWarmStart in solve
+	}
+	e.flight = f
+	e.solving.Add(1) // a write while the solve reads f.m clones it first
+	e.cacheMisses.Add(1)
+	return f, true
+}
+
+// fly runs the flight f that the caller leads. Its scores become the next
+// warm start, and they are cached only while the engine still holds the
+// matrix they were solved from: a write during the solve has cloned the
+// matrix, and Adopt or Restore has replaced it, so the pointer alone says
+// whether anything changed.
+func (e *Engine) fly(ctx context.Context, f *flight) {
+	res, err := e.solve(ctx, f.m, f.warm)
+	e.mu.Lock()
+	if e.flight == f {
+		e.flight = nil
+	}
+	if e.m == f.m {
+		e.solving.Add(-1) // the next write may mutate the matrix in place again
+	}
+	if err == nil {
+		res.Generation = f.m.Generation()
+		e.lastScores = res.Scores
+		if e.m == f.m {
+			e.cached = &engineCache{res: res}
+		}
+	}
+	e.mu.Unlock()
+	if err == nil {
+		casMax(&e.servedGen, res.Generation)
+	}
+	f.res, f.err = res, err
+	close(f.done)
 }
 
 // solve runs one solve of the snapshot m with the engine's method and base
@@ -609,23 +684,6 @@ func (e *Engine) solve(ctx context.Context, m *ResponseMatrix, warm []float64) (
 // core.SolveScratch buffers.
 const hndPowerMethod = "HnD-power"
 
-// storeSolved installs a solved ranking for the matrix version it was
-// solved at (res.Generation carries the matching write generation): the
-// scores become the next warm start, and the result is cached unless the
-// engine has been written since. Both copy the scores, so res.Scores stays
-// the caller's.
-func (e *Engine) storeSolved(version uint64, res Result) {
-	e.mu.Lock()
-	e.lastScores = append([]float64(nil), res.Scores...)
-	if e.version == version {
-		cres := res
-		cres.Scores = append(mat.Vector(nil), res.Scores...)
-		e.cached = &engineCache{version: version, gen: res.Generation, res: cres}
-	}
-	e.mu.Unlock()
-	casMax(&e.servedGen, res.Generation)
-}
-
 // scratchGet borrows pooled solve buffers; scratchPut returns them. The
 // buffers grow to the engine's matrix once and are reused by every
 // subsequent solve on this engine.
@@ -641,32 +699,33 @@ func (e *Engine) scratchPut(sc *core.SolveScratch) { e.scratchPool.Put(sc) }
 // InferLabels serves the truth-discovery direction: it ranks (or reuses
 // the cached ranking) and estimates each item's correct option by
 // score-weighted voting over the same matrix snapshot the scores came
-// from. Labels are cached alongside the ranking under the same version
-// key.
-func (e *Engine) InferLabels(ctx context.Context) ([]int, error) {
+// from. It returns the labels with the write generation they were
+// inferred at. Labels are cached alongside the ranking; like Rank, a
+// solve it needs is shared with concurrent callers.
+func (e *Engine) InferLabels(ctx context.Context) ([]int, uint64, error) {
 	e.mu.RLock()
-	if c := e.cached; c != nil && c.version == e.version && c.labels != nil {
-		out := append([]int(nil), c.labels...)
+	if c := e.cached; c != nil && c.labels != nil && c.res.Generation == e.m.Generation() {
+		out, gen := append([]int(nil), c.labels...), c.res.Generation
 		e.mu.RUnlock()
 		e.cacheHits.Add(1)
-		return out, nil
+		return out, gen, nil
 	}
 	e.mu.RUnlock()
 
-	res, version, snapshot, err := e.rank(ctx, true, true)
+	res, snapshot, err := e.rank(ctx, true, true)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	labels, err := truth.InferLabels(snapshot, res.Scores)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	e.mu.Lock()
-	if c := e.cached; c != nil && c.version == version {
+	if c := e.cached; c != nil && e.m == snapshot && c.res.Generation == res.Generation {
 		c.labels = append([]int(nil), labels...)
 	}
 	e.mu.Unlock()
-	return labels, nil
+	return labels, res.Generation, nil
 }
 
 // Metrics returns a consistent point-in-time snapshot of the engine's
@@ -680,7 +739,6 @@ func (e *Engine) Metrics() EngineMetrics {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return EngineMetrics{
-		Version:          e.version,
 		Generation:       e.m.Generation(),
 		ServedGeneration: e.servedGen.Load(),
 		StaleServes:      e.staleServes.Load(),

@@ -260,18 +260,23 @@ func TestWarmSolveGoldenEquivalence(t *testing.T) {
 	}
 }
 
-func TestEngineCachesPerVersion(t *testing.T) {
+func TestEngineCachesPerGeneration(t *testing.T) {
 	m := engineWorkload(t, 80, 50, 13)
 	eng, err := NewEngine(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := eng.Version(); v != 0 {
-		t.Fatalf("fresh engine version = %d", v)
+	gen := eng.Generation()
+	if gen != m.Generation() || eng.Metrics().ServedGeneration != gen {
+		t.Fatalf("fresh engine generation %d served %d, want both at the matrix's %d",
+			gen, eng.Metrics().ServedGeneration, m.Generation())
 	}
 	first, err := eng.Rank(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if first.Generation != gen {
+		t.Fatalf("first rank solved at generation %d, want %d", first.Generation, gen)
 	}
 	// A cached read must not be affected by the caller mutating the
 	// returned scores.
@@ -283,11 +288,22 @@ func TestEngineCachesPerVersion(t *testing.T) {
 	if second.Scores[0] == 12345 {
 		t.Fatal("cache shares score slice with caller")
 	}
+	if got := eng.Metrics(); got.CacheHits != 1 || got.CacheMisses != 1 {
+		t.Fatalf("two ranks at one generation: %d hits %d misses, want 1/1", got.CacheHits, got.CacheMisses)
+	}
 	if err := eng.Observe(0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if v := eng.Version(); v != 1 {
-		t.Fatalf("version after Observe = %d", v)
+	if g := eng.Generation(); g != gen+1 {
+		t.Fatalf("generation after Observe = %d, want %d", g, gen+1)
+	}
+	third, err := eng.Rank(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third.Generation != gen+1 || eng.Metrics().CacheMisses != 2 {
+		t.Fatalf("rank after Observe: generation %d, %d misses; want a solve at %d",
+			third.Generation, eng.Metrics().CacheMisses, gen+1)
 	}
 }
 
@@ -307,8 +323,8 @@ func TestEngineObserveValidation(t *testing.T) {
 			t.Fatalf("Observe(%+v) should fail", c)
 		}
 	}
-	if v := eng.Version(); v != 0 {
-		t.Fatalf("failed observes must not bump version, got %d", v)
+	if g := eng.Generation(); g != 0 {
+		t.Fatalf("failed observes must not advance the generation, got %d", g)
 	}
 	// A batch with one bad entry is rejected atomically.
 	batch := []Observation{{User: 0, Item: 0, Option: 1}, {User: 1, Item: 5, Option: 0}}
@@ -397,21 +413,27 @@ func TestEngineInferLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels, err := eng.InferLabels(context.Background())
+	labels, gen, err := eng.InferLabels(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(labels) != 2 || labels[0] != 0 || labels[1] != 0 {
 		t.Fatalf("labels = %v", labels)
 	}
+	if gen != m.Generation() {
+		t.Fatalf("labels inferred at generation %d, want %d", gen, m.Generation())
+	}
 	// Cached path returns an independent slice.
 	labels[0] = 99
-	again, err := eng.InferLabels(context.Background())
+	again, againGen, err := eng.InferLabels(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again[0] == 99 {
 		t.Fatal("label cache shares slice with caller")
+	}
+	if againGen != gen {
+		t.Fatalf("cached labels report generation %d, want %d", againGen, gen)
 	}
 }
 
@@ -459,7 +481,7 @@ func TestEngineConcurrentObserveAndRank(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			if _, err := eng.InferLabels(ctx); err != nil {
+			if _, _, err := eng.InferLabels(ctx); err != nil {
 				errs <- err
 				return
 			}
@@ -481,7 +503,7 @@ func TestEngineConcurrentObserveAndRank(t *testing.T) {
 }
 
 // TestEngineViewCopyOnWrite pins the snapshot semantics: a View is O(1),
-// stays frozen at its version while Observes land, and back-to-back
+// stays frozen at its generation while Observes land, and back-to-back
 // Observes without an intervening snapshot mutate in place (no clone).
 func TestEngineViewCopyOnWrite(t *testing.T) {
 	m := engineWorkload(t, 30, 20, 9)
@@ -489,9 +511,9 @@ func TestEngineViewCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, version := eng.View()
-	if version != 0 {
-		t.Fatalf("fresh engine version = %d", version)
+	view, gen := eng.View()
+	if gen != m.Generation() {
+		t.Fatalf("fresh engine view at generation %d, want %d", gen, m.Generation())
 	}
 	before := view.Answer(1, 1)
 	next := (before + 1 + view.OptionCount(1)) % view.OptionCount(1)
@@ -501,9 +523,9 @@ func TestEngineViewCopyOnWrite(t *testing.T) {
 	if got := view.Answer(1, 1); got != before {
 		t.Fatalf("view mutated by Observe: answer %d -> %d", before, got)
 	}
-	view2, version2 := eng.View()
-	if version2 != 1 {
-		t.Fatalf("version after Observe = %d, want 1", version2)
+	view2, gen2 := eng.View()
+	if gen2 != gen+1 {
+		t.Fatalf("view generation after Observe = %d, want %d", gen2, gen+1)
 	}
 	if view2 == view {
 		t.Fatal("post-Observe view aliases the frozen snapshot")
@@ -545,7 +567,7 @@ func TestEngineRankDoesNotCloneMatrix(t *testing.T) {
 			if _, err := eng.Rank(ctx); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := eng.InferLabels(ctx); err != nil {
+			if _, _, err := eng.InferLabels(ctx); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -592,14 +614,16 @@ func TestWritesAfterSolvesGoInPlace(t *testing.T) {
 		t.Fatal("a write after a finished solve cloned the matrix")
 	}
 
-	eng.solving.Add(1) // a solve still reading the matrix
+	eng.mu.RLock()
+	f, _ := eng.joinFlight() // a solve now reads the matrix
+	eng.mu.RUnlock()
 	held := current()
 	answer := held.Answer(8, 3)
 	flip(8)
 	if current() == held || held.Answer(8, 3) != answer {
 		t.Fatal("a write during a solve did not leave the solve's matrix untouched")
 	}
-	eng.doneSolving(held) // the solve ends on a matrix a write replaced
+	eng.fly(ctx, f) // the solve ends on a matrix a write replaced
 	if n := eng.solving.Load(); n != 0 {
 		t.Fatalf("solving = %d after the clone, want 0", n)
 	}

@@ -93,8 +93,8 @@ func ExampleNew() {
 	// Output: [0 1 2 3]
 }
 
-// Take an O(1) copy-on-write snapshot: the view stays frozen at its
-// version while writers move the engine on.
+// Take an O(1) copy-on-write snapshot: the view stays frozen at its write
+// generation while writers move the engine on.
 func ExampleEngine_View() {
 	m := hitsndiffs.FromChoices([][]int{
 		{0, 0, 0},
@@ -107,20 +107,20 @@ func ExampleEngine_View() {
 		panic(err)
 	}
 
-	view, version := eng.View() // O(1): no copy until someone writes
+	view, gen := eng.View() // O(1): no copy until someone writes
 
 	// The engine clones before applying the next write, so the view is
 	// immutable — it still sees user 3's original answer afterwards.
 	if err := eng.Observe(3, 0, 0); err != nil {
 		panic(err)
 	}
-	fmt.Println("view:", view.Answer(3, 0), "at version", version)
+	fmt.Println("view:", view.Answer(3, 0), "at generation", gen)
 
 	current, now := eng.View()
-	fmt.Println("live:", current.Answer(3, 0), "at version", now)
+	fmt.Println("live:", current.Answer(3, 0), "at generation", now)
 	// Output:
-	// view: 1 at version 0
-	// live: 0 at version 1
+	// view: 1 at generation 12
+	// live: 0 at generation 13
 }
 
 // Scale horizontally: hash users across independent engine shards, absorb a
@@ -144,7 +144,7 @@ func ExampleShardedEngine() {
 	fmt.Println("shards:", eng.Shards(), "users:", eng.Users())
 
 	// One batch, validated up front, split by owning shard, applied with
-	// one lock acquisition and one version bump per touched shard.
+	// one lock acquisition per touched shard.
 	err = eng.ObserveBatch([]hitsndiffs.Observation{
 		{User: 4, Item: 0, Option: 0},
 		{User: 5, Item: 0, Option: 0},
@@ -216,7 +216,7 @@ func ExampleEngine() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(res.Order(), "version", eng.Version())
+	fmt.Println(res.Order(), "generation", res.Generation)
 
 	// User 3 corrects their first answer; the next Rank re-ranks
 	// warm-started from the previous scores.
@@ -227,8 +227,8 @@ func ExampleEngine() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(res.Order(), "version", eng.Version())
+	fmt.Println(res.Order(), "generation", res.Generation)
 	// Output:
-	// [0 1 2 3] version 0
-	// [0 1 2 3] version 1
+	// [0 1 2 3] generation 12
+	// [0 1 2 3] generation 13
 }

@@ -6,7 +6,7 @@
 // behaviours in order:
 //
 //  1. Request coalescing — concurrent ranks of one tenant at one write
-//     version share a single engine solve (verified via /metrics).
+//     generation share a single engine solve (verified via /metrics).
 //  2. Admission control — a write flood outrunning rank refresh is pushed
 //     back with 429 + Retry-After instead of growing an unbounded queue.
 //  3. Graceful drain — after shutdown begins, /healthz flips to 503
@@ -50,8 +50,8 @@ func post(url string, in, out any) (int, error) {
 
 func main() {
 	// The serving tier hndserver wraps, embedded on an ephemeral port.
-	// MaxLag=4 keeps the backpressure demo small: a tenant's write version
-	// may run at most 4 ahead of its last served rank.
+	// MaxLag=4 keeps the backpressure demo small: a tenant's write
+	// generation may run at most 4 answers ahead of its last served rank.
 	srv, err := serve.New(serve.Config{
 		RankOptions: []hitsndiffs.Option{hitsndiffs.WithSeed(7)},
 		MaxLag:      4,
@@ -89,13 +89,14 @@ func main() {
 			}
 		}
 	}
-	if code, err := post(base+"/v1/observebatch", serve.ObserveBatchRequest{Tenant: "midterm", Observations: obs}, nil); err != nil || code != http.StatusOK {
+	var applied serve.ObserveResponse
+	if code, err := post(base+"/v1/observebatch", serve.ObserveBatchRequest{Tenant: "midterm", Observations: obs}, &applied); err != nil || code != http.StatusOK {
 		log.Fatalf("observebatch: %d %v", code, err)
 	}
-	fmt.Printf("tenant midterm: %d observations ingested in one batch (write version 1)\n\n", len(obs))
+	fmt.Printf("tenant midterm: %d observations ingested in one batch (write generation %d)\n\n", len(obs), applied.Generation)
 
 	// 1. Coalescing: eight clients ask for the ranking at once. They all
-	// arrive at write version 1, so the flight group runs one solve and
+	// arrive at one write generation, so the engine runs one solve and
 	// every response shares it — /metrics proves the engine solved once.
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
@@ -115,8 +116,9 @@ func main() {
 		8-int(snap.Tenants[0].Engine.CacheMisses)-int(snap.RankCoalesced))
 
 	// 2. Backpressure: stream single-answer revisions without ranking.
-	// Each write bumps the version; once it runs MaxLag=4 ahead of the
-	// last served rank the server answers 429 until a rank catches up.
+	// Each write advances the generation by one answer; once it runs
+	// MaxLag=4 ahead of the last served rank the server answers 429 until a
+	// rank catches up.
 	admitted, rejected := 0, 0
 	for w := 0; w < 8; w++ {
 		code, err := post(base+"/v1/observe", serve.ObserveRequest{Tenant: "midterm", User: w, Item: 0, Option: 1}, nil)

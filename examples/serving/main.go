@@ -4,7 +4,7 @@
 // and inferred answer keys.
 //
 // The example simulates a burst-y arrival process and shows the three
-// engine economies: version-cached reads between updates, warm-started
+// engine economies: generation-cached reads between updates, warm-started
 // re-ranks after updates (a fraction of the cold-start iterations), and
 // context deadlines bounding tail latency.
 //
@@ -55,10 +55,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("cold start: ranked %d users in %d iterations (version %d)\n",
-		eng.Users(), cold.Iterations, eng.Version())
+	fmt.Printf("cold start: ranked %d users in %d iterations (generation %d)\n",
+		eng.Users(), cold.Iterations, cold.Generation)
 
-	// Reads between updates are served from the version-keyed cache.
+	// Reads between updates are served from the generation-keyed cache.
 	start := time.Now()
 	for i := 0; i < 1000; i++ {
 		if _, err := eng.Rank(ctx); err != nil {
@@ -68,7 +68,7 @@ func main() {
 	fmt.Printf("1000 cached reads in %v\n", time.Since(start).Round(time.Microsecond))
 
 	// The second half of the traffic arrives in bursts; each burst is one
-	// ObserveBatch (one lock acquisition, one version bump) and the next
+	// ObserveBatch (one lock acquisition) and the next
 	// read re-ranks warm-started from the previous scores.
 	var warmIters, bursts int
 	for i := cfg.Items / 2; i < cfg.Items; i += 5 {
@@ -105,7 +105,7 @@ func main() {
 		hitsndiffs.Spearman(final.Scores, d.Abilities))
 
 	// The same engine serves the truth-discovery direction.
-	labels, err := eng.InferLabels(ctx)
+	labels, _, err := eng.InferLabels(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,7 +11,7 @@
 //     the whole matrix.
 //  2. Single-user write + full re-rank — only the written user's shard
 //     re-solves (warm-started); the other shards answer from their
-//     version-keyed caches.
+//     generation-keyed caches.
 //
 // It also shows tenant-key routing with ShardForKey and the degenerate
 // single-shard configuration, which behaves exactly like a plain Engine.

@@ -31,7 +31,7 @@
 // options (WithTol, WithMaxIter, WithSeed, ...) and can be resolved by name
 // through the registry (New, MethodNames, Describe). For online serving —
 // responses streaming in while rankings are read concurrently — use Engine,
-// which caches results per matrix version and warm-starts re-ranks; for
+// which caches results per write generation and warm-starts re-ranks; for
 // horizontal scaling, ShardedEngine hashes users across independent engine
 // shards and merges their rankings. See docs/ARCHITECTURE.md for the layer
 // map and the copy-on-write and in-place shard-solve protocols.

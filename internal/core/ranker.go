@@ -38,6 +38,10 @@ type Result struct {
 	// bound let the engine answer from a previous solve. Always ≤ the
 	// configured bound.
 	Staleness uint64
+	// Coalesced reports that the serving engine answered from a solve
+	// another concurrent call started, instead of a solve or cache hit of
+	// its own. Direct Ranker.Rank calls leave it false.
+	Coalesced bool
 }
 
 // Order returns user indices best-first.

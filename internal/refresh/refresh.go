@@ -37,8 +37,11 @@ import (
 const DefaultInterval = 25 * time.Millisecond
 
 // Target is one refreshable serving engine. Both *hitsndiffs.Engine and
-// *hitsndiffs.ShardedEngine satisfy it; the serving tier registers
-// wrappers that also advance its admission watermark (see Completer).
+// *hitsndiffs.ShardedEngine satisfy it, and the serving tier registers its
+// tenants' engines directly: a refresh raises the engine's own served
+// watermark (EngineMetrics.ServedGeneration), which is what the tier's
+// write admission reads, and it shares its solve with any client rank of
+// the same matrix.
 type Target interface {
 	// Generation returns the target's current write frontier in matrix
 	// write generations — the unit staleness is measured in.
@@ -46,16 +49,6 @@ type Target interface {
 	// Refresh re-solves the target to its write frontier, ignoring any
 	// staleness bound (hitsndiffs.Engine.Refresh semantics).
 	Refresh(ctx context.Context) (hitsndiffs.Result, error)
-}
-
-// Completer is an optional Target refinement: after every successful
-// scheduler-driven refresh, RefreshDone is called with the refreshed
-// result from the scheduling goroutine. The serving tier uses it to ride
-// its admission refresh-lag watermark on the scheduler's progress. It is
-// never called for a failed or canceled refresh, so a poisoned solve
-// cannot advance a watermark.
-type Completer interface {
-	RefreshDone(res hitsndiffs.Result)
 }
 
 // Config configures a Scheduler. The zero value runs on the system clock
@@ -250,9 +243,6 @@ func (s *Scheduler) runRound(ctx context.Context) {
 			tg.lastGen = res.Generation
 		}
 		s.refreshes.Add(1)
-		if c, ok := tg.t.(Completer); ok {
-			c.RefreshDone(res)
-		}
 	}
 
 	elapsed := s.clock.Now().Sub(start).Nanoseconds()

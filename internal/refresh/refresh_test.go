@@ -28,14 +28,6 @@ func (f *fakeTarget) Refresh(ctx context.Context) (hitsndiffs.Result, error) {
 	return hitsndiffs.Result{Generation: f.gen.Load()}, nil
 }
 
-// completerTarget additionally records RefreshDone calls.
-type completerTarget struct {
-	fakeTarget
-	done []hitsndiffs.Result
-}
-
-func (c *completerTarget) RefreshDone(res hitsndiffs.Result) { c.done = append(c.done, res) }
-
 // testEngine builds a small solvable engine with every user answering.
 func testEngine(t *testing.T, seed int64, opts ...hitsndiffs.EngineOption) *hitsndiffs.Engine {
 	t.Helper()
@@ -188,8 +180,10 @@ func TestFailedRefreshKeepsWatermark(t *testing.T) {
 }
 
 // TestCanceledContextNeverPoisonsWatermark drives a real engine through a
-// round under a canceled context: the refresh fails and the watermark
-// stays put — then a live context refreshes it for real.
+// round under a canceled context: the refresh fails, and neither the
+// scheduler's watermark nor the engine's served generation (the one the
+// serving tier's write admission reads) moves — then a live context
+// refreshes it for real.
 func TestCanceledContextNeverPoisonsWatermark(t *testing.T) {
 	s, _ := newTestSched(t, Config{})
 	eng := testEngine(t, 4)
@@ -204,6 +198,9 @@ func TestCanceledContextNeverPoisonsWatermark(t *testing.T) {
 	if tg.lastGen != 0 {
 		t.Fatalf("canceled round advanced watermark to %d", tg.lastGen)
 	}
+	if served := eng.Metrics().ServedGeneration; served != 0 {
+		t.Fatalf("canceled round advanced the engine's served generation to %d", served)
+	}
 	m := s.Metrics()
 	if m.Errors != 1 || m.Refreshes != 0 {
 		t.Fatalf("errors=%d refreshes=%d, want 1/0", m.Errors, m.Refreshes)
@@ -212,6 +209,9 @@ func TestCanceledContextNeverPoisonsWatermark(t *testing.T) {
 	s.runRound(context.Background())
 	if tg.lastGen != eng.Generation() {
 		t.Fatalf("watermark = %d, want %d", tg.lastGen, eng.Generation())
+	}
+	if served := eng.Metrics().ServedGeneration; served != eng.Generation() {
+		t.Fatalf("engine served generation = %d after refresh, want %d", served, eng.Generation())
 	}
 	res, err := eng.Rank(context.Background())
 	if err != nil {
@@ -249,34 +249,6 @@ func TestPackedRoundRefreshesEngines(t *testing.T) {
 	}
 	if _, depth := s.plan(); depth != 0 {
 		t.Fatalf("refreshed engines still stale: depth %d", depth)
-	}
-}
-
-// TestRefreshDoneOnSuccessOnly checks the Completer hook fires exactly
-// once per successful refresh and never for a failure.
-func TestRefreshDoneOnSuccessOnly(t *testing.T) {
-	s, _ := newTestSched(t, Config{})
-	boom := errors.New("boom")
-	c := &completerTarget{}
-	c.gen.Store(7)
-	fail := atomic.Bool{}
-	fail.Store(true)
-	c.refresh = func(ctx context.Context) (hitsndiffs.Result, error) {
-		if fail.Load() {
-			return hitsndiffs.Result{}, boom
-		}
-		return hitsndiffs.Result{Generation: 7, Iterations: 3}, nil
-	}
-	s.Register("c", c)
-
-	s.runRound(context.Background())
-	if len(c.done) != 0 {
-		t.Fatalf("RefreshDone fired %d times for a failed refresh", len(c.done))
-	}
-	fail.Store(false)
-	s.runRound(context.Background())
-	if len(c.done) != 1 || c.done[0].Generation != 7 {
-		t.Fatalf("RefreshDone calls = %+v, want one at generation 7", c.done)
 	}
 }
 

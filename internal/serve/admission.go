@@ -23,12 +23,13 @@ var (
 //     slow engine surfaces as 429 backpressure instead of unbounded
 //     goroutine pileup).
 //   - Refresh lag: when maxLag > 0, a write is rejected while the tenant's
-//     version has run maxLag or more ahead of the last version a rank was
-//     served at. Writes bump the version and ranks chase it; without the
-//     bound, a pure-write flood makes every subsequent rank pay an
-//     ever-growing delta splice. The bound converts that into client
-//     backpressure until a rank (any reader's, or the writer's own) catches
-//     the version up.
+//     write generation has run maxLag or more answers ahead of the highest
+//     generation a rank was served at (the engine's ServedGeneration).
+//     Writes advance the generation and ranks chase it; without the bound,
+//     a pure-write flood makes every subsequent rank re-solve an
+//     ever-larger change. The bound converts that into client backpressure
+//     until a rank (any reader's, the writer's own, or a background
+//     refresh) catches the watermark up.
 //
 // The zero value admits everything; build with newAdmission.
 type admission struct {
@@ -49,14 +50,17 @@ func newAdmission(maxInflight int, maxLag int) admission {
 	return a
 }
 
-// acquire admits one write, given the tenant's current version and the
-// last version a rank was served at. On success the caller must release();
-// on failure it returns one of the sentinel rejections, wrapped with the
-// live numbers for the client error body.
-func (a *admission) acquire(version, served uint64) (release func(), err error) {
-	if a.maxLag > 0 && version >= served && version-served >= a.maxLag {
-		return nil, fmt.Errorf("%w: version %d is %d writes ahead of last served rank %d (max %d); rank the tenant to catch up",
-			errRefreshLagging, version, version-served, served, a.maxLag)
+// acquire admits one write. lag reports the tenant's write generation and
+// served generation; it is called only when the lag bound is on. On
+// success the caller must release(); on failure it returns one of the
+// sentinel rejections, wrapped with the live numbers for the client error
+// body.
+func (a *admission) acquire(lag func() (gen, served uint64)) (release func(), err error) {
+	if a.maxLag > 0 {
+		if gen, served := lag(); gen >= served && gen-served >= a.maxLag {
+			return nil, fmt.Errorf("%w: generation %d is %d answers ahead of the last served rank at %d (max %d); rank the tenant to catch up",
+				errRefreshLagging, gen, gen-served, served, a.maxLag)
+		}
 	}
 	if a.slots == nil {
 		return func() {}, nil

@@ -1,31 +1,39 @@
 package serve
 
 import (
-	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
-
-	"hitsndiffs"
-	"hitsndiffs/internal/mat"
 )
+
+// lagOf returns an admission lag reader reporting fixed numbers.
+func lagOf(gen, served uint64) func() (uint64, uint64) {
+	return func() (uint64, uint64) { return gen, served }
+}
+
+// noLag is a lag reader for admissions without a lag bound: they must
+// never read the tenant's watermarks.
+func noLag(t *testing.T) func() (uint64, uint64) {
+	return func() (uint64, uint64) {
+		t.Fatal("admission read the watermarks with the lag bound off")
+		return 0, 0
+	}
+}
 
 func TestAdmissionInflightBound(t *testing.T) {
 	a := newAdmission(2, 0)
-	r1, err := a.acquire(5, 0)
+	r1, err := a.acquire(noLag(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := a.acquire(5, 0)
+	r2, err := a.acquire(noLag(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.acquire(5, 0); !errors.Is(err, errWritesSaturated) {
+	if _, err := a.acquire(noLag(t)); !errors.Is(err, errWritesSaturated) {
 		t.Fatalf("third acquire: %v, want errWritesSaturated", err)
 	}
 	r1()
-	r3, err := a.acquire(5, 0)
+	r3, err := a.acquire(noLag(t))
 	if err != nil {
 		t.Fatalf("acquire after release: %v", err)
 	}
@@ -36,19 +44,19 @@ func TestAdmissionInflightBound(t *testing.T) {
 func TestAdmissionRefreshLagBound(t *testing.T) {
 	a := newAdmission(0, 3)
 	for _, tc := range []struct {
-		version, served uint64
-		wantReject      bool
+		gen, served uint64
+		wantReject  bool
 	}{
 		{1, 1, false}, // lag 0
 		{3, 1, false}, // lag 2, under bound
 		{4, 1, true},  // lag 3, at bound
 		{9, 1, true},  // lag 8, beyond bound
 		{4, 4, false}, // rank caught up
-		{2, 5, false}, // served ahead (stale read of version): admit
+		{2, 5, false}, // served ahead (an adopted matrix behind the watermark): admit
 	} {
-		release, err := a.acquire(tc.version, tc.served)
+		release, err := a.acquire(lagOf(tc.gen, tc.served))
 		if got := errors.Is(err, errRefreshLagging); got != tc.wantReject {
-			t.Errorf("acquire(version=%d, served=%d): err=%v, want reject=%v", tc.version, tc.served, err, tc.wantReject)
+			t.Errorf("acquire(gen=%d, served=%d): err=%v, want reject=%v", tc.gen, tc.served, err, tc.wantReject)
 		}
 		if release != nil {
 			release()
@@ -59,97 +67,10 @@ func TestAdmissionRefreshLagBound(t *testing.T) {
 func TestAdmissionZeroValueAdmitsEverything(t *testing.T) {
 	var a admission
 	for i := 0; i < 100; i++ {
-		release, err := a.acquire(uint64(1000+i), 0)
+		release, err := a.acquire(noLag(t))
 		if err != nil {
 			t.Fatal(err)
 		}
 		release()
-	}
-}
-
-func TestFlightGroupCoalesces(t *testing.T) {
-	var g flightGroup
-	const followers = 8
-	var (
-		calls   atomic.Int64
-		once    sync.Once
-		entered = make(chan struct{})
-		finish  = make(chan struct{})
-		wg      sync.WaitGroup
-		leaders atomic.Int64
-	)
-	want := hitsndiffs.Result{Scores: mat.Vector{1, 2, 3}, Iterations: 7, Converged: true}
-	key := flightKey{tenant: "t", version: 4}
-	fn := func() (hitsndiffs.Result, error) {
-		calls.Add(1)
-		once.Do(func() { close(entered) })
-		<-finish
-		return want, nil
-	}
-	run := func() {
-		defer wg.Done()
-		res, coalesced, err := g.do(context.Background(), key, fn)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if !coalesced {
-			leaders.Add(1)
-		}
-		for i, s := range want.Scores {
-			if res.Scores[i] != s {
-				t.Errorf("score %d: %v != %v", i, res.Scores[i], s)
-			}
-		}
-	}
-	// The onWait seam signals once every follower is parked at the
-	// coalescing select, so the leader finishes only after all of them
-	// are committed to sharing its flight — no timing assumption; a
-	// straggler re-running fn would still trip the exact-count assertion.
-	var parked atomic.Int64
-	allParked := make(chan struct{})
-	g.onWait = func() {
-		if parked.Add(1) == followers {
-			close(allParked)
-		}
-	}
-	wg.Add(1)
-	go run() // the leader: blocks inside fn until finish closes
-	<-entered
-	for i := 0; i < followers; i++ {
-		wg.Add(1)
-		go run()
-	}
-	<-allParked
-	close(finish)
-	wg.Wait()
-	if calls.Load() != 1 || leaders.Load() != 1 {
-		t.Fatalf("fn ran %d times with %d leaders, want exactly 1 of each", calls.Load(), leaders.Load())
-	}
-}
-
-func TestFlightGroupWaiterCancellation(t *testing.T) {
-	var g flightGroup
-	entered := make(chan struct{})
-	finish := make(chan struct{})
-	key := flightKey{tenant: "t", version: 1}
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := g.do(context.Background(), key, func() (hitsndiffs.Result, error) {
-			close(entered)
-			<-finish
-			return hitsndiffs.Result{}, nil
-		})
-		done <- err
-	}()
-	<-entered
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, coalesced, err := g.do(ctx, key, nil); !coalesced || !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled waiter: coalesced=%v err=%v, want true, context.Canceled", coalesced, err)
-	}
-	close(finish) // a waiter abandoning the flight must not have canceled it
-	if err := <-done; err != nil {
-		t.Fatalf("leader after waiter cancellation: %v", err)
 	}
 }

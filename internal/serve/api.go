@@ -33,8 +33,9 @@ type TenantInfo struct {
 	Shards int `json:"shards"`
 	// Method is the registered ranking method the tenant serves.
 	Method string `json:"method"`
-	// Version is the tenant's current write-version counter.
-	Version uint64 `json:"version"`
+	// Generation is the tenant's current write generation: one tick per
+	// answer applied (summed over shards for sharded tenants).
+	Generation uint64 `json:"generation"`
 }
 
 // ListTenantsResponse is the body of GET /v1/tenants.
@@ -69,8 +70,8 @@ type ObserveRequest struct {
 }
 
 // ObserveBatchRequest is the body of POST /v1/observebatch: several
-// observations applied to one tenant under one admission permit, one lock
-// acquisition and one version bump — the cheap way to absorb a burst.
+// observations applied to one tenant under one admission permit and one
+// lock acquisition per touched shard — the cheap way to absorb a burst.
 type ObserveBatchRequest struct {
 	// Tenant names the target tenant.
 	Tenant string `json:"tenant"`
@@ -80,8 +81,8 @@ type ObserveBatchRequest struct {
 
 // ObserveResponse is the body of a successful observe/observebatch call.
 type ObserveResponse struct {
-	// Version is the tenant's write version after the batch applied.
-	Version uint64 `json:"version"`
+	// Generation is the tenant's write generation after the batch applied.
+	Generation uint64 `json:"generation"`
 	// Applied is the number of observations recorded.
 	Applied int `json:"applied"`
 }
@@ -101,8 +102,6 @@ type RankRequest struct {
 type RankResponse struct {
 	// Tenant echoes the ranked tenant's name (set in batch responses).
 	Tenant string `json:"tenant,omitempty"`
-	// Version is the write version the scores correspond to.
-	Version uint64 `json:"version"`
 	// Generation is the matrix write generation the scores were solved at.
 	Generation uint64 `json:"generation"`
 	// Staleness is how many write generations the matrix had advanced past
@@ -115,15 +114,14 @@ type RankResponse struct {
 	Iterations int `json:"iterations"`
 	// Converged reports whether the solve met its tolerance.
 	Converged bool `json:"converged"`
-	// Coalesced reports whether this request piggybacked on another
-	// in-flight solve of the same (tenant, version) instead of starting
-	// its own.
+	// Coalesced reports whether this request rode a solve of the same
+	// matrix that another call had started, instead of starting its own.
 	Coalesced bool `json:"coalesced"`
 }
 
 // RankBatchRequest is the body of POST /v1/rankbatch: rank several tenants
-// in one request. Each tenant resolves through the same coalesced path as
-// a single rank, so concurrent batches share in-flight solves.
+// in one request. Each tenant resolves through the same path as a single
+// rank, so concurrent batches share in-flight solves.
 type RankBatchRequest struct {
 	// Tenants names the tenants to rank, in response order.
 	Tenants []string `json:"tenants"`
@@ -143,8 +141,9 @@ type InferLabelsRequest struct {
 
 // InferLabelsResponse is the body of a successful inferlabels call.
 type InferLabelsResponse struct {
-	// Version is the write version the labels correspond to.
-	Version uint64 `json:"version"`
+	// Generation is the matrix write generation the labels were inferred
+	// at.
+	Generation uint64 `json:"generation"`
 	// Labels holds each item's estimated correct option index.
 	Labels []int `json:"labels"`
 }

@@ -49,19 +49,19 @@ func ExampleServer() {
 		{User: 1, Item: 0, Option: 0}, {User: 1, Item: 1, Option: 1},
 		{User: 2, Item: 0, Option: 1}, {User: 2, Item: 1, Option: 0},
 	}}, &applied)
-	fmt.Printf("applied %d observations at write version %d\n", applied.Applied, applied.Version)
+	fmt.Printf("applied %d observations at write generation %d\n", applied.Applied, applied.Generation)
 
 	var rr serve.RankResponse
 	call("/v1/rank", serve.RankRequest{Tenant: "quiz"}, &rr)
-	fmt.Printf("ranked %d users at version %d, converged=%v\n", len(rr.Scores), rr.Version, rr.Converged)
+	fmt.Printf("ranked %d users at generation %d, converged=%v\n", len(rr.Scores), rr.Generation, rr.Converged)
 	fmt.Printf("users 0 and 1 agree: equal scores = %v\n", rr.Scores[0] == rr.Scores[1])
 
 	var labels serve.InferLabelsResponse
 	call("/v1/inferlabels", serve.InferLabelsRequest{Tenant: "quiz"}, &labels)
 	fmt.Printf("inferred answer key: %v\n", labels.Labels)
 	// Output:
-	// applied 6 observations at write version 1
-	// ranked 3 users at version 1, converged=true
+	// applied 6 observations at write generation 6
+	// ranked 3 users at generation 6, converged=true
 	// users 0 and 1 agree: equal scores = true
 	// inferred answer key: [0 1]
 }

@@ -36,10 +36,10 @@ type Snapshot struct {
 	Errors uint64 `json:"errors"`
 	// Observations counts observations applied across all tenants.
 	Observations uint64 `json:"observations"`
-	// RankLeaders counts solves started on behalf of rank requests;
-	// RankCoalesced counts rank requests that shared an in-flight solve
-	// instead of starting one. leaders + coalesced = rank requests that
-	// reached the solve path.
+	// RankLeaders counts rank requests answered by their own solve or a
+	// cache hit; RankCoalesced counts rank requests that shared a solve
+	// another call started (a rank, a background refresh or a label
+	// inference). leaders + coalesced = rank requests answered.
 	RankLeaders uint64 `json:"rank_leaders"`
 	// RankCoalesced counts coalesced rank requests (see RankLeaders).
 	RankCoalesced uint64 `json:"rank_coalesced"`
@@ -73,12 +73,10 @@ type TenantSnapshot struct {
 	Name string `json:"name"`
 	// Shards is the engine shard count serving the tenant.
 	Shards int `json:"shards"`
-	// ServedVersion is the refresh watermark: the highest write version a
-	// rank has been served at. Version − ServedVersion is the refresh lag
-	// the admission controller bounds.
-	ServedVersion uint64 `json:"served_version"`
 	// Engine is the engine-level counter snapshot (aggregated across
-	// shards for sharded tenants), taken under the engine's locks.
+	// shards for sharded tenants), taken under the engine's locks. Its
+	// Generation − ServedGeneration is the refresh lag the admission
+	// controller bounds.
 	Engine hitsndiffs.EngineMetrics `json:"engine"`
 	// Durability reports the tenant's WAL/snapshot counters and startup
 	// recovery stats; nil when the server runs without a data dir.
@@ -118,10 +116,9 @@ func (s *Server) Snapshot() Snapshot {
 	}
 	for i, t := range tenants {
 		snap.Tenants[i] = TenantSnapshot{
-			Name:          t.name,
-			Shards:        t.shards,
-			ServedVersion: t.served.Load(),
-			Engine:        t.backend.Metrics(),
+			Name:   t.name,
+			Shards: t.shards,
+			Engine: t.backend.Metrics(),
 		}
 		if t.dur != nil {
 			snap.Tenants[i].Durability = &TenantDurabilitySnapshot{

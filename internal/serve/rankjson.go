@@ -74,9 +74,7 @@ func appendRankResponse(b []byte, r *RankResponse) ([]byte, error) {
 		b = append(b, name...)
 		b = append(b, ',')
 	}
-	b = append(b, `"version":`...)
-	b = strconv.AppendUint(b, r.Version, 10)
-	b = append(b, `,"generation":`...)
+	b = append(b, `"generation":`...)
 	b = strconv.AppendUint(b, r.Generation, 10)
 	b = append(b, `,"staleness":`...)
 	b = strconv.AppendUint(b, r.Staleness, 10)

@@ -60,7 +60,6 @@ func TestAppendRanksMatchesEncodingJSON(t *testing.T) {
 	response := func() RankResponse {
 		r := RankResponse{
 			Tenant:     names[rng.Intn(len(names))],
-			Version:    rng.Uint64() >> rng.Intn(64),
 			Generation: rng.Uint64() >> rng.Intn(64),
 			Staleness:  uint64(rng.Intn(3)),
 			Iterations: rng.Intn(1 << 20),

@@ -7,17 +7,16 @@
 // The layer is more than a shim over the engines; it adds the three
 // behaviors a process boundary needs:
 //
-//   - Request coalescing: concurrent Ranks of one tenant at one write
-//     version share a single solve (a singleflight keyed by
-//     (tenant, version), riding the same generation counters the engine
-//     caches are keyed by). The leader's solve is detached from its
-//     request context, so a canceled request never poisons the waiters
-//     coalesced behind it.
+//   - Request coalescing, which the engines do themselves: concurrent
+//     ranks, background refreshes and label inferences of one tenant's
+//     matrix share a single solve (hitsndiffs.Engine.Rank), and the rank
+//     response's coalesced flag reports a request that rode another's
+//     solve. A canceled request never fails the others sharing its solve.
 //   - Admission control: per-tenant bounded in-flight writes plus an
 //     optional refresh-lag bound (writes rejected with 429 while the
-//     tenant's version runs too far ahead of its last served rank), so a
-//     write flood turns into client backpressure instead of unbounded
-//     queueing.
+//     tenant's write generation runs too far ahead of its engine's served
+//     generation), so a write flood turns into client backpressure instead
+//     of unbounded queueing.
 //   - Graceful drain: StartDrain flips the server into a mode where new
 //     requests are rejected with 503 (and /healthz reports draining) while
 //     in-flight solves run to completion — the handshake cmd/hndserver
@@ -72,9 +71,12 @@ type Config struct {
 	// MaxInflightWrites bounds concurrent observe/observebatch requests
 	// per tenant; excess writes get 429. Zero or negative = unbounded.
 	MaxInflightWrites int
-	// MaxLag bounds how many write versions a tenant may run ahead of its
-	// last served rank before writes get 429 — backpressure for write
-	// rates that outrun refresh. Zero or negative = unbounded.
+	// MaxLag bounds how many write generations (answers) a tenant may run
+	// ahead of the highest generation a rank was served at
+	// (hitsndiffs.EngineMetrics.ServedGeneration) before writes get 429 —
+	// backpressure for write rates that outrun refresh. A write is
+	// admitted while the lag is below the bound, however many answers it
+	// carries. Zero or negative = unbounded.
 	MaxLag int
 	// MaxTenants bounds tenant creation (default DefaultMaxTenants).
 	MaxTenants int
@@ -121,9 +123,8 @@ type Config struct {
 type Server struct {
 	cfg Config
 
-	// solveCtx is the context coalesced leader solves run under: alive
-	// across individual request cancellations and graceful drain, canceled
-	// only by Close (hard stop).
+	// solveCtx ends every request's solve when Close cancels it (hard
+	// stop); it stays alive across graceful drain.
 	solveCtx    context.Context
 	solveCancel context.CancelFunc
 
@@ -140,7 +141,6 @@ type Server struct {
 	refresher *refresh.Scheduler
 
 	draining atomic.Bool
-	flights  flightGroup
 	ctr      counters
 }
 
@@ -151,7 +151,6 @@ type backend interface {
 	ObserveBatch(obs []hitsndiffs.Observation) error
 	Rank(ctx context.Context) (hitsndiffs.Result, error)
 	Refresh(ctx context.Context) (hitsndiffs.Result, error)
-	Version() uint64
 	Generation() uint64
 	Users() int
 	Items() int
@@ -176,54 +175,24 @@ type tenant struct {
 	// committed moves); its zero value means nothing is moving.
 	own ownership
 	adm admission
-	// served is the highest write version a rank has been served at — the
-	// refresh watermark the lag bound compares against.
-	served atomic.Uint64
 }
 
-// noteServed advances the refresh watermark to version (monotonically).
-func (t *tenant) noteServed(version uint64) {
-	for {
-		cur := t.served.Load()
-		if version <= cur || t.served.CompareAndSwap(cur, version) {
-			return
-		}
-	}
+// lag reads the tenant's write generation and the highest generation a
+// rank was served at — the pair the admission lag bound compares.
+func (t *tenant) lag() (gen, served uint64) {
+	m := t.backend.Metrics()
+	return m.Generation, m.ServedGeneration
 }
-
-// refreshTarget adapts a tenant for the background refresh scheduler: it
-// exposes the backend's write frontier and exact re-solve, and rides the
-// admission refresh-lag watermark on scheduler progress through
-// RefreshDone.
-type refreshTarget struct {
-	t *tenant
-}
-
-// Generation implements refresh.Target.
-func (r refreshTarget) Generation() uint64 { return r.t.backend.Generation() }
-
-// Refresh implements refresh.Target.
-func (r refreshTarget) Refresh(ctx context.Context) (hitsndiffs.Result, error) {
-	return r.t.backend.Refresh(ctx)
-}
-
-// RefreshDone implements refresh.Completer: a successful background
-// refresh advances the tenant's served watermark so the admission lag
-// bound tracks scheduler progress. The version is read after the solve,
-// which is slightly optimistic — writes that landed mid-solve are counted
-// as served — but the error is bounded by one solve's worth of writes and
-// the watermark only ever feeds backpressure, not correctness.
-func (r refreshTarget) RefreshDone(hitsndiffs.Result) { r.t.noteServed(r.t.backend.Version()) }
 
 // info snapshots the tenant for list/create responses.
 func (t *tenant) info() TenantInfo {
 	return TenantInfo{
-		Name:    t.name,
-		Users:   t.backend.Users(),
-		Items:   t.backend.Items(),
-		Shards:  t.shards,
-		Method:  t.backend.Method(),
-		Version: t.backend.Version(),
+		Name:       t.name,
+		Users:      t.backend.Users(),
+		Items:      t.backend.Items(),
+		Shards:     t.shards,
+		Method:     t.backend.Method(),
+		Generation: t.backend.Generation(),
 	}
 }
 
@@ -279,7 +248,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Close hard-stops the server: it drains, stops the refresh scheduler —
 // waiting out any background refresh already in flight, so the WAL flush
 // below never races a solve — then cancels the solve context (aborting
-// any in-flight request solves mid-iteration) and flushes and closes
+// every in-flight request solve mid-iteration) and flushes and closes
 // every tenant's durable logs. Prefer StartDrain + http.Server.Shutdown
 // for the graceful path, then Close to release durability resources.
 func (s *Server) Close() {
@@ -305,11 +274,11 @@ func (s *Server) closeRefresher() {
 	}
 }
 
-// registerRefresh enrolls a tenant with the refresh scheduler (a no-op
-// when ranks are exact and no scheduler runs).
+// registerRefresh enrolls a tenant's engine with the refresh scheduler (a
+// no-op when ranks are exact and no scheduler runs).
 func (s *Server) registerRefresh(t *tenant) {
 	if s.refresher != nil {
-		s.refresher.Register(t.name, refreshTarget{t: t})
+		s.refresher.Register(t.name, t.backend)
 	}
 }
 
@@ -428,10 +397,10 @@ func (s *Server) lookup(name string) (*tenant, error) {
 }
 
 // observe applies a batch to one tenant under admission control and
-// returns the post-write version; path is the request path, echoed in
+// returns the post-write generation; path is the request path, echoed in
 // the redirect Location when the batch hits a shard that has moved away.
 func (s *Server) observe(t *tenant, path string, obs []hitsndiffs.Observation) (ObserveResponse, error) {
-	release, err := t.adm.acquire(t.backend.Version(), t.served.Load())
+	release, err := t.adm.acquire(t.lag)
 	if err != nil {
 		switch {
 		case errors.Is(err, errWritesSaturated):
@@ -457,51 +426,51 @@ func (s *Server) observe(t *tenant, path string, obs []hitsndiffs.Observation) (
 	}
 	s.ctr.observations.Add(uint64(len(obs)))
 	t.noteApplied(len(obs))
-	return ObserveResponse{Version: t.backend.Version(), Applied: len(obs)}, nil
+	return ObserveResponse{Generation: t.backend.Generation(), Applied: len(obs)}, nil
 }
 
-// rankTenant is the coalesced rank path shared by /v1/rank and
-// /v1/rankbatch: concurrent calls for one (tenant, version) share a
-// single solve. The solve runs under the server's solve context, not the
-// request's, so one canceled request cannot fail the others riding it;
-// ctx only bounds how long this caller waits.
-func (s *Server) rankTenant(ctx context.Context, t *tenant) (res hitsndiffs.Result, version uint64, coalesced bool, err error) {
-	version = t.backend.Version()
-	res, coalesced, err = s.flights.do(ctx, flightKey{t.name, version}, func() (hitsndiffs.Result, error) {
-		s.ctr.rankLeaders.Add(1)
-		return t.backend.Rank(s.solveCtx)
-	})
-	if coalesced {
+// solveContext derives the context a request's solve runs under: it ends
+// with the request or when Close cancels in-flight solves. The engines
+// coalesce concurrent solves themselves, and a request whose context ends
+// leaves a shared solve running for the others.
+func (s *Server) solveContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(ctx)
+	stop := context.AfterFunc(s.solveCtx, cancel)
+	return ctx, func() { stop(); cancel() }
+}
+
+// rankTenant is the rank path shared by /v1/rank and /v1/rankbatch.
+func (s *Server) rankTenant(ctx context.Context, t *tenant) (hitsndiffs.Result, error) {
+	ctx, cancel := s.solveContext(ctx)
+	defer cancel()
+	res, err := t.backend.Rank(ctx)
+	if err != nil {
+		return res, err
+	}
+	if res.Coalesced {
 		s.ctr.rankCoalesced.Add(1)
+	} else {
+		s.ctr.rankLeaders.Add(1)
 	}
-	if err == nil {
-		// A stale serve is not refresh progress: only an exact result moves
-		// the served watermark the admission lag bound compares against —
-		// the background scheduler pushes it forward otherwise.
-		if res.Staleness == 0 {
-			t.noteServed(version)
-		}
-		if res.Staleness > 0 {
-			s.ctr.staleServes.Add(1)
-		}
-		if s.refresher != nil {
-			s.refresher.NoteTraffic(t.name)
-		}
+	if res.Staleness > 0 {
+		s.ctr.staleServes.Add(1)
 	}
-	return res, version, coalesced, err
+	if s.refresher != nil {
+		s.refresher.NoteTraffic(t.name)
+	}
+	return res, nil
 }
 
 // rankResponse shapes one tenant's rank outcome for the wire.
-func rankResponse(name string, res hitsndiffs.Result, version uint64, coalesced bool) RankResponse {
+func rankResponse(name string, res hitsndiffs.Result) RankResponse {
 	return RankResponse{
 		Tenant:     name,
-		Version:    version,
 		Generation: res.Generation,
 		Staleness:  res.Staleness,
 		Scores:     res.Scores,
 		Iterations: res.Iterations,
 		Converged:  res.Converged,
-		Coalesced:  coalesced,
+		Coalesced:  res.Coalesced,
 	}
 }
 
@@ -636,12 +605,12 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	res, version, coalesced, err := s.rankTenant(r.Context(), t)
+	res, err := s.rankTenant(r.Context(), t)
 	if err != nil {
 		s.writeError(w, solveError(err))
 		return
 	}
-	s.writeRanks(w, []RankResponse{rankResponse("", res, version, coalesced)}, false)
+	s.writeRanks(w, []RankResponse{rankResponse("", res)}, false)
 }
 
 func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
@@ -670,12 +639,12 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, t *tenant) {
 			defer wg.Done()
-			res, version, coalesced, err := s.rankTenant(r.Context(), t)
+			res, err := s.rankTenant(r.Context(), t)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			results[i] = rankResponse(t.name, res, version, coalesced)
+			results[i] = rankResponse(t.name, res)
 		}(i, t)
 	}
 	wg.Wait()
@@ -704,14 +673,14 @@ func (s *Server) handleInferLabels(w http.ResponseWriter, r *http.Request) {
 			"label inference requires an unsharded tenant (server started with -shards=1)"})
 		return
 	}
-	version := t.backend.Version()
-	labels, err := t.engine.InferLabels(r.Context())
+	ctx, cancel := s.solveContext(r.Context())
+	defer cancel()
+	labels, gen, err := t.engine.InferLabels(ctx)
 	if err != nil {
 		s.writeError(w, solveError(err))
 		return
 	}
-	t.noteServed(version)
-	writeJSON(w, http.StatusOK, InferLabelsResponse{Version: version, Labels: labels})
+	writeJSON(w, http.StatusOK, InferLabelsResponse{Generation: gen, Labels: labels})
 }
 
 // apiError pairs an HTTP status with a message; every handler failure is

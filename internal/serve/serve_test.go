@@ -18,6 +18,7 @@ import (
 	"hitsndiffs"
 	"hitsndiffs/internal/irt"
 	"hitsndiffs/internal/serve"
+	"hitsndiffs/internal/testclock"
 )
 
 // testClient drives a serve.Server over real HTTP (httptest listens on a
@@ -273,7 +274,7 @@ func TestHTTPInferLabelsEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.InferLabels(context.Background())
+	want, _, err := eng.InferLabels(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,12 +302,115 @@ func TestHTTPInferLabelsEquivalence(t *testing.T) {
 	}
 }
 
+// TestInferLabelsReportsItsGeneration checks /v1/inferlabels tags its
+// labels with the generation they were inferred at while writes land
+// during the solves: every response's labels equal a fresh label
+// inference on the matrix replayed to the generation it reports. The
+// writes answer items nobody has answered yet, so single writes flip
+// their labels, and the tight tolerance makes the engine's warm-started
+// solves agree with the cold reference solves far below any vote margin.
+func TestInferLabelsReportsItsGeneration(t *testing.T) {
+	cfg := irt.DefaultConfig(irt.ModelSamejima)
+	cfg.Users, cfg.Items, cfg.Seed = 60, 20, 29
+	d, err := irt.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []hitsndiffs.Option{hitsndiffs.WithSeed(1), hitsndiffs.WithTol(1e-12)}
+	_, c := newTestServer(t, serve.Config{RankOptions: opts})
+	c.mustCreate("lab", cfg.Users, cfg.Items, cfg.Options)
+	// Items 0–9 are answered up front; then the users answer items 10–19
+	// one answer at a time, user by user.
+	var setup, writes []serve.Observation
+	for _, o := range observationsOf(d.Responses) {
+		if o.Item < 10 {
+			setup = append(setup, o)
+		}
+	}
+	for u := 0; u < cfg.Users; u++ {
+		for i := 10; i < cfg.Items; i++ {
+			if h := d.Responses.Answer(u, i); h != hitsndiffs.Unanswered {
+				writes = append(writes, serve.Observation{User: u, Item: i, Option: h})
+			}
+		}
+	}
+	var applied serve.ObserveResponse
+	if code, body := c.post("/v1/observebatch", serve.ObserveBatchRequest{Tenant: "lab", Observations: setup}, &applied); code != http.StatusOK {
+		t.Fatalf("observebatch: HTTP %d: %s", code, body)
+	}
+	base := applied.Generation // write j applies at generation base+j+1
+
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		for _, o := range writes {
+			if code, body := c.post("/v1/observe", serve.ObserveRequest{Tenant: "lab", User: o.User, Item: o.Item, Option: o.Option}, nil); code != http.StatusOK {
+				t.Errorf("observe: HTTP %d: %s", code, body)
+				return
+			}
+		}
+	}()
+	var got []serve.InferLabelsResponse
+	for done := false; !done; {
+		select {
+		case <-writerDone:
+			done = true
+		default:
+		}
+		var lr serve.InferLabelsResponse
+		if code, body := c.post("/v1/inferlabels", serve.InferLabelsRequest{Tenant: "lab"}, &lr); code != http.StatusOK {
+			t.Fatalf("inferlabels: HTTP %d: %s", code, body)
+		}
+		got = append(got, lr)
+	}
+	if t.Failed() {
+		return
+	}
+
+	ranker, err := hitsndiffs.New("HnD-power", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[uint64][]int)
+	for _, lr := range got {
+		if lr.Generation < base || lr.Generation > base+uint64(len(writes)) {
+			t.Fatalf("labels at generation %d, outside [%d, %d]", lr.Generation, base, base+uint64(len(writes)))
+		}
+		labels, ok := want[lr.Generation]
+		if !ok {
+			m := hitsndiffs.NewResponseMatrix(cfg.Users, cfg.Items, cfg.Options)
+			for _, o := range append(setup[:len(setup):len(setup)], writes[:lr.Generation-base]...) {
+				m.SetAnswer(o.User, o.Item, o.Option)
+			}
+			res, err := ranker.Rank(context.Background(), m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if labels, err = hitsndiffs.InferLabels(m, res.Scores); err != nil {
+				t.Fatal(err)
+			}
+			want[lr.Generation] = labels
+		}
+		for i := range labels {
+			if lr.Labels[i] != labels[i] {
+				t.Fatalf("generation %d item %d: served label %d, replayed %d", lr.Generation, i, lr.Labels[i], labels[i])
+			}
+		}
+	}
+	if len(want) < 2 {
+		t.Fatalf("%d label responses saw %d generation(s); the writes never landed between them", len(got), len(want))
+	}
+}
+
 // TestConcurrentRanksCoalesceToOneSolve is the coalescing proof: K
-// concurrent Ranks of one tenant at one write generation cost exactly one
-// engine solve. The engines' cache-miss counter is the ground truth — a
-// request either rides the in-flight solve (coalesced), leads it, or
-// arrives after it finished and hits the version-keyed result cache; none
-// of those solves twice.
+// concurrent requests for one tenant's matrix at one write generation cost
+// exactly one engine solve, whoever asks. The engine's cache-miss counter
+// is the ground truth — a call either rides the solve in flight
+// (coalesced), leads it, or arrives after it finished and hits the result
+// cache; none of those solves twice. It runs against the library Engine
+// (Rank, Refresh and InferLabels mixed), over HTTP (/v1/rank and
+// /v1/inferlabels mixed), and with a background refresh round racing a
+// client rank.
 func TestConcurrentRanksCoalesceToOneSolve(t *testing.T) {
 	cfg := irt.DefaultConfig(irt.ModelSamejima)
 	cfg.Users, cfg.Items, cfg.Seed = 400, 60, 17
@@ -314,68 +418,220 @@ func TestConcurrentRanksCoalesceToOneSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, c := newTestServer(t, serve.Config{RankOptions: []hitsndiffs.Option{hitsndiffs.WithSeed(1)}})
-	c.mustCreate("big", cfg.Users, cfg.Items, cfg.Options)
-	c.mustObserve("big", observationsOf(d.Responses))
-
-	before := c.tenantEngine("big")
-	if before.CacheMisses != 0 {
-		t.Fatalf("engine solved before any rank: %+v", before)
+	const K = 16
+	// concurrently runs K calls released together and waits for them all.
+	concurrently := func(call func(i int)) {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < K; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				call(i)
+			}(i)
+		}
+		close(start)
+		wg.Wait()
 	}
 
-	const K = 16
-	var (
-		start   = make(chan struct{})
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		results []serve.RankResponse
-	)
-	for i := 0; i < K; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
+	t.Run("engine", func(t *testing.T) {
+		eng, err := hitsndiffs.NewEngine(d.Responses, hitsndiffs.WithRankOptions(hitsndiffs.WithSeed(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		var (
+			mu        sync.Mutex
+			results   []hitsndiffs.Result
+			labelGens []uint64
+		)
+		concurrently(func(i int) {
+			var res hitsndiffs.Result
+			var err error
+			switch i % 3 {
+			case 0:
+				res, err = eng.Rank(ctx)
+			case 1:
+				res, err = eng.Refresh(ctx)
+			default:
+				var gen uint64
+				if _, gen, err = eng.InferLabels(ctx); err == nil {
+					mu.Lock()
+					labelGens = append(labelGens, gen)
+					mu.Unlock()
+				}
+				if err != nil {
+					t.Error(err)
+				}
+				return
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			res.Scores[0] = float64(i) // every caller owns its slice
+			mu.Lock()
+			results = append(results, res)
+			mu.Unlock()
+		})
+		if t.Failed() {
+			return
+		}
+		if misses := eng.Metrics().CacheMisses; misses != 1 {
+			t.Fatalf("%d concurrent Rank/Refresh/InferLabels calls at one generation cost %d solves, want exactly 1", K, misses)
+		}
+		want, err := eng.Rank(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range results {
+			if res.Generation != want.Generation || res.Staleness != 0 {
+				t.Fatalf("result at generation %d staleness %d, want %d exact", res.Generation, res.Staleness, want.Generation)
+			}
+			for u := 1; u < len(want.Scores); u++ {
+				if res.Scores[u] != want.Scores[u] {
+					t.Fatalf("coalesced scores diverged at user %d", u)
+				}
+			}
+		}
+		for _, gen := range labelGens {
+			if gen != want.Generation {
+				t.Fatalf("labels inferred at generation %d, want %d", gen, want.Generation)
+			}
+		}
+	})
+
+	t.Run("http", func(t *testing.T) {
+		srv, c := newTestServer(t, serve.Config{RankOptions: []hitsndiffs.Option{hitsndiffs.WithSeed(1)}})
+		c.mustCreate("big", cfg.Users, cfg.Items, cfg.Options)
+		c.mustObserve("big", observationsOf(d.Responses))
+		if before := c.tenantEngine("big"); before.CacheMisses != 0 {
+			t.Fatalf("engine solved before any rank: %+v", before)
+		}
+		var (
+			mu     sync.Mutex
+			ranks  []serve.RankResponse
+			labels []serve.InferLabelsResponse
+		)
+		concurrently(func(i int) {
+			if i%4 == 3 {
+				var lr serve.InferLabelsResponse
+				if code, body := c.post("/v1/inferlabels", serve.InferLabelsRequest{Tenant: "big"}, &lr); code != http.StatusOK {
+					t.Errorf("inferlabels: HTTP %d: %s", code, body)
+					return
+				}
+				mu.Lock()
+				labels = append(labels, lr)
+				mu.Unlock()
+				return
+			}
 			var rr serve.RankResponse
-			code, body := c.post("/v1/rank", serve.RankRequest{Tenant: "big"}, &rr)
-			if code != http.StatusOK {
+			if code, body := c.post("/v1/rank", serve.RankRequest{Tenant: "big"}, &rr); code != http.StatusOK {
 				t.Errorf("rank: HTTP %d: %s", code, body)
 				return
 			}
 			mu.Lock()
-			results = append(results, rr)
+			ranks = append(ranks, rr)
 			mu.Unlock()
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	after := c.tenantEngine("big")
-	if solves := after.CacheMisses - before.CacheMisses; solves != 1 {
-		t.Fatalf("%d concurrent same-generation ranks cost %d solves, want exactly 1", K, solves)
-	}
-	snap := srv.Snapshot()
-	if snap.RankLeaders+snap.RankCoalesced != K {
-		t.Fatalf("flight accounting: %d leaders + %d coalesced != %d requests",
-			snap.RankLeaders, snap.RankCoalesced, K)
-	}
-	for _, rr := range results[1:] {
-		if rr.Version != results[0].Version {
-			t.Fatalf("versions diverged: %d vs %d", rr.Version, results[0].Version)
+		})
+		if t.Failed() {
+			return
 		}
-		for u := range results[0].Scores {
-			if rr.Scores[u] != results[0].Scores[u] {
-				t.Fatalf("coalesced scores diverged at user %d", u)
+		if solves := c.tenantEngine("big").CacheMisses; solves != 1 {
+			t.Fatalf("%d concurrent same-generation requests cost %d solves, want exactly 1", K, solves)
+		}
+		snap := srv.Snapshot()
+		if got := snap.RankLeaders + snap.RankCoalesced; got != uint64(len(ranks)) {
+			t.Fatalf("flight accounting: %d leaders + %d coalesced != %d rank requests",
+				snap.RankLeaders, snap.RankCoalesced, len(ranks))
+		}
+		for _, rr := range ranks[1:] {
+			if rr.Generation != ranks[0].Generation {
+				t.Fatalf("generations diverged: %d vs %d", rr.Generation, ranks[0].Generation)
+			}
+			for u := range ranks[0].Scores {
+				if rr.Scores[u] != ranks[0].Scores[u] {
+					t.Fatalf("coalesced scores diverged at user %d", u)
+				}
 			}
 		}
+		for _, lr := range labels {
+			if lr.Generation != ranks[0].Generation {
+				t.Fatalf("labels at generation %d, ranks at %d", lr.Generation, ranks[0].Generation)
+			}
+		}
+	})
+
+	t.Run("refresh-round", func(t *testing.T) {
+		clk := testclock.NewFake()
+		srv, c := newTestServer(t, serve.Config{
+			MaxStaleness: 8,
+			RefreshClock: clk,
+			RankOptions:  []hitsndiffs.Option{hitsndiffs.WithSeed(1)},
+		})
+		clk.BlockUntilTickers(1)
+		c.mustCreate("big", cfg.Users, cfg.Items, cfg.Options)
+		c.mustObserve("big", observationsOf(d.Responses))
+		done := make(chan serve.RankResponse, 1)
+		go func() {
+			var rr serve.RankResponse
+			if code, body := c.post("/v1/rank", serve.RankRequest{Tenant: "big"}, &rr); code != http.StatusOK {
+				t.Errorf("rank: HTTP %d: %s", code, body)
+			}
+			done <- rr
+		}()
+		clk.Advance(25 * time.Millisecond) // a refresh round races the client rank
+		rr := <-done
+		waitForCond(t, func() bool { return srv.Snapshot().Refresh.Rounds >= 1 })
+		if t.Failed() {
+			return
+		}
+		eng := c.tenantEngine("big")
+		if eng.CacheMisses != 1 {
+			t.Fatalf("a refresh round and a client rank at one generation cost %d solves, want exactly 1", eng.CacheMisses)
+		}
+		if rr.Generation != eng.Generation || eng.ServedGeneration != eng.Generation {
+			t.Fatalf("rank at generation %d, served watermark %d, frontier %d", rr.Generation, eng.ServedGeneration, eng.Generation)
+		}
+	})
+}
+
+// TestCloseAbortsInflightSolve: Close cancels a rank's solve mid-iteration
+// — here one that would never converge — and the request answers 503
+// instead of running on.
+func TestCloseAbortsInflightSolve(t *testing.T) {
+	cfg := irt.DefaultConfig(irt.ModelSamejima)
+	cfg.Users, cfg.Items, cfg.Seed, cfg.DiscriminationMax = 2000, 30, 41, 2
+	d, err := irt.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, c := newTestServer(t, serve.Config{RankOptions: []hitsndiffs.Option{
+		hitsndiffs.WithTol(1e-30), hitsndiffs.WithMaxIter(1 << 30),
+	}})
+	c.mustCreate("slow", cfg.Users, cfg.Items, cfg.Options)
+	c.mustObserve("slow", observationsOf(d.Responses))
+	code := make(chan int, 1)
+	go func() {
+		got, _ := c.post("/v1/rank", serve.RankRequest{Tenant: "slow"}, nil)
+		code <- got
+	}()
+	waitForCond(t, func() bool { return c.tenantEngine("slow").CacheMisses == 1 }) // the solve is running
+	srv.Close()
+	select {
+	case got := <-code:
+		if got != http.StatusServiceUnavailable {
+			t.Fatalf("rank across Close: HTTP %d, want 503", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not abort the in-flight solve")
 	}
 }
 
 // TestWriteBackpressure429 exercises the refresh-lag admission bound: once
-// a tenant's write version runs maxLag ahead of its last served rank,
-// writes get 429 (with a Retry-After hint) until a rank catches the
+// a tenant's write generation runs maxLag answers ahead of its last served
+// rank, writes get 429 (with a Retry-After hint) until a rank catches the
 // watermark up.
 func TestWriteBackpressure429(t *testing.T) {
 	cfg := irt.DefaultConfig(irt.ModelSamejima)
@@ -386,9 +642,9 @@ func TestWriteBackpressure429(t *testing.T) {
 	}
 	srv, c := newTestServer(t, serve.Config{MaxLag: 3})
 	c.mustCreate("bp", cfg.Users, cfg.Items, cfg.Options)
-	c.mustObserve("bp", observationsOf(d.Responses)) // version 1
+	c.mustObserve("bp", observationsOf(d.Responses)) // generation g
 	if code, body := c.post("/v1/rank", serve.RankRequest{Tenant: "bp"}, nil); code != http.StatusOK {
-		t.Fatalf("rank: HTTP %d: %s", code, body) // served watermark = 1
+		t.Fatalf("rank: HTTP %d: %s", code, body) // served watermark = g
 	}
 
 	write := func() (int, string) {
@@ -399,7 +655,7 @@ func TestWriteBackpressure429(t *testing.T) {
 			t.Fatalf("write %d within lag bound: HTTP %d: %s", i, code, body)
 		}
 	}
-	// Version is now 4, served watermark 1: lag 3 hits the bound.
+	// Generation is now g+3, served watermark g: lag 3 hits the bound.
 	req, _ := json.Marshal(serve.ObserveRequest{Tenant: "bp", User: 0, Item: 0, Option: 1})
 	resp, err := c.http.Post(c.base+"/v1/observe", "application/json", bytes.NewReader(req))
 	if err != nil {
@@ -424,6 +680,43 @@ func TestWriteBackpressure429(t *testing.T) {
 	if code, body := write(); code != http.StatusOK {
 		t.Fatalf("write after catch-up rank: HTTP %d: %s", code, body)
 	}
+}
+
+// TestMaxLagStartsAtLoadedGeneration: answers a tenant starts with owe no
+// rank. A fresh sharded tenant, whose shards are built cell by cell, and a
+// tenant recovered from its data dir both admit writes under a lag bound
+// far below their generation.
+func TestMaxLagStartsAtLoadedGeneration(t *testing.T) {
+	cfg := irt.DefaultConfig(irt.ModelSamejima)
+	cfg.Users, cfg.Items, cfg.Seed = 30, 15, 23
+	d, err := irt.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(c *testClient, tenant string) (int, string) {
+		return c.post("/v1/observe", serve.ObserveRequest{Tenant: tenant, User: 0, Item: 0, Option: 1}, nil)
+	}
+	t.Run("fresh-sharded", func(t *testing.T) {
+		_, c := newTestServer(t, serve.Config{Shards: 4, MaxLag: 3})
+		c.mustCreate("s", cfg.Users, cfg.Items, cfg.Options)
+		if g := c.tenantEngine("s").Generation; g < 3 {
+			t.Fatalf("fresh sharded tenant at generation %d, want its cells counted", g)
+		}
+		if code, body := write(c, "s"); code != http.StatusOK {
+			t.Fatalf("first write to a fresh sharded tenant: HTTP %d: %s", code, body)
+		}
+	})
+	t.Run("recovered", func(t *testing.T) {
+		dir := t.TempDir()
+		srv, c := newTestServer(t, serve.Config{DataDir: dir, MaxLag: 3})
+		c.mustCreate("r", cfg.Users, cfg.Items, cfg.Options)
+		c.mustObserve("r", observationsOf(d.Responses))
+		srv.Close()
+		_, c2 := newTestServer(t, serve.Config{DataDir: dir, MaxLag: 3})
+		if code, body := write(c2, "r"); code != http.StatusOK {
+			t.Fatalf("first write after recovery: HTTP %d: %s", code, body)
+		}
+	})
 }
 
 // TestDrain verifies the graceful-shutdown handshake: after StartDrain,
@@ -503,8 +796,8 @@ func TestRankBatchHTTP(t *testing.T) {
 	}
 	for i, name := range names {
 		got, want := batch.Results[i], singles[name]
-		if got.Tenant != name || got.Version != want.Version {
-			t.Fatalf("result %d: tenant %q version %d, want %q %d", i, got.Tenant, got.Version, name, want.Version)
+		if got.Tenant != name || got.Generation != want.Generation {
+			t.Fatalf("result %d: tenant %q generation %d, want %q %d", i, got.Tenant, got.Generation, name, want.Generation)
 		}
 		for u := range want.Scores {
 			if got.Scores[u] != want.Scores[u] {
@@ -592,9 +885,8 @@ func TestRequestBodiesRejectTrailingData(t *testing.T) {
 			}
 		}
 	}
-	if after := c.tenantEngine("t0"); after.Generation != before.Generation || after.Version != before.Version {
-		t.Fatalf("rejected writes moved t0: generation %d → %d, version %d → %d",
-			before.Generation, after.Generation, before.Version, after.Version)
+	if after := c.tenantEngine("t0"); after.Generation != before.Generation {
+		t.Fatalf("rejected writes moved t0: generation %d → %d", before.Generation, after.Generation)
 	}
 	var list serve.ListTenantsResponse
 	if code := c.get("/v1/tenants", &list); code != http.StatusOK || len(list.Tenants) != 1 {

@@ -43,7 +43,6 @@ func mustRank(t *testing.T, c *testClient, tenant string) serve.RankResponse {
 func TestRankResponseGoldenJSON(t *testing.T) {
 	resp := serve.RankResponse{
 		Tenant:     "t0",
-		Version:    7,
 		Generation: 41,
 		Staleness:  2,
 		Scores:     []float64{0.5, -0.25, 0.125},
@@ -55,7 +54,7 @@ func TestRankResponseGoldenJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"tenant":"t0","version":7,"generation":41,"staleness":2,` +
+	const want = `{"tenant":"t0","generation":41,"staleness":2,` +
 		`"scores":[0.5,-0.25,0.125],"iterations":12,"converged":true,"coalesced":false}`
 	if string(got) != want {
 		t.Fatalf("RankResponse wire shape changed:\n got %s\nwant %s", got, want)
@@ -101,10 +100,11 @@ func TestStaleServingEndToEnd(t *testing.T) {
 	if snap.Refresh == nil {
 		t.Fatal("/metrics missing refresh scheduler stats under a staleness bound")
 	}
-	servedBefore := tenantSnap(t, c, "t0").ServedVersion
+	servedBefore := tenantSnap(t, c, "t0").Engine.ServedGeneration
 
 	// One fake-clock tick runs a scheduler round that refreshes the tenant
-	// and advances the admission watermark without any client rank.
+	// and advances the served generation — the admission watermark —
+	// without any client rank.
 	clk.Advance(25 * time.Millisecond)
 	waitForCond(t, func() bool {
 		var s serve.Snapshot
@@ -118,7 +118,7 @@ func TestStaleServingEndToEnd(t *testing.T) {
 		t.Fatalf("rank after refresh: generation %d staleness %d, want %d/0",
 			exact.Generation, exact.Staleness, first.Generation+4)
 	}
-	if served := tenantSnap(t, c, "t0").ServedVersion; served <= servedBefore {
+	if served := tenantSnap(t, c, "t0").Engine.ServedGeneration; served != exact.Generation || served <= servedBefore {
 		t.Fatalf("scheduler did not advance the served watermark: %d -> %d", servedBefore, served)
 	}
 	_ = srv

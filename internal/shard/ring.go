@@ -21,9 +21,8 @@ const DefaultRingReplicas = 128
 // fully deterministic: the same (shards, replicas) pair builds the same
 // ring in every process on every platform.
 type Ring struct {
-	points   []ringPoint // sorted by (hash, shard)
-	shards   int
-	replicas int
+	points []ringPoint // sorted by (hash, shard)
+	shards int
 }
 
 // ringPoint is one virtual node: a position on the hash ring and the
@@ -53,9 +52,8 @@ func NewRing(shards, replicas int) *Ring {
 		replicas = DefaultRingReplicas
 	}
 	r := &Ring{
-		points:   make([]ringPoint, 0, shards*replicas),
-		shards:   shards,
-		replicas: replicas,
+		points: make([]ringPoint, 0, shards*replicas),
+		shards: shards,
 	}
 	for s := 0; s < shards; s++ {
 		for v := 0; v < replicas; v++ {
@@ -74,9 +72,6 @@ func NewRing(shards, replicas int) *Ring {
 // Shards returns the shard count the ring partitions keys across.
 func (r *Ring) Shards() int { return r.shards }
 
-// Replicas returns the virtual-node count per shard.
-func (r *Ring) Replicas() int { return r.replicas }
-
 // Owner returns the shard owning an integer key (typically a global user
 // index): the key hashes onto the ring and the first virtual point at or
 // after it (wrapping) names the owner.
@@ -87,18 +82,6 @@ func (r *Ring) Owner(key uint64) int {
 		i = 0
 	}
 	return r.points[i].shard
-}
-
-// OwnerString returns the shard owning a string key (typically a tenant
-// or node identifier) via the same FNV-1a prehash OfString uses.
-func (r *Ring) OwnerString(key string) int {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return r.Owner(h)
 }
 
 // NewRingMap partitions `users` global user indices across `shards`

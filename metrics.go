@@ -12,27 +12,29 @@ import (
 // engine's internal state. All counters are cumulative since construction.
 //
 // For a ShardedEngine the snapshot is the aggregate over its shards:
-// Version is the cluster version (sum of shard versions, the same key
-// ShardedEngine.Version reports) and every counter is summed, with the
+// Generation is the cluster generation (sum of shard generations, the key
+// the merged-result cache uses) and every counter is summed, with the
 // router's own merged-result cache hits folded into CacheHits. Use
 // ShardMetrics for the per-shard breakdown.
 type EngineMetrics struct {
-	// Version is the write-version counter results are cached under.
-	Version uint64 `json:"version"`
 	// Generation is the matrix's write-generation counter — one tick per
-	// observation ever applied, the key durability records are stamped
-	// with. Unlike Version it survives restarts: a recovered engine
-	// resumes at the generation its durable log reached, so comparing
-	// Generation across a crash proves no acknowledged write was lost.
-	// For a ShardedEngine it is the sum over shards.
+	// observation ever applied, the key results are cached under and
+	// durability records are stamped with. It survives restarts: a
+	// recovered engine resumes at the generation its durable log reached,
+	// so comparing Generation across a crash proves no acknowledged write
+	// was lost. For a ShardedEngine it is the sum over shards.
 	Generation uint64 `json:"generation"`
 	// ServedGeneration is the watermark of the highest write generation a
 	// rank result has been served at — the refresh scheduler's progress
-	// measure. Generation − ServedGeneration is the engine's current
-	// serving lag; under WithMaxStaleness(0) the two converge after every
-	// rank. For a multi-shard ShardedEngine it is the router's merged-
-	// result watermark (a sum of shard generations, comparable to
-	// Generation); per-shard watermarks are in ShardMetrics.
+	// measure and the one the serving tier's write admission compares
+	// against. It starts at the generation the engine was built, restored
+	// or adopted at, since answers it started with owe no rank.
+	// Generation − ServedGeneration is the engine's current serving lag;
+	// under WithMaxStaleness(0) the two converge after every rank. For a
+	// multi-shard ShardedEngine it is the router's merged-result watermark
+	// (a sum of shard generations, comparable to Generation, restarting at
+	// the cluster generation on RestoreShard/AdoptShard); per-shard
+	// watermarks are in ShardMetrics.
 	ServedGeneration uint64 `json:"served_generation"`
 	// StaleServes counts results served behind the write frontier under a
 	// WithMaxStaleness bound (cache entries outliving their generation).
@@ -47,9 +49,10 @@ type EngineMetrics struct {
 	// Items is the item count (see Users).
 	Items int `json:"items"`
 	// CacheHits counts Rank / Refresh / InferLabels requests served from
-	// the version-keyed result cache without solving.
+	// the generation-keyed result cache without solving.
 	CacheHits uint64 `json:"cache_hits"`
-	// CacheMisses counts solves actually started (cache cold or stale).
+	// CacheMisses counts solves actually started (cache cold or stale);
+	// concurrent misses that share one solve count once.
 	CacheMisses uint64 `json:"cache_misses"`
 	// NormFullRebuilds counted from-scratch builds of a normalized-matrix
 	// memo that solves no longer keep: they scale the one-hot encoding
@@ -62,7 +65,6 @@ type EngineMetrics struct {
 
 // add accumulates o into m for the sharded aggregate view.
 func (m *EngineMetrics) add(o EngineMetrics) {
-	m.Version += o.Version
 	m.Generation += o.Generation
 	m.ServedGeneration += o.ServedGeneration
 	m.StaleServes += o.StaleServes

@@ -32,7 +32,11 @@ trap 'rm -rf "$workdir"' EXIT
 go build -o "$workdir/hndserver" ./cmd/hndserver
 go build -o "$workdir/hndload" ./cmd/hndload
 
-"$workdir/hndserver" -addr "$ADDR" -shards "$SHARDS" -maxlag 256 \
+# -maxlag counts answers (write generations). hndload seeds each tenant
+# in 8192-answer batches with no rank between them, so the bound must
+# exceed the largest tenant's answers less one batch: 131072 admits
+# hndload's default 2000 × 64 tenant.
+"$workdir/hndserver" -addr "$ADDR" -shards "$SHARDS" -maxlag 131072 \
   -max-staleness "$MAX_STALENESS" \
   >"$workdir/server.log" 2>&1 &
 server_pid=$!

@@ -18,12 +18,12 @@ import (
 // Two effects make it the heavy-traffic configuration:
 //
 //   - Observe and ObserveBatch touch only the shard(s) owning the written
-//     users, so write locks, version bumps and copy-on-write clones are
+//     users, so write locks, generation ticks and copy-on-write clones are
 //     confined to 1/N of the matrix. Under mixed read/write traffic the
 //     dominant write cost — the one-time clone after a snapshot — shrinks
 //     from O(m·n) to O(m·n/N) (see BenchmarkShardedObserve).
 //   - Rank fans out across shards concurrently and re-solves only shards
-//     whose version changed since their last solve; a single-user write
+//     whose generation changed since their last solve; a single-user write
 //     therefore re-ranks 1/N of the users while the other shards answer
 //     from their caches (see BenchmarkShardedRank). Each shard solve runs
 //     the serial kernels on its own goroutine, so the fan-out is what puts
@@ -46,39 +46,34 @@ type ShardedEngine struct {
 	options  []int // per-item option counts, identical across shards
 
 	// mu guards the router's two memos: sparse, the per-shard
-	// too-few-users verdict keyed by shard version (recomputing it per
+	// too-few-users verdict keyed by shard generation (recomputing it per
 	// Rank would rescan matrices or take COW-poisoning snapshots), and
-	// cached, the merged Rank result keyed by the cluster version.
+	// cached, the merged Rank result keyed by its Generation, the sum of
+	// the shard generations it was merged at. Shard generations only grow
+	// between AdoptShard/RestoreShard calls, which drop both memos, so an
+	// equal sum means no shard has been written.
 	mu     sync.Mutex
 	sparse []sparseMemo
-	cached *shardedCache
+	cached *Result
 
 	// routerHits counts Ranks served from the merged-result cache without
 	// touching any shard; Metrics folds it into the aggregate CacheHits.
 	// staleServes counts merged results served behind the cluster write
 	// frontier under the staleness bound, and servedGen is the router's
-	// served-generation watermark (sum-of-shard-generations units).
+	// served-generation watermark (sum-of-shard-generations units),
+	// starting at the cluster generation of construction and of each
+	// RestoreShard/AdoptShard.
 	routerHits  atomic.Uint64
 	staleServes atomic.Uint64
 	servedGen   atomic.Uint64
 }
 
-// shardedCache holds the merged ranking computed at one cluster version.
-// Shard versions only grow, so their sum is a valid freshness key: equal
-// sums imply no shard has been written in between. gen is the sum of the
-// shard write generations the merge was solved at — the key router-level
-// staleness is measured against.
-type shardedCache struct {
-	version uint64
-	gen     uint64
-	res     Result
-}
-
-// sparseMemo caches one shard's too-few-users verdict for a shard version.
+// sparseMemo caches one shard's too-few-users verdict for a shard
+// generation.
 type sparseMemo struct {
-	version uint64
-	valid   bool
-	sparse  bool
+	gen    uint64
+	valid  bool
+	sparse bool
 }
 
 // NewShardedEngine builds a sharded serving engine over the given response
@@ -96,10 +91,11 @@ func NewShardedEngine(m *ResponseMatrix, opts ...EngineOption) (*ShardedEngine, 
 			o(&s)
 		}
 	}
-	users := shardMapFor(m.Users(), s.shards)
+	partition := shard.NewMap
 	if s.ringReplicas > 0 {
-		users = ringMapFor(m.Users(), s.shards, s.ringReplicas)
+		partition = func(users, shards int) *shard.Map { return shard.NewRingMap(users, shards, s.ringReplicas) }
 	}
+	users := shardMapFor(m.Users(), s.shards, partition)
 	n := users.Shards()
 	options := make([]int, m.Items())
 	for i := range options {
@@ -135,25 +131,21 @@ func NewShardedEngine(m *ResponseMatrix, opts ...EngineOption) (*ShardedEngine, 
 		}
 		se.engines[sh] = eng
 	}
+	se.servedGen.Store(se.Generation())
 	return se, nil
 }
 
-// shardMapFor builds the user partition for a requested shard count,
-// deterministically lowering the count until every shard owns at least one
-// user (hash imbalance can leave a shard empty when shards approach the
-// user count; a 1-wide partition never can). The result is a pure function
-// of (users, requested), so re-sharding the same population reproduces the
-// same partition.
-func shardMapFor(userCount, requested int) *shard.Map {
-	n := requested
-	if n > userCount {
-		n = userCount
-	}
-	if n < 1 {
-		n = 1
-	}
+// shardMapFor builds the user partition for a requested shard count with
+// the given partitioner (shard.NewMap, or a shard.NewRingMap closure for
+// WithRingPartition), deterministically lowering the count until every
+// shard owns at least one user (hash imbalance can leave a shard empty
+// when shards approach the user count; a 1-wide partition never can). The
+// result is a pure function of its inputs, so re-sharding the same
+// population reproduces the same partition in every process.
+func shardMapFor(userCount, requested int, partition func(users, shards int) *shard.Map) *shard.Map {
+	n := min(requested, userCount)
 	for ; n > 1; n-- {
-		m := shard.NewMap(userCount, n)
+		m := partition(userCount, n)
 		empty := false
 		for sh := 0; sh < n; sh++ {
 			if m.Size(sh) == 0 {
@@ -165,35 +157,7 @@ func shardMapFor(userCount, requested int) *shard.Map {
 			return m
 		}
 	}
-	return shard.NewMap(userCount, 1)
-}
-
-// ringMapFor is shardMapFor's consistent-hash twin (WithRingPartition):
-// it builds the ring partition for a requested shard count, lowering the
-// count until no shard is empty. Like shardMapFor the result is a pure
-// function of its inputs, so every process reproduces the same partition.
-func ringMapFor(userCount, requested, replicas int) *shard.Map {
-	n := requested
-	if n > userCount {
-		n = userCount
-	}
-	if n < 1 {
-		n = 1
-	}
-	for ; n > 1; n-- {
-		m := shard.NewRingMap(userCount, n, replicas)
-		empty := false
-		for sh := 0; sh < n; sh++ {
-			if m.Size(sh) == 0 {
-				empty = true
-				break
-			}
-		}
-		if !empty {
-			return m
-		}
-	}
-	return shard.NewRingMap(userCount, 1, replicas)
+	return partition(userCount, 1)
 }
 
 // Shards returns the number of independent engine shards behind the router.
@@ -235,21 +199,11 @@ func (s *ShardedEngine) UsersOf(sh int) []int {
 	return append([]int(nil), s.users.GlobalsOf(sh)...)
 }
 
-// Version returns the sum of the shard version counters: it increases with
-// every successful write anywhere in the cluster, so equal Versions imply
-// no shard has changed.
-func (s *ShardedEngine) Version() uint64 {
-	var v uint64
-	for _, e := range s.engines {
-		v += e.Version()
-	}
-	return v
-}
-
 // Generation returns the sum of the shard matrices' write-generation
-// counters — the cluster analogue of Engine.Generation and the unit the
-// router-level staleness bound is measured in. Shard generations only
-// grow, so the sum is monotone.
+// counters — the cluster analogue of Engine.Generation, the key of the
+// router's merged cache and the unit the router-level staleness bound is
+// measured in. Shard generations only grow under writes, so the sum is
+// monotone between handoffs.
 func (s *ShardedEngine) Generation() uint64 {
 	var g uint64
 	for _, e := range s.engines {
@@ -263,18 +217,18 @@ func (s *ShardedEngine) Generation() uint64 {
 func (s *ShardedEngine) MaxStaleness() uint64 { return s.maxStale }
 
 // View returns O(1) copy-on-write views of every shard's response matrix
-// together with the matching shard versions, in shard order. Like
+// together with the matching shard write generations, in shard order. Like
 // Engine.View, the returned matrices are immutable by contract: the next
 // write to a shard clones it first, so each view stays consistent forever,
 // but callers must not mutate them. Use LocalFor / UsersOf to translate
 // between global user indices and per-shard row indices.
 func (s *ShardedEngine) View() ([]*ResponseMatrix, []uint64) {
 	ms := make([]*ResponseMatrix, len(s.engines))
-	vs := make([]uint64, len(s.engines))
+	gens := make([]uint64, len(s.engines))
 	for i, e := range s.engines {
-		ms[i], vs[i] = e.View()
+		ms[i], gens[i] = e.View()
 	}
-	return ms, vs
+	return ms, gens
 }
 
 // SetShardDurability installs (or removes) the write hook of one shard's
@@ -296,10 +250,27 @@ func (s *ShardedEngine) SetShardDurability(sh int, hook WriteHook) error {
 // deterministic across processes: the user partition depends only on
 // (user count, shard count).
 func (s *ShardedEngine) RestoreShard(sh int, m *ResponseMatrix) error {
+	return s.replaceShard("RestoreShard", sh, m, (*Engine).Restore)
+}
+
+// replaceShard runs replace (Engine.Restore or Engine.Adopt) on one shard
+// under the router lock and drops the merged cache and the shard's sparse
+// memo: the new matrix may carry the generation of the one it replaces,
+// so neither key would notice the swap. The served watermark restarts at
+// the cluster generation, as it does for the replaced shard's engine.
+func (s *ShardedEngine) replaceShard(name string, sh int, m *ResponseMatrix, replace func(*Engine, *ResponseMatrix) error) error {
 	if sh < 0 || sh >= len(s.engines) {
-		return fmt.Errorf("hitsndiffs: RestoreShard shard %d out of range [0,%d)", sh, len(s.engines))
+		return fmt.Errorf("hitsndiffs: %s shard %d out of range [0,%d)", name, sh, len(s.engines))
 	}
-	return s.engines[sh].Restore(m)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := replace(s.engines[sh], m); err != nil {
+		return err
+	}
+	s.cached = nil
+	s.sparse[sh] = sparseMemo{}
+	s.servedGen.Store(s.Generation())
+	return nil
 }
 
 // FenceShard fences (true) or unfences (false) one shard's write path —
@@ -324,14 +295,14 @@ func (s *ShardedEngine) ShardFenced(sh int) bool {
 }
 
 // ShardView returns one shard's matrix as an O(1) copy-on-write view with
-// the shard's version — the single-shard form of View, used by the shard
-// handoff exporter to snapshot only the moving shard.
+// the shard's write generation — the single-shard form of View, used by
+// the shard handoff exporter to snapshot only the moving shard.
 func (s *ShardedEngine) ShardView(sh int) (*ResponseMatrix, uint64, error) {
 	if sh < 0 || sh >= len(s.engines) {
 		return nil, 0, fmt.Errorf("hitsndiffs: ShardView shard %d out of range [0,%d)", sh, len(s.engines))
 	}
-	m, v := s.engines[sh].View()
-	return m, v, nil
+	m, gen := s.engines[sh].View()
+	return m, gen, nil
 }
 
 // ShardGeneration returns one shard's write-generation counter (the
@@ -346,13 +317,11 @@ func (s *ShardedEngine) ShardGeneration(sh int) (uint64, error) {
 
 // AdoptShard replaces one shard engine's matrix with state imported from
 // another process — see Engine.Adopt. Unlike RestoreShard it is legal on
-// a shard that already absorbed writes: the shard's version bumps, so the
-// router's merged cache and sparse memo invalidate on the next read.
+// a shard that already absorbed writes. The router's merged cache and the
+// shard's sparse memo are dropped, and a merge whose fan-out straddles the
+// adopt does not install.
 func (s *ShardedEngine) AdoptShard(sh int, m *ResponseMatrix) error {
-	if sh < 0 || sh >= len(s.engines) {
-		return fmt.Errorf("hitsndiffs: AdoptShard shard %d out of range [0,%d)", sh, len(s.engines))
-	}
-	return s.engines[sh].Adopt(m)
+	return s.replaceShard("AdoptShard", sh, m, (*Engine).Adopt)
 }
 
 // validate rejects an observation no shard could apply, using the router's
@@ -365,7 +334,7 @@ func (s *ShardedEngine) validate(o Observation) error {
 
 // Observe records that user picked option of item, replacing any earlier
 // answer; pass Unanswered to retract one. Only the shard owning the user is
-// locked and version-bumped — writes to different shards never contend.
+// locked and written — writes to different shards never contend.
 func (s *ShardedEngine) Observe(user, item, option int) error {
 	o := Observation{User: user, Item: item, Option: option}
 	if err := s.validate(o); err != nil {
@@ -377,7 +346,7 @@ func (s *ShardedEngine) Observe(user, item, option int) error {
 
 // ObserveBatch splits a batch of responses by owning shard and applies the
 // per-shard sub-batches concurrently, each under its shard's single lock
-// acquisition and version bump. The whole batch is validated up front
+// acquisition. The whole batch is validated up front
 // against the router's geometry, so an out-of-range observation leaves
 // every shard untouched; a fence on ANY touched shard likewise fails the
 // batch with ErrFenced before any sub-batch applies — every touched
@@ -447,7 +416,7 @@ func (s *ShardedEngine) ObserveBatch(obs []Observation) error {
 
 // Rank scores every user in the cluster. With one shard it is exactly
 // Engine.Rank. With several, the shards rank concurrently — each serving
-// from its version-keyed cache when unchanged, re-solving (warm-started)
+// from its generation-keyed cache when unchanged, re-solving (warm-started)
 // when written — and the per-shard scores are min-max normalized to [0, 1]
 // and merged into one global score vector. Between writes the merged
 // result itself is cached, so a read-heavy steady state pays one score
@@ -458,44 +427,14 @@ func (s *ShardedEngine) ObserveBatch(obs []Observation) error {
 // deterministic: it visits shards in index order and writes each user's
 // score at its global index, so the result is independent of shard
 // completion order. Iterations sums the shard iteration counts; Converged
-// reports whether every shard converged. The returned Result owns its
-// score slice; callers may mutate it freely.
+// reports whether every shard converged, and Coalesced whether any shard
+// result rode another call's solve. The returned Result owns its score
+// slice; callers may mutate it freely.
 func (s *ShardedEngine) Rank(ctx context.Context) (Result, error) {
 	if len(s.engines) == 1 {
 		return s.engines[0].Rank(ctx)
 	}
-	version := s.Version()
-	s.mu.Lock()
-	if c := s.cached; c != nil {
-		if c.version == version {
-			out := c.res
-			out.Scores = append(mat.Vector(nil), c.res.Scores...)
-			out.Generation = c.gen
-			out.Staleness = 0
-			s.mu.Unlock()
-			s.routerHits.Add(1)
-			casMax(&s.servedGen, c.gen)
-			return out, nil
-		}
-		if s.maxStale > 0 {
-			// Shard generations only grow, so the sum read here can only lag
-			// the true frontier — the reported staleness never under-counts
-			// relative to the instant the bound was checked.
-			if gen := s.Generation(); gen-c.gen <= s.maxStale {
-				out := c.res
-				out.Scores = append(mat.Vector(nil), c.res.Scores...)
-				out.Generation = c.gen
-				out.Staleness = gen - c.gen
-				s.mu.Unlock()
-				s.routerHits.Add(1)
-				s.staleServes.Add(1)
-				casMax(&s.servedGen, c.gen)
-				return out, nil
-			}
-		}
-	}
-	s.mu.Unlock()
-	return s.solveMerged(ctx, version)
+	return s.rank(ctx, s.maxStale)
 }
 
 // Refresh is Rank with the staleness bound ignored: it re-solves the stale
@@ -506,31 +445,45 @@ func (s *ShardedEngine) Refresh(ctx context.Context) (Result, error) {
 	if len(s.engines) == 1 {
 		return s.engines[0].Refresh(ctx)
 	}
-	version := s.Version()
+	return s.rank(ctx, 0)
+}
+
+// rank serves the merged cache while the cluster is at most maxStale
+// generations past it, and re-merges otherwise. Shard generations are
+// read under the router lock, so no AdoptShard can slip between the read
+// and the cache it is compared with.
+func (s *ShardedEngine) rank(ctx context.Context, maxStale uint64) (Result, error) {
 	s.mu.Lock()
-	if c := s.cached; c != nil && c.version == version {
-		out := c.res
-		out.Scores = append(mat.Vector(nil), c.res.Scores...)
-		out.Generation = c.gen
-		out.Staleness = 0
-		s.mu.Unlock()
-		s.routerHits.Add(1)
-		casMax(&s.servedGen, c.gen)
-		return out, nil
+	if c := s.cached; c != nil {
+		if stale := s.Generation() - c.Generation; stale <= maxStale {
+			out := *c
+			out.Scores = append(mat.Vector(nil), c.Scores...)
+			out.Staleness = stale
+			s.mu.Unlock()
+			s.routerHits.Add(1)
+			if stale > 0 {
+				s.staleServes.Add(1)
+			}
+			casMax(&s.servedGen, c.Generation)
+			return out, nil
+		}
 	}
 	s.mu.Unlock()
-	return s.solveMerged(ctx, version)
+	return s.solveMerged(ctx)
 }
 
 // solveMerged is the merged-cache miss path shared by Rank and Refresh:
-// rank every shard (cached or re-solved), normalize, merge, and install
-// the merged result keyed by the cluster version read before the fan-out.
-func (s *ShardedEngine) solveMerged(ctx context.Context, version uint64) (Result, error) {
-	results, err := s.RankAll(ctx)
+// rank every shard (cached or re-solved), normalize and merge. The merge
+// is cached only while every shard still holds the matrix, at the
+// generation, its result was solved from — no write or AdoptShard landed
+// during the fan-out.
+func (s *ShardedEngine) solveMerged(ctx context.Context) (Result, error) {
+	results, held, err := s.rankAll(ctx)
 	if err != nil {
 		return Result{}, err
 	}
 	merged := Result{Scores: mat.NewVector(s.Users()), Converged: true}
+	coalesced := false
 	for sh, res := range results {
 		norm := res.Scores.MinMaxNormalized()
 		for local, g := range s.users.GlobalsOf(sh) {
@@ -539,47 +492,60 @@ func (s *ShardedEngine) solveMerged(ctx context.Context, version uint64) (Result
 		merged.Iterations += res.Iterations
 		merged.Converged = merged.Converged && res.Converged
 		merged.Generation += res.Generation
+		coalesced = coalesced || res.Coalesced
 	}
 	casMax(&s.servedGen, merged.Generation)
-	if s.Version() == version {
-		s.mu.Lock()
-		s.cached = &shardedCache{version: version, gen: merged.Generation, res: merged}
-		s.mu.Unlock()
-		out := merged
-		out.Scores = append(mat.Vector(nil), merged.Scores...)
-		return out, nil
+	s.mu.Lock()
+	install := true
+	for sh, e := range s.engines {
+		install = install && e.holds(held[sh], results[sh].Generation)
 	}
+	if install {
+		c := merged
+		c.Scores = append(mat.Vector(nil), merged.Scores...)
+		s.cached = &c
+	}
+	s.mu.Unlock()
+	merged.Coalesced = coalesced
 	return merged, nil
 }
 
 // RankAll ranks every shard and returns the raw per-shard results in shard
 // order, scores in shard-local user indexing (translate with LocalFor /
 // UsersOf). The shards rank concurrently, each through its own engine's
-// exact Refresh path: a shard whose version is unchanged answers from its
-// cache, and a written shard gets the same warm solve Engine.Rank runs, so
-// every result is bitwise what the shard engine alone would return. Shards
-// left with fewer than two answering users — possible under hash imbalance
-// on tiny populations — report a flat, converged result instead of
-// failing the whole call. On error, the first failing shard in index order
-// wins, deterministically, and the error names it.
+// exact Refresh path: a shard whose generation is unchanged answers from
+// its cache, and a written shard gets the same warm solve Engine.Rank
+// runs, so every result is bitwise what the shard engine alone would
+// return. Shards left with fewer than two answering users — possible under
+// hash imbalance on tiny populations — report a flat, converged result
+// instead of failing the whole call. On error, the first failing shard in
+// index order wins, deterministically, and the error names it.
 func (s *ShardedEngine) RankAll(ctx context.Context) ([]Result, error) {
+	results, _, err := s.rankAll(ctx)
+	return results, err
+}
+
+// rankAll is RankAll that also returns, per shard, the matrix its result
+// was solved from — for the merge's install check, never read.
+func (s *ShardedEngine) rankAll(ctx context.Context) ([]Result, []*ResponseMatrix, error) {
 	results := make([]Result, len(s.engines))
+	held := make([]*ResponseMatrix, len(s.engines))
 	errs := make([]error, len(s.engines))
 	var wg sync.WaitGroup
 	for i := range s.engines {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = s.rankShard(ctx, i)
+			results[i], held[i], errs[i] = s.rankShard(ctx, i)
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("hitsndiffs: RankAll shard %d: %w", i, err)
+			return nil, nil, fmt.Errorf("hitsndiffs: RankAll shard %d: %w", i, err)
 		}
 	}
-	return results, nil
+	return results, held, nil
 }
 
 // rankShard ranks one shard exactly, mapping the too-few-users degenerate
@@ -588,19 +554,20 @@ func (s *ShardedEngine) RankAll(ctx context.Context) ([]Result, error) {
 // every user there.) It refreshes rather than ranks because a single
 // shard engine keeps the WithMaxStaleness bound, and RankAll never serves
 // stale shards.
-func (s *ShardedEngine) rankShard(ctx context.Context, i int) (Result, error) {
+func (s *ShardedEngine) rankShard(ctx context.Context, i int) (Result, *ResponseMatrix, error) {
 	eng := s.engines[i]
-	if len(s.engines) > 1 && s.shardTooSparse(i) {
-		return Result{Scores: mat.NewVector(eng.Users()), Converged: true, Generation: eng.Generation()}, nil
+	if len(s.engines) > 1 {
+		if m, gen, sparse := s.shardTooSparse(i); sparse {
+			return Result{Scores: mat.NewVector(eng.Users()), Converged: true, Generation: gen}, m, nil
+		}
 	}
-	return eng.Refresh(ctx)
+	return eng.rank(ctx, false, true)
 }
 
 // Metrics returns the aggregate observability snapshot of the cluster: the
-// cluster version (sum of shard versions, the same freshness key Version
-// and the merged-result cache use), the total user count, and every shard
-// counter summed, with the router's own merged-cache hits folded into
-// CacheHits. Each shard's slice of the snapshot is internally consistent
+// cluster generation (sum of shard generations, the key the merged-result
+// cache uses), the total user count, and every shard counter summed, with
+// the router's own merged-cache hits folded into CacheHits. Each shard's slice of the snapshot is internally consistent
 // (taken under that shard's locks); shards are visited in index order, so
 // a write racing the scrape can skew the cross-shard sums by at most the
 // writes in flight. Use ShardMetrics for the per-shard breakdown.
@@ -633,21 +600,21 @@ func (s *ShardedEngine) ShardMetrics() []EngineMetrics {
 }
 
 // shardTooSparse reports whether shard i has fewer than two answering users
-// — the population no spectral method can rank. The verdict is memoized per
-// shard version, and the rescan path reads under the shard's lock without
+// — the population no spectral method can rank — together with the matrix
+// and generation the verdict holds for. The verdict is memoized per shard
+// generation, and the rescan path reads under the shard's lock without
 // snapshotting, so steady-state Ranks over cache-hit shards neither touch
-// their matrices nor poison their copy-on-write state.
-func (s *ShardedEngine) shardTooSparse(i int) bool {
-	version := s.engines[i].Version()
+// their matrices nor poison their copy-on-write state. Both locks are held
+// throughout, so the verdict, the generation and the memo always agree.
+func (s *ShardedEngine) shardTooSparse(i int) (*ResponseMatrix, uint64, bool) {
+	e := s.engines[i]
 	s.mu.Lock()
-	if m := s.sparse[i]; m.valid && m.version == version {
-		s.mu.Unlock()
-		return m.sparse
+	defer s.mu.Unlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	m, gen := e.held()
+	if memo := s.sparse[i]; !memo.valid || memo.gen != gen {
+		s.sparse[i] = sparseMemo{gen: gen, valid: true, sparse: !e.answeredAtLeast(2)}
 	}
-	s.mu.Unlock()
-	sparse := !s.engines[i].answeredAtLeast(2)
-	s.mu.Lock()
-	s.sparse[i] = sparseMemo{version: version, valid: true, sparse: sparse}
-	s.mu.Unlock()
-	return sparse
+	return m, gen, s.sparse[i].sparse
 }

@@ -218,7 +218,7 @@ func TestShardedObserveBatchAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := eng.Version()
+	before := eng.Generation()
 	views, _ := eng.View()
 	batch := []Observation{
 		{User: 1, Item: 1, Option: 0},
@@ -228,8 +228,8 @@ func TestShardedObserveBatchAtomic(t *testing.T) {
 	if err := eng.ObserveBatch(batch); err == nil {
 		t.Fatal("invalid batch accepted")
 	}
-	if eng.Version() != before {
-		t.Fatalf("version moved from %d to %d on rejected batch", before, eng.Version())
+	if eng.Generation() != before {
+		t.Fatalf("generation moved from %d to %d on rejected batch", before, eng.Generation())
 	}
 	after, _ := eng.View()
 	for sh := range views {
@@ -273,7 +273,7 @@ func TestShardedObserveBatchFenceAtomic(t *testing.T) {
 	if err := eng.FenceShard(fencedShard, true); err != nil {
 		t.Fatal(err)
 	}
-	before := eng.Version()
+	before := eng.Generation()
 	gens := make([]uint64, eng.Shards())
 	for sh := range gens {
 		gens[sh], _ = eng.ShardGeneration(sh)
@@ -281,8 +281,8 @@ func TestShardedObserveBatchFenceAtomic(t *testing.T) {
 	if err := eng.ObserveBatch(batch); !errors.Is(err, ErrFenced) {
 		t.Fatalf("mixed batch over a fenced shard: %v, want ErrFenced", err)
 	}
-	if got := eng.Version(); got != before {
-		t.Fatalf("version moved from %d to %d: batch partially applied", before, got)
+	if got := eng.Generation(); got != before {
+		t.Fatalf("generation moved from %d to %d: batch partially applied", before, got)
 	}
 	for sh := range gens {
 		if g, _ := eng.ShardGeneration(sh); g != gens[sh] {
@@ -296,8 +296,8 @@ func TestShardedObserveBatchFenceAtomic(t *testing.T) {
 	if err := eng.ObserveBatch(batch); err != nil {
 		t.Fatalf("batch after unfence: %v", err)
 	}
-	if got := eng.Version(); got != before+uint64(len(seen)) {
-		t.Fatalf("version %d after unfenced batch, want %d (one bump per touched shard)", got, before+uint64(len(seen)))
+	if got := eng.Generation(); got != before+uint64(len(batch)) {
+		t.Fatalf("generation %d after unfenced batch, want %d (one tick per observation)", got, before+uint64(len(batch)))
 	}
 }
 
@@ -379,7 +379,7 @@ func TestShardedConcurrentObserveRank(t *testing.T) {
 					return
 				}
 				eng.View()
-				eng.Version()
+				eng.Generation()
 			}
 		}()
 	}
@@ -448,10 +448,10 @@ func TestShardedRankAllBatchedMatchesFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := a.ShardFor(0)
-	versions := make([]uint64, a.Shards())
+	gens := make([]uint64, a.Shards())
 	misses := make([]uint64, a.Shards())
 	for i, e := range a.engines {
-		versions[i] = e.Version()
+		gens[i] = e.Generation()
 		misses[i] = e.Metrics().CacheMisses
 	}
 	again, err := a.RankAll(ctx)
@@ -462,8 +462,8 @@ func TestShardedRankAllBatchedMatchesFanOut(t *testing.T) {
 		if i != sh && !scoresEqualBits(again[i].Scores, all[i].Scores) {
 			t.Fatalf("unwritten shard %d changed scores after foreign write", i)
 		}
-		if a.engines[i].Version() != versions[i] {
-			t.Fatalf("RankAll bumped shard %d's version", i)
+		if a.engines[i].Generation() != gens[i] {
+			t.Fatalf("RankAll moved shard %d's generation", i)
 		}
 		want := misses[i]
 		if i == sh {

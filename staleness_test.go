@@ -330,7 +330,7 @@ func TestInferLabelsAlwaysExact(t *testing.T) {
 	if res, _ := eng.Rank(ctx); res.Staleness == 0 {
 		t.Fatal("setup failed: rank should be serving stale here")
 	}
-	if _, err := eng.InferLabels(ctx); err != nil {
+	if _, _, err := eng.InferLabels(ctx); err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng.Rank(ctx)
