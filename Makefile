@@ -17,9 +17,11 @@ GO ?= go
 # the write-path overhead record — the staleness-bounded read path under
 # steady writes (StaleRank: bound=0 inline baseline vs bounded stale
 # serving), the pooled zero-alloc warm HnD-power solve itself
-# (WarmSolveKernel), and its zero-alloc orientation pass alone
-# (OrientDeciles: decile selection and group entropies on 2,000 users).
-BENCH_PATTERN ?= Fig5aScaleUsers|Fig5bScaleQuestions|HNDPowerInnerLoop|EngineSnapshot|EngineWarmVsCold|NewCSRAssembly|ShardedObserve|ShardedRank|WarmRerankAllocs|WALAppend|StaleRank|WarmSolveKernel|OrientDeciles
+# (WarmSolveKernel), its zero-alloc orientation pass alone
+# (OrientDeciles: decile selection and group entropies on 2,000 users),
+# and the zero-alloc U·s apply on servebench write-rank's matrix shape
+# (ApplyU, also in ns per non-zero).
+BENCH_PATTERN ?= Fig5aScaleUsers|Fig5bScaleQuestions|HNDPowerInnerLoop|EngineSnapshot|EngineWarmVsCold|NewCSRAssembly|ShardedObserve|ShardedRank|WarmRerankAllocs|WALAppend|StaleRank|WarmSolveKernel|OrientDeciles|ApplyU
 BENCH_TIME ?= 1x
 BENCH_OUT ?= BENCH_pr10.json
 

@@ -89,6 +89,10 @@ type Engine struct {
 	solving    atomic.Int64
 	lastScores []float64 // the latest solve's scores, read-only
 	cached     *engineCache
+	// lineage counts Adopt and Restore calls. A solve seeds the warm start
+	// only if no Adopt or Restore has replaced the matrix it read since it
+	// began; a write clone of that matrix still descends from it.
+	lineage uint64
 	// restoreGen is the matrix generation at construction or at the last
 	// Restore: Restore refuses an engine whose matrix has moved past it.
 	restoreGen uint64
@@ -113,11 +117,12 @@ type engineCache struct {
 // final, and after that they are read-only: every caller copies the
 // scores out.
 type flight struct {
-	m    *ResponseMatrix
-	warm []float64
-	done chan struct{}
-	res  Result
-	err  error
+	m       *ResponseMatrix
+	lineage uint64
+	warm    []float64
+	done    chan struct{}
+	res     Result
+	err     error
 }
 
 // casMax raises a to at least v (monotone watermark update; concurrent
@@ -383,6 +388,7 @@ func (e *Engine) Adopt(m *ResponseMatrix) error {
 	e.solving.Store(0)
 	e.cached = nil
 	e.lastScores = nil
+	e.lineage++
 	return nil
 }
 
@@ -417,6 +423,7 @@ func (e *Engine) Restore(m *ResponseMatrix) error {
 	e.solving.Store(0)
 	e.cached = nil
 	e.lastScores = nil
+	e.lineage++
 	return nil
 }
 
@@ -603,7 +610,7 @@ func (e *Engine) joinFlight() (f *flight, lead bool) {
 	if f := e.flight; f != nil && f.m == e.m {
 		return f, false
 	}
-	f = &flight{m: e.m, done: make(chan struct{})}
+	f = &flight{m: e.m, lineage: e.lineage, done: make(chan struct{})}
 	if len(e.lastScores) == e.m.Users() {
 		f.warm = e.lastScores // copied by WithWarmStart in solve
 	}
@@ -613,11 +620,13 @@ func (e *Engine) joinFlight() (f *flight, lead bool) {
 	return f, true
 }
 
-// fly runs the flight f that the caller leads. Its scores become the next
-// warm start, and they are cached only while the engine still holds the
-// matrix they were solved from: a write during the solve has cloned the
-// matrix, and Adopt or Restore has replaced it, so the pointer alone says
-// whether anything changed.
+// fly runs the flight f that the caller leads. Its scores are cached only
+// while the engine still holds the matrix they were solved from: a write
+// during the solve has cloned the matrix, and Adopt or Restore has
+// replaced it, so the pointer alone says whether anything changed. They
+// become the next warm start unless Adopt or Restore replaced the matrix:
+// a write clone's solve starts from its parent's scores, an adopted
+// matrix's first solve starts cold.
 func (e *Engine) fly(ctx context.Context, f *flight) {
 	res, err := e.solve(ctx, f.m, f.warm)
 	e.mu.Lock()
@@ -629,7 +638,9 @@ func (e *Engine) fly(ctx context.Context, f *flight) {
 	}
 	if err == nil {
 		res.Generation = f.m.Generation()
-		e.lastScores = res.Scores
+		if e.lineage == f.lineage {
+			e.lastScores = res.Scores
+		}
 		if e.m == f.m {
 			e.cached = &engineCache{res: res}
 		}

@@ -32,17 +32,13 @@ type Update struct {
 }
 
 // NewUpdate builds the update machinery for m from its page patterns: the
-// row scales come from the pages' row lengths and the column scales from
+// row scales come from the pages' row pointers and the column scales from
 // one column-count pass over the pages.
 func NewUpdate(m *response.Matrix) *Update {
 	u := &Update{Pages: m.Patterns(nil), RowScale: mat.NewVector(m.Users())}
 	for k, p := range u.Pages {
-		lo, _ := span(k, p)
-		for i := 0; i < p.Rows(); i++ {
-			if cols, _ := p.RowNNZ(i); len(cols) > 0 {
-				u.RowScale[lo+i] = 1 / float64(len(cols))
-			}
-		}
+		lo, hi := span(k, p)
+		p.InvRowLens(u.RowScale[lo:hi])
 	}
 	u.ColScale = u.columnCounts(m.TotalOptions()) // exact chooser counts
 	for j, n := range u.ColScale {
@@ -54,16 +50,11 @@ func NewUpdate(m *response.Matrix) *Update {
 }
 
 // columnCounts returns the number of users choosing each of the cols
-// options — C's column sums, accumulated page by page in C.ColSums' order.
+// options — C's column sums, counted page by page.
 func (u *Update) columnCounts(cols int) mat.Vector {
 	counts := mat.NewVector(cols)
 	for _, p := range u.Pages {
-		for i := 0; i < p.Rows(); i++ {
-			js, _ := p.RowNNZ(i)
-			for _, j := range js {
-				counts[j]++
-			}
-		}
+		p.AddColCounts(counts)
 	}
 	return counts
 }

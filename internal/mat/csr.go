@@ -224,6 +224,38 @@ func (m *CSR) RowNNZ(i int) (cols []int, vals []float64) {
 	return m.colIdx[lo:hi], m.val[lo:hi]
 }
 
+// InvRowLens sets dst[i] to 1/(entries stored in row i), or 0 for an
+// empty row — for a one-hot m, the row scale of m.RowNormalized — in one
+// pass over the row pointers.
+func (m *CSR) InvRowLens(dst Vector) Vector {
+	if len(dst) != m.rows {
+		panic("mat: CSR InvRowLens length mismatch")
+	}
+	lo := m.rowPtr[0]
+	for i, hi := range m.rowPtr[1:] {
+		if n := hi - lo; n > 0 {
+			dst[i] = 1 / float64(n)
+		} else {
+			dst[i] = 0
+		}
+		lo = hi
+	}
+	return dst
+}
+
+// AddColCounts adds to dst[j] the number of entries stored in column j —
+// for a one-hot m, its column sums — in one pass over the column indices.
+// The counts are small integers, exact in float64.
+func (m *CSR) AddColCounts(dst Vector) Vector {
+	if len(dst) != m.cols {
+		panic("mat: CSR AddColCounts length mismatch")
+	}
+	for _, j := range m.colIdx {
+		dst[j]++
+	}
+	return dst
+}
+
 // Clone returns a deep copy of m.
 func (m *CSR) Clone() *CSR {
 	out := &CSR{
@@ -236,18 +268,29 @@ func (m *CSR) Clone() *CSR {
 	return out
 }
 
+// The pattern kernels below bind the receiver's index slices to locals and
+// range over each row's column slice, so the inner loops index no struct
+// field and keep one bounds check per gather. Hoisting changes no
+// floating-point operation: every sum adds the same products in the same
+// order as the plain row-by-row loop (csr_test.go pins each kernel bitwise
+// to such a loop).
+
 // MulVec computes dst = m·x, one row at a time in column order. dst must
 // not alias x.
 func (m *CSR) MulVec(dst, x Vector) Vector {
 	if len(x) != m.cols || len(dst) != m.rows {
 		panic(fmt.Sprintf("mat: CSR MulVec shape mismatch (%dx%d)·%d -> %d", m.rows, m.cols, len(x), len(dst)))
 	}
-	for i := 0; i < m.rows; i++ {
+	colIdx, val := m.colIdx, m.val
+	lo := m.rowPtr[0]
+	for i, hi := range m.rowPtr[1:] {
+		vs := val[lo:hi]
 		var s float64
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			s += m.val[p] * x[m.colIdx[p]]
+		for p, j := range colIdx[lo:hi] {
+			s += vs[p] * x[j]
 		}
 		dst[i] = s
+		lo = hi
 	}
 	return dst
 }
@@ -267,13 +310,15 @@ func (m *CSR) MulVecTAdd(dst, x Vector) Vector {
 	if len(x) != m.rows || len(dst) != m.cols {
 		panic("mat: CSR MulVecT shape mismatch")
 	}
-	for i := 0; i < m.rows; i++ {
-		xi := x[i]
+	rowPtr, colIdx, val := m.rowPtr, m.colIdx, m.val
+	for i, xi := range x {
 		if xi == 0 {
 			continue
 		}
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			dst[m.colIdx[p]] += m.val[p] * xi
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		vs := val[lo:hi]
+		for p, j := range colIdx[lo:hi] {
+			dst[j] += vs[p] * xi
 		}
 	}
 	return dst
@@ -285,15 +330,43 @@ func (m *CSR) MulVecTAdd(dst, x Vector) Vector {
 // in MulVec's order, the product MulVec forms with the stored value r[i],
 // so the result is bitwise that reference; scaling the row sum once
 // instead would round differently. dst must not alias x.
+//
+// Two rows are in flight at a time, each summed in column order into its
+// own accumulator: the two add chains are independent, so they overlap
+// in the pipeline, and neither row's sum changes. (A transpose scatter
+// cannot do the same: two rows that chose one column would add into it
+// in another order.)
 func (m *CSR) MulVecRowScaled(dst, x, r Vector) Vector {
 	if len(x) != m.cols || len(dst) != m.rows || len(r) != m.rows {
 		panic("mat: CSR MulVecRowScaled shape mismatch")
 	}
-	for i := 0; i < m.rows; i++ {
+	rowPtr, colIdx := m.rowPtr, m.colIdx
+	i := 0
+	for ; i+1 < len(dst); i += 2 {
+		a := colIdx[rowPtr[i]:rowPtr[i+1]]
+		b := colIdx[rowPtr[i+1]:rowPtr[i+2]]
+		ra, rb := r[i], r[i+1]
+		var sa, sb float64
+		k := min(len(a), len(b))
+		ak := a[:k]
+		bk := b[:len(ak)]
+		for t, ja := range ak {
+			sa += ra * x[ja]
+			sb += rb * x[bk[t]]
+		}
+		for _, j := range a[k:] {
+			sa += ra * x[j]
+		}
+		for _, j := range b[k:] {
+			sb += rb * x[j]
+		}
+		dst[i], dst[i+1] = sa, sb
+	}
+	if i < len(dst) {
 		ri := r[i]
 		var s float64
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			s += ri * x[m.colIdx[p]]
+		for _, j := range colIdx[rowPtr[i]:rowPtr[i+1]] {
+			s += ri * x[j]
 		}
 		dst[i] = s
 	}
@@ -307,13 +380,15 @@ func (m *CSR) MulVecColScaled(dst, x, c Vector) Vector {
 	if len(x) != m.cols || len(dst) != m.rows || len(c) != m.cols {
 		panic("mat: CSR MulVecColScaled shape mismatch")
 	}
-	for i := 0; i < m.rows; i++ {
+	colIdx := m.colIdx
+	lo := m.rowPtr[0]
+	for i, hi := range m.rowPtr[1:] {
 		var s float64
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			j := m.colIdx[p]
+		for _, j := range colIdx[lo:hi] {
 			s += c[j] * x[j]
 		}
 		dst[i] = s
+		lo = hi
 	}
 	return dst
 }
@@ -328,33 +403,33 @@ func (m *CSR) MulVecTRowScaledAdd(dst, x, r Vector) Vector {
 	if len(x) != m.rows || len(dst) != m.cols || len(r) != m.rows {
 		panic("mat: CSR MulVecTRowScaledAdd shape mismatch")
 	}
-	for i := 0; i < m.rows; i++ {
-		xi := x[i]
+	rowPtr, colIdx := m.rowPtr, m.colIdx
+	for i, xi := range x {
 		if xi == 0 {
 			continue
 		}
 		ri := r[i]
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			dst[m.colIdx[p]] += ri * xi
+		for _, j := range colIdx[rowPtr[i]:rowPtr[i+1]] {
+			dst[j] += ri * xi
 		}
 	}
 	return dst
 }
 
 // MulVecTColScaledAdd adds (P·diag(c))ᵀ·x into dst over m's pattern P —
-// MulVecTAdd on m.ScaleCols(c) of a one-hot m, bitwise. dst must not alias
-// x.
+// MulVecTAdd on m.ScaleCols(c) of a one-hot m, bitwise. It scatters one
+// row at a time: interleaving rows would reorder the additions into a
+// column two rows share. dst must not alias x.
 func (m *CSR) MulVecTColScaledAdd(dst, x, c Vector) Vector {
 	if len(x) != m.rows || len(dst) != m.cols || len(c) != m.cols {
 		panic("mat: CSR MulVecTColScaledAdd shape mismatch")
 	}
-	for i := 0; i < m.rows; i++ {
-		xi := x[i]
+	rowPtr, colIdx := m.rowPtr, m.colIdx
+	for i, xi := range x {
 		if xi == 0 {
 			continue
 		}
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			j := m.colIdx[p]
+		for _, j := range colIdx[rowPtr[i]:rowPtr[i+1]] {
 			dst[j] += c[j] * xi
 		}
 	}
@@ -371,12 +446,16 @@ func (m *CSR) MulVecDiagSub(dst, x, diag, s Vector) Vector {
 	if len(x) != m.cols || len(dst) != m.rows || len(diag) != m.rows || len(s) != m.rows {
 		panic("mat: CSR MulVecDiagSub shape mismatch")
 	}
-	for i := 0; i < m.rows; i++ {
+	colIdx, val := m.colIdx, m.val
+	lo := m.rowPtr[0]
+	for i, hi := range m.rowPtr[1:] {
+		vs := val[lo:hi]
 		var acc float64
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			acc += m.val[p] * x[m.colIdx[p]]
+		for p, j := range colIdx[lo:hi] {
+			acc += vs[p] * x[j]
 		}
 		dst[i] = diag[i]*s[i] - acc
+		lo = hi
 	}
 	return dst
 }

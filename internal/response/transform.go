@@ -115,15 +115,20 @@ func (m *Matrix) Components() [][]int {
 }
 
 // Subset returns a new matrix containing only the given users (in the
-// given order), with the same items and option counts.
+// given order), with the same items and option counts. Only answered
+// cells are written, so the subset's generation counts the answers it
+// copied: a subset of an empty matrix starts at generation 0, as a new
+// matrix does.
 func (m *Matrix) Subset(users []int) *Matrix {
 	if len(users) == 0 {
 		panic("response: Subset needs at least one user")
 	}
 	out := New(len(users), m.items, m.options...)
 	for nu, u := range users {
-		for i := 0; i < m.items; i++ {
-			out.SetAnswer(nu, i, m.Answer(u, i))
+		for i, h := range m.Row(u) {
+			if h != Unanswered {
+				out.SetAnswer(nu, i, h)
+			}
 		}
 	}
 	return out

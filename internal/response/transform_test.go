@@ -146,6 +146,13 @@ func TestSubset(t *testing.T) {
 	if s.Answer(0, 1) != 2 || s.Answer(1, 0) != 1 {
 		t.Fatal("subset answers wrong")
 	}
+	if s.Answer(0, 0) != Unanswered || s.Answer(1, 1) != Unanswered {
+		t.Fatal("subset answered a cell its source left unanswered")
+	}
+	// Only the two copied answers count as writes.
+	if g := s.Generation(); g != 2 {
+		t.Fatalf("subset generation %d, want 2", g)
+	}
 }
 
 func TestSubsetEmptyPanics(t *testing.T) {

@@ -683,9 +683,9 @@ func TestWriteBackpressure429(t *testing.T) {
 }
 
 // TestMaxLagStartsAtLoadedGeneration: answers a tenant starts with owe no
-// rank. A fresh sharded tenant, whose shards are built cell by cell, and a
-// tenant recovered from its data dir both admit writes under a lag bound
-// far below their generation.
+// rank. A fresh sharded tenant starts at generation 0 and admits its first
+// write; a tenant recovered from its data dir, sharded or not, admits
+// writes under a lag bound far below its generation.
 func TestMaxLagStartsAtLoadedGeneration(t *testing.T) {
 	cfg := irt.DefaultConfig(irt.ModelSamejima)
 	cfg.Users, cfg.Items, cfg.Seed = 30, 15, 23
@@ -699,24 +699,71 @@ func TestMaxLagStartsAtLoadedGeneration(t *testing.T) {
 	t.Run("fresh-sharded", func(t *testing.T) {
 		_, c := newTestServer(t, serve.Config{Shards: 4, MaxLag: 3})
 		c.mustCreate("s", cfg.Users, cfg.Items, cfg.Options)
-		if g := c.tenantEngine("s").Generation; g < 3 {
-			t.Fatalf("fresh sharded tenant at generation %d, want its cells counted", g)
+		if g := c.tenantEngine("s").Generation; g != 0 {
+			t.Fatalf("fresh sharded tenant at generation %d, want 0", g)
 		}
 		if code, body := write(c, "s"); code != http.StatusOK {
 			t.Fatalf("first write to a fresh sharded tenant: HTTP %d: %s", code, body)
 		}
 	})
-	t.Run("recovered", func(t *testing.T) {
-		dir := t.TempDir()
-		srv, c := newTestServer(t, serve.Config{DataDir: dir, MaxLag: 3})
-		c.mustCreate("r", cfg.Users, cfg.Items, cfg.Options)
-		c.mustObserve("r", observationsOf(d.Responses))
-		srv.Close()
-		_, c2 := newTestServer(t, serve.Config{DataDir: dir, MaxLag: 3})
-		if code, body := write(c2, "r"); code != http.StatusOK {
-			t.Fatalf("first write after recovery: HTTP %d: %s", code, body)
+	for _, shards := range []int{1, 4} {
+		name := "recovered"
+		if shards > 1 {
+			name = "recovered-sharded"
 		}
-	})
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv, c := newTestServer(t, serve.Config{DataDir: dir, Shards: shards, MaxLag: 3})
+			c.mustCreate("r", cfg.Users, cfg.Items, cfg.Options)
+			c.mustObserve("r", observationsOf(d.Responses))
+			srv.Close()
+			_, c2 := newTestServer(t, serve.Config{DataDir: dir, Shards: shards, MaxLag: 3})
+			if g := c2.tenantEngine("r").Generation; g < 3 {
+				t.Fatalf("recovered tenant at generation %d, want its answers counted", g)
+			}
+			if code, body := write(c2, "r"); code != http.StatusOK {
+				t.Fatalf("first write after recovery: HTTP %d: %s", code, body)
+			}
+		})
+	}
+}
+
+// TestFreshTenantGenerationCountsAnswers: a tenant's generation counts
+// the answers written to it, whatever its shard count — a fresh 3×2
+// tenant reports 0, and 6 after its 6 answers, sharded or not, in memory
+// or durable.
+func TestFreshTenantGenerationCountsAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		shards  int
+		durable bool
+	}{
+		{"unsharded", 1, false},
+		{"sharded", 4, false},
+		{"sharded-durable", 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := serve.Config{Shards: tc.shards}
+			if tc.durable {
+				cfg.DataDir = t.TempDir()
+			}
+			_, c := newTestServer(t, cfg)
+			c.mustCreate("q", 3, 2, 3, 3)
+			if g := c.tenantEngine("q").Generation; g != 0 {
+				t.Fatalf("fresh tenant at generation %d, want 0", g)
+			}
+			var obs []serve.Observation
+			for u := 0; u < 3; u++ {
+				for i := 0; i < 2; i++ {
+					obs = append(obs, serve.Observation{User: u, Item: i, Option: (u + i) % 3})
+				}
+			}
+			c.mustObserve("q", obs)
+			if g := c.tenantEngine("q").Generation; g != 6 {
+				t.Fatalf("tenant after 6 answers at generation %d, want 6", g)
+			}
+		})
+	}
 }
 
 // TestDrain verifies the graceful-shutdown handshake: after StartDrain,
