@@ -272,8 +272,8 @@ func (m *CSR) Clone() *CSR {
 // range over each row's column slice, so the inner loops index no struct
 // field and keep one bounds check per gather. Hoisting changes no
 // floating-point operation: every sum adds the same products in the same
-// order as the plain row-by-row loop (csr_test.go pins each kernel bitwise
-// to such a loop).
+// order as the plain row-by-row loop (TestPatternKernelsMatchNaiveLoops
+// pins each kernel bitwise to such a loop).
 
 // MulVec computes dst = m·x, one row at a time in column order. dst must
 // not alias x.
@@ -333,9 +333,7 @@ func (m *CSR) MulVecTAdd(dst, x Vector) Vector {
 //
 // Two rows are in flight at a time, each summed in column order into its
 // own accumulator: the two add chains are independent, so they overlap
-// in the pipeline, and neither row's sum changes. (A transpose scatter
-// cannot do the same: two rows that chose one column would add into it
-// in another order.)
+// in the pipeline, and neither row's sum changes.
 func (m *CSR) MulVecRowScaled(dst, x, r Vector) Vector {
 	if len(x) != m.cols || len(dst) != m.rows || len(r) != m.rows {
 		panic("mat: CSR MulVecRowScaled shape mismatch")
