@@ -41,6 +41,12 @@ build:
 test:
 	$(GO) test ./...
 
+# -count=2 re-runs every test in the same process, so state leaking
+# between runs through the caches (the matrix pages' one-hot patterns, the
+# engine's generation-keyed results) fails the second pass; -race covers
+# the page copy-on-write protocol itself; -shuffle=on randomizes test
+# order so inter-test ordering dependencies (shared package state, leaked
+# goroutines) surface.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...

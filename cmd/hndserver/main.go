@@ -1,8 +1,9 @@
 // Command hndserver serves the hitsndiffs engines over HTTP JSON — the
 // network face of the library. It hosts named tenants (each an
-// independent response matrix behind an Engine, or a ShardedEngine when
-// -shards > 1) and exposes observe / rank / label-inference traffic with
-// request coalescing, per-tenant admission control and graceful drain.
+// independent response matrix behind a ShardedEngine of -shards shards,
+// one by default) and exposes observe / rank / label-inference traffic
+// with request coalescing, per-tenant admission control and graceful
+// drain.
 //
 // Usage:
 //
@@ -21,7 +22,7 @@
 //	POST /v1/observebatch  record a burst {tenant, observations:[...]}
 //	POST /v1/rank          rank a tenant's users {tenant}
 //	POST /v1/rankbatch     rank several tenants {tenants:[...]}
-//	POST /v1/inferlabels   infer correct options {tenant} (unsharded only)
+//	POST /v1/inferlabels   infer correct options {tenant} (one-shard tenants only)
 //	POST /v1/admin/handoff shard migration step {tenant, shard, action, ...}
 //	POST /v1/admin/partition  shard ownership map {tenant}
 //	GET  /metrics          serve + engine counter snapshot
@@ -88,7 +89,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8788", "listen address")
 	method := flag.String("method", "HnD-power", "ranking method every tenant serves (see hnd -list)")
-	shards := flag.Int("shards", 1, "engine shards per tenant (>1 hashes each tenant's users across a ShardedEngine)")
+	shards := flag.Int("shards", 1, "engine shards per tenant: its ShardedEngine hashes users across them (1 serves the whole matrix on one shard)")
 	ring := flag.Bool("ring", false, "partition sharded tenants by consistent-hash ring instead of the default modular hash (recorded per tenant; affects new tenants only)")
 	tol := flag.Float64("tol", 1e-5, "convergence tolerance for iterative methods")
 	maxIter := flag.Int("maxiter", 20000, "iteration budget for iterative methods")

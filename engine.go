@@ -191,9 +191,9 @@ func WithRingPartition(replicas int) EngineOption {
 
 // NewEngine builds an engine serving the given response matrix, which may
 // be empty: answers can arrive later through Observe. The matrix is
-// cloned copy-on-write, so the caller's copy stays independent. The method name is
-// resolved against the registry immediately so a typo fails at
-// construction, not at first request.
+// cloned copy-on-write, so the caller's copy stays independent. The
+// method name is resolved against the registry immediately so a typo
+// fails at construction, not at first request.
 func NewEngine(m *ResponseMatrix, opts ...EngineOption) (*Engine, error) {
 	if m == nil {
 		return nil, fmt.Errorf("hitsndiffs: NewEngine needs a response matrix")
@@ -364,39 +364,27 @@ func (e *Engine) Fenced() bool { return e.fenced.Load() }
 // the cached result and warm start are dropped, a solve still in flight on
 // the old matrix no longer installs its result, and the write-generation
 // counter and served watermark continue from the adopted matrix — whose
-// generation may equal the old one's. Geometry must match. The matrix is cloned copy-on-write; the
-// caller's copy stays independent.
+// generation may equal the old one's. Geometry must match. The matrix is
+// cloned copy-on-write; the caller's copy stays independent.
 func (e *Engine) Adopt(m *ResponseMatrix) error {
 	if m == nil {
 		return fmt.Errorf("hitsndiffs: Adopt needs a response matrix")
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if m.Users() != e.m.Users() || m.Items() != e.m.Items() {
-		return fmt.Errorf("hitsndiffs: Adopt matrix is %dx%d, engine serves %dx%d",
-			m.Users(), m.Items(), e.m.Users(), e.m.Items())
+	if err := e.checkGeometry("Adopt", m); err != nil {
+		return err
 	}
-	for i := 0; i < e.m.Items(); i++ {
-		if m.OptionCount(i) != e.m.OptionCount(i) {
-			return fmt.Errorf("hitsndiffs: Adopt matrix item %d has %d options, engine serves %d",
-				i, m.OptionCount(i), e.m.OptionCount(i))
-		}
-	}
-	e.m = m.Clone()
-	e.servedGen.Store(e.m.Generation())
-	e.shared.Store(false)
-	e.solving.Store(0)
-	e.cached = nil
-	e.lastScores = nil
-	e.lineage++
+	e.install(m)
 	return nil
 }
 
 // Restore replaces the engine's matrix with recovered state, preserving
 // the matrix's write-generation counter (the key durability is stamped
-// with), where the served watermark starts too. It refuses geometry mismatches and engines that already absorbed
-// writes — recovery happens at startup, before traffic. The matrix is
-// cloned copy-on-write; the caller's copy stays independent.
+// with), where the served watermark starts too. It refuses geometry
+// mismatches and engines that already absorbed writes — recovery happens
+// at startup, before traffic. The matrix is cloned copy-on-write; the
+// caller's copy stays independent.
 func (e *Engine) Restore(m *ResponseMatrix) error {
 	if m == nil {
 		return fmt.Errorf("hitsndiffs: Restore needs a response matrix")
@@ -406,25 +394,44 @@ func (e *Engine) Restore(m *ResponseMatrix) error {
 	if e.m.Generation() != e.restoreGen {
 		return fmt.Errorf("hitsndiffs: Restore on an engine that already absorbed writes")
 	}
+	if err := e.checkGeometry("Restore", m); err != nil {
+		return err
+	}
+	e.install(m)
+	e.restoreGen = e.m.Generation()
+	return nil
+}
+
+// checkGeometry rejects a replacement matrix whose users, items or option
+// counts differ from the engine's; op (Adopt or Restore) prefixes the
+// error. Caller holds mu.
+func (e *Engine) checkGeometry(op string, m *ResponseMatrix) error {
 	if m.Users() != e.m.Users() || m.Items() != e.m.Items() {
-		return fmt.Errorf("hitsndiffs: Restore matrix is %dx%d, engine serves %dx%d",
-			m.Users(), m.Items(), e.m.Users(), e.m.Items())
+		return fmt.Errorf("hitsndiffs: %s matrix is %dx%d, engine serves %dx%d",
+			op, m.Users(), m.Items(), e.m.Users(), e.m.Items())
 	}
 	for i := 0; i < e.m.Items(); i++ {
 		if m.OptionCount(i) != e.m.OptionCount(i) {
-			return fmt.Errorf("hitsndiffs: Restore matrix item %d has %d options, engine serves %d",
-				i, m.OptionCount(i), e.m.OptionCount(i))
+			return fmt.Errorf("hitsndiffs: %s matrix item %d has %d options, engine serves %d",
+				op, i, m.OptionCount(i), e.m.OptionCount(i))
 		}
 	}
+	return nil
+}
+
+// install makes a copy-on-write clone of m the engine's matrix, with the
+// served watermark at its generation, and drops everything derived from
+// the matrix it replaces: the cached result, the warm start and the solve
+// counts. Bumping lineage keeps a solve of the old matrix from seeding
+// the next warm start. Caller holds mu.
+func (e *Engine) install(m *ResponseMatrix) {
 	e.m = m.Clone()
-	e.restoreGen = e.m.Generation()
-	e.servedGen.Store(e.restoreGen)
+	e.servedGen.Store(e.m.Generation())
 	e.shared.Store(false)
 	e.solving.Store(0)
 	e.cached = nil
 	e.lastScores = nil
 	e.lineage++
-	return nil
 }
 
 // validateObservation rejects an observation outside the given matrix

@@ -4,9 +4,9 @@
 // restores exactly the durable prefix of the write history or fails
 // loudly — never a silently wrong matrix.
 //
-// One Log owns one directory and persists one response matrix (an
-// unsharded tenant, or one shard of a sharded tenant). The directory
-// holds:
+// One Log owns one directory and persists one response matrix: one shard
+// of a tenant, which for a one-shard tenant is the whole matrix. The
+// directory holds:
 //
 //	snap-<gen>.hnds   binary snapshots (internal/response's WriteBinary
 //	                  format, CRC32-C checksummed), named by the write

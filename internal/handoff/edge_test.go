@@ -12,8 +12,8 @@ import (
 
 // TestHandoffZeroObservationShard moves a shard nobody ever wrote to —
 // generation zero, an empty WAL tail, every cell unanswered — through the
-// full protocol, using EngineSource (the one-shard-tenant adapter). The
-// degenerate bundle must still round-trip exactly: fenced generation
+// full protocol, as shard 0 of a one-shard engine (a one-shard tenant).
+// The degenerate bundle must still round-trip exactly: fenced generation
 // zero, zero tail records, and a committed owner.
 func TestHandoffZeroObservationShard(t *testing.T) {
 	const users, items, k = 6, 4, 3
@@ -23,18 +23,20 @@ func TestHandoffZeroObservationShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := hitsndiffs.NewEngine(hitsndiffs.NewResponseMatrix(users, items, k),
+	eng, err := hitsndiffs.NewShardedEngine(hitsndiffs.NewResponseMatrix(users, items, k),
 		hitsndiffs.WithRankOptions(hitsndiffs.WithSeed(42)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Restore(rec); err != nil {
+	if err := eng.RestoreShard(0, rec); err != nil {
 		t.Fatal(err)
 	}
-	eng.SetDurability(walHook(log))
+	if err := eng.SetShardDurability(0, walHook(log)); err != nil {
+		t.Fatal(err)
+	}
 
 	bundle := filepath.Join(t.TempDir(), "bundle")
-	h := handoff.New(bundle, "t0", 0, handoff.EngineSource{Engine: eng, Log: log})
+	h := handoff.New(bundle, "t0", 0, handoff.ShardSource{Engine: eng, Shard: 0, Log: log})
 	if err := h.Prepare(); err != nil {
 		t.Fatal(err)
 	}

@@ -110,39 +110,20 @@ type Owner struct {
 	Generation uint64 `json:"generation"`
 }
 
-// Source is what the exporter needs from the moving shard: a consistent
-// copy-on-write snapshot, fence control over the write path, and the WAL
-// tail past a generation. ShardSource and EngineSource adapt the engine
-// types.
-type Source interface {
-	// Snapshot returns a consistent view of the shard's matrix. The view
-	// must be immutable (a COW snapshot) but need not be fenced: writes
-	// landing after it are picked up by Tail.
-	Snapshot() (*response.Matrix, error)
-	// Fence stops the shard's writes. It must not return until in-flight
-	// writes have fully committed, so the WAL frontier is final.
-	Fence()
-	// Unfence resumes writes after an aborted handoff.
-	Unfence()
-	// Tail returns the WAL records from generation since (inclusive) to
-	// the frontier, verifying the chain is gapless — durable.Log.TailSince.
-	Tail(since uint64) ([]durable.Record, error)
-}
-
 // Handoff drives the export side of moving one shard into a bundle
 // directory. Methods must be called in order (Prepare, Fence, then
 // Abort if the import fails); a Handoff is single-use and not safe for
 // concurrent use.
 type Handoff struct {
 	dir   string
-	src   Source
+	src   ShardSource
 	man   Manifest
 	phase int // 0 new, 1 prepared, 2 fenced+published, 3 aborted
 }
 
 // New builds a Handoff exporting the given tenant's shard into dir
 // (created by Prepare if missing).
-func New(dir, tenant string, shard int, src Source) *Handoff {
+func New(dir, tenant string, shard int, src ShardSource) *Handoff {
 	return &Handoff{dir: dir, src: src, man: Manifest{Tenant: tenant, Shard: shard}}
 }
 

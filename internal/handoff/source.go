@@ -8,10 +8,10 @@ import (
 	"hitsndiffs/internal/response"
 )
 
-// ShardSource adapts one ShardedEngine shard backed by a durable log to
-// the exporter's Source interface: snapshots come from the shard's O(1)
-// copy-on-write view, fencing goes through FenceShard (which waits out
-// in-flight writes), and the tail reads from the shard's own WAL.
+// ShardSource is what the exporter reads from the moving shard of a
+// ShardedEngine backed by a durable log: a consistent copy-on-write
+// snapshot, fence control over the shard's write path, and the WAL tail
+// past a generation. A one-shard tenant moves as its shard 0.
 type ShardSource struct {
 	// Engine is the sharded router owning the moving shard.
 	Engine *hitsndiffs.ShardedEngine
@@ -21,53 +21,27 @@ type ShardSource struct {
 	Log *durable.Log
 }
 
-// Snapshot returns the shard's matrix as a copy-on-write view.
+// Snapshot returns the shard's matrix as an O(1) copy-on-write view. It
+// is immutable but not fenced: writes landing after it reach the bundle
+// through Tail.
 func (s ShardSource) Snapshot() (*response.Matrix, error) {
 	m, _, err := s.Engine.ShardView(s.Shard)
 	return m, err
 }
 
-// Fence stops the shard's writes, returning after in-flight writes
-// committed.
+// Fence stops the shard's writes through FenceShard, which returns only
+// after in-flight writes have fully committed, so the WAL frontier is
+// final.
 func (s ShardSource) Fence() { _ = s.Engine.FenceShard(s.Shard, true) }
 
 // Unfence resumes the shard's writes after an aborted handoff.
 func (s ShardSource) Unfence() { _ = s.Engine.FenceShard(s.Shard, false) }
 
-// Tail returns the shard's WAL records since the given generation.
+// Tail returns the shard's WAL records from generation since (inclusive)
+// to the frontier, verifying the chain is gapless (durable.Log.TailSince).
 func (s ShardSource) Tail(since uint64) ([]durable.Record, error) {
 	if s.Log == nil {
 		return nil, fmt.Errorf("handoff: shard %d has no durable log", s.Shard)
-	}
-	return s.Log.TailSince(since)
-}
-
-// EngineSource adapts a whole single Engine (an unsharded tenant) to the
-// Source interface — moving a one-shard tenant is the degenerate handoff.
-type EngineSource struct {
-	// Engine is the engine being moved.
-	Engine *hitsndiffs.Engine
-	// Log is the engine's durable log.
-	Log *durable.Log
-}
-
-// Snapshot returns the engine's matrix as a copy-on-write view.
-func (s EngineSource) Snapshot() (*response.Matrix, error) {
-	m, _ := s.Engine.View()
-	return m, nil
-}
-
-// Fence stops the engine's writes, returning after in-flight writes
-// committed.
-func (s EngineSource) Fence() { s.Engine.SetFenced(true) }
-
-// Unfence resumes the engine's writes after an aborted handoff.
-func (s EngineSource) Unfence() { s.Engine.SetFenced(false) }
-
-// Tail returns the engine's WAL records since the given generation.
-func (s EngineSource) Tail(since uint64) ([]durable.Record, error) {
-	if s.Log == nil {
-		return nil, fmt.Errorf("handoff: engine has no durable log")
 	}
 	return s.Log.TailSince(since)
 }

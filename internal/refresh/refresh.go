@@ -37,11 +37,11 @@ import (
 const DefaultInterval = 25 * time.Millisecond
 
 // Target is one refreshable serving engine. Both *hitsndiffs.Engine and
-// *hitsndiffs.ShardedEngine satisfy it, and the serving tier registers its
-// tenants' engines directly: a refresh raises the engine's own served
-// watermark (EngineMetrics.ServedGeneration), which is what the tier's
-// write admission reads, and it shares its solve with any client rank of
-// the same matrix.
+// *hitsndiffs.ShardedEngine satisfy it, and the serving tier registers
+// each tenant's ShardedEngine directly: a refresh raises the engine's own
+// served watermark (EngineMetrics.ServedGeneration), which is what the
+// tier's write admission reads, and it shares its solve with any client
+// rank of the same matrix.
 type Target interface {
 	// Generation returns the target's current write frontier in matrix
 	// write generations — the unit staleness is measured in.

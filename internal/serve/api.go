@@ -28,8 +28,8 @@ type TenantInfo struct {
 	Users int `json:"users"`
 	// Items is the item count (see Users).
 	Items int `json:"items"`
-	// Shards is the number of engine shards serving the tenant (1 = a
-	// plain Engine).
+	// Shards is the number of engine shards serving the tenant (one
+	// shard serves exactly as a plain Engine).
 	Shards int `json:"shards"`
 	// Method is the registered ranking method the tenant serves.
 	Method string `json:"method"`
@@ -163,7 +163,7 @@ type InferLabelsResponse struct {
 type HandoffRequest struct {
 	// Tenant names the tenant whose shard is moving.
 	Tenant string `json:"tenant"`
-	// Shard is the moving shard's index (0 for unsharded tenants).
+	// Shard is the moving shard's index (0 for one-shard tenants).
 	Shard int `json:"shard"`
 	// Action is one of "export", "import", "abort", "status".
 	Action string `json:"action"`

@@ -18,7 +18,7 @@ import (
 // Durability layout under Config.DataDir:
 //
 //	<data-dir>/<tenant>/manifest.json   tenant geometry + shard count
-//	<data-dir>/<tenant>/                WAL + snapshots (unsharded tenant)
+//	<data-dir>/<tenant>/                WAL + snapshots (one-shard tenant)
 //	<data-dir>/<tenant>/shard-<i>/      WAL + snapshots, one dir per shard
 //
 // Every tenant write is appended to the owning shard's WAL before the
@@ -60,7 +60,7 @@ type manifest struct {
 // slot of logs for the spliced log, so every reader goes through mu.
 type tenantDurability struct {
 	mu    sync.RWMutex
-	logs  []*durable.Log // shard order; len 1 for unsharded tenants
+	logs  []*durable.Log // shard order; len 1 for one-shard tenants
 	every uint64         // observations between background snapshots
 
 	since        atomic.Uint64 // observations applied since the last snapshot
@@ -135,8 +135,8 @@ func walHook(l *durable.Log) hitsndiffs.WriteHook {
 	}
 }
 
-// shardLogDir returns the log directory of one shard of a tenant; the
-// unsharded case keeps its files directly in the tenant directory.
+// shardLogDir returns the log directory of one shard of a tenant; a
+// one-shard tenant keeps its files directly in the tenant directory.
 func shardLogDir(tenantDir string, shards, sh int) string {
 	if shards <= 1 {
 		return tenantDir
@@ -154,16 +154,14 @@ func (s *Server) attachDurability(t *tenant, man manifest) error {
 	if every == 0 {
 		every = DefaultSnapshotEvery
 	}
-	dur := &tenantDurability{logs: make([]*durable.Log, t.shards)}
+	shards := t.eng.Shards()
+	dur := &tenantDurability{logs: make([]*durable.Log, shards)}
 	if every > 0 {
 		dur.every = uint64(every)
 	}
-	for sh := 0; sh < t.shards; sh++ {
-		geom := durable.Geometry{Users: man.Users, Items: man.Items, Options: man.Options}
-		if t.sharded != nil {
-			geom.Users = len(t.sharded.UsersOf(sh))
-		}
-		l, rec, rs, err := durable.Open(shardLogDir(dir, t.shards, sh), geom, s.cfg.Fsync)
+	for sh := 0; sh < shards; sh++ {
+		geom := durable.Geometry{Users: len(t.eng.UsersOf(sh)), Items: man.Items, Options: man.Options}
+		l, rec, rs, err := durable.Open(shardLogDir(dir, shards, sh), geom, s.cfg.Fsync)
 		if err != nil {
 			dur.close()
 			return fmt.Errorf("serve: tenant %q shard %d: %w", t.name, sh, err)
@@ -175,21 +173,13 @@ func (s *Server) attachDurability(t *tenant, man manifest) error {
 		dur.recovery.ReplayedOps += rs.ReplayedOps
 		dur.recovery.TruncatedBytes += rs.TruncatedBytes
 		dur.recovery.RecoveredGeneration += rs.RecoveredGeneration
-		if t.sharded != nil {
-			if err := t.sharded.RestoreShard(sh, rec); err != nil {
-				dur.close()
-				return fmt.Errorf("serve: tenant %q shard %d: %w", t.name, sh, err)
-			}
-			if err := t.sharded.SetShardDurability(sh, walHook(l)); err != nil {
-				dur.close()
-				return err
-			}
-		} else {
-			if err := t.engine.Restore(rec); err != nil {
-				dur.close()
-				return fmt.Errorf("serve: tenant %q: %w", t.name, err)
-			}
-			t.engine.SetDurability(walHook(l))
+		if err := t.eng.RestoreShard(sh, rec); err != nil {
+			dur.close()
+			return fmt.Errorf("serve: tenant %q shard %d: %w", t.name, sh, err)
+		}
+		if err := t.eng.SetShardDurability(sh, walHook(l)); err != nil {
+			dur.close()
+			return err
 		}
 	}
 	t.dur = dur
@@ -298,19 +288,11 @@ func (t *tenant) noteApplied(n int) {
 // Each shard's log is re-read under the slot lock so a concurrent handoff
 // splice never hands the snapshotter a closed log.
 func (t *tenant) snapshotNow() {
-	d := t.dur
-	if t.sharded != nil {
-		views, _ := t.sharded.View()
-		for sh := range views {
-			if err := d.log(sh).WriteSnapshot(views[sh]); err != nil {
-				d.snapErrors.Add(1)
-			}
+	views, _ := t.eng.View()
+	for sh, view := range views {
+		if err := t.dur.log(sh).WriteSnapshot(view); err != nil {
+			t.dur.snapErrors.Add(1)
 		}
-		return
-	}
-	view, _ := t.engine.View()
-	if err := d.log(0).WriteSnapshot(view); err != nil {
-		d.snapErrors.Add(1)
 	}
 }
 

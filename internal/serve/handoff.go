@@ -155,8 +155,11 @@ func (s *Server) fencedError(t *tenant, path string, obs []hitsndiffs.Observatio
 	owners := make(map[string]bool)
 	local := 0   // touched shards this server still serves
 	pending := 0 // touched shards fenced with the move not yet committed
-	for _, sh := range t.shardsTouched(obs) {
-		if !t.shardFenced(sh) {
+	for sh, hit := range t.shardsTouched(obs) {
+		if !hit {
+			continue
+		}
+		if !t.eng.ShardFenced(sh) {
 			local++
 			continue
 		}
@@ -182,50 +185,20 @@ func (s *Server) fencedError(t *tenant, path string, obs []hitsndiffs.Observatio
 		"batch spans shards owned by different servers; split it by shard owner and retry each part"}
 }
 
-// shardsTouched returns the shards the batch's observations route to,
-// in ascending shard order.
-func (t *tenant) shardsTouched(obs []hitsndiffs.Observation) []int {
-	if t.sharded == nil {
-		return []int{0}
-	}
-	shards := make(map[int]bool)
+// shardsTouched marks, per shard, whether the batch routes an
+// observation to it. Only a one-shard engine checks its fence before
+// validating, so an out-of-range user reaches here only there, where
+// shard 0 is the shard that refused it.
+func (t *tenant) shardsTouched(obs []hitsndiffs.Observation) []bool {
+	touched := make([]bool, t.eng.Shards())
 	for _, o := range obs {
-		if o.User >= 0 && o.User < t.backend.Users() {
-			shards[t.sharded.ShardFor(o.User)] = true
+		sh := 0
+		if o.User >= 0 && o.User < t.eng.Users() {
+			sh = t.eng.ShardFor(o.User)
 		}
+		touched[sh] = true
 	}
-	out := make([]int, 0, len(shards))
-	for sh := 0; sh < t.shards; sh++ {
-		if shards[sh] {
-			out = append(out, sh)
-		}
-	}
-	return out
-}
-
-// shardFenced reports whether one shard of the tenant is fenced.
-func (t *tenant) shardFenced(sh int) bool {
-	if t.sharded != nil {
-		return t.sharded.ShardFenced(sh)
-	}
-	return t.engine.Fenced()
-}
-
-// shardGeneration returns one shard's write frontier.
-func (t *tenant) shardGeneration(sh int) uint64 {
-	if t.sharded != nil {
-		g, _ := t.sharded.ShardGeneration(sh)
-		return g
-	}
-	return t.engine.Generation()
-}
-
-// handoffSource builds the exporter's Source for one shard of a tenant.
-func (t *tenant) handoffSource(sh int) handoff.Source {
-	if t.sharded != nil {
-		return handoff.ShardSource{Engine: t.sharded, Shard: sh, Log: t.dur.log(sh)}
-	}
-	return handoff.EngineSource{Engine: t.engine, Log: t.dur.log(0)}
+	return touched
 }
 
 // adminHandoffTenant resolves and validates the tenant/shard named by an
@@ -239,9 +212,9 @@ func (s *Server) adminHandoffTenant(req HandoffRequest) (*tenant, error) {
 		return nil, &apiError{http.StatusUnprocessableEntity,
 			"shard handoff requires a durable server (start with -data-dir)"}
 	}
-	if req.Shard < 0 || req.Shard >= t.shards {
+	if req.Shard < 0 || req.Shard >= t.eng.Shards() {
 		return nil, &apiError{http.StatusBadRequest,
-			fmt.Sprintf("shard %d out of range [0,%d)", req.Shard, t.shards)}
+			fmt.Sprintf("shard %d out of range [0,%d)", req.Shard, t.eng.Shards())}
 	}
 	if req.BundleDir == "" {
 		return nil, &apiError{http.StatusBadRequest, "bundle_dir must be non-empty"}
@@ -306,7 +279,7 @@ func (s *Server) handoffExport(req HandoffRequest) (HandoffResponse, error) {
 		return HandoffResponse{}, &apiError{http.StatusConflict,
 			fmt.Sprintf("shard %d already has a handoff in flight", req.Shard)}
 	}
-	h := handoff.New(req.BundleDir, t.name, req.Shard, t.handoffSource(req.Shard))
+	h := handoff.New(req.BundleDir, t.name, req.Shard, handoff.ShardSource{Engine: t.eng, Shard: req.Shard, Log: t.dur.log(req.Shard)})
 	if err := h.Prepare(); err != nil {
 		return HandoffResponse{}, &apiError{http.StatusInternalServerError, err.Error()}
 	}
@@ -370,16 +343,13 @@ func (s *Server) handoffImport(req HandoffRequest) (HandoffResponse, error) {
 		return HandoffResponse{}, &apiError{http.StatusBadRequest,
 			fmt.Sprintf("bundle holds shard %d, request names shard %d", man.Shard, req.Shard)}
 	}
-	shardUsers := t.backend.Users()
-	if t.sharded != nil {
-		shardUsers = len(t.sharded.UsersOf(req.Shard))
-	}
-	if man.Users != shardUsers || man.Items != t.backend.Items() {
+	shardUsers := len(t.eng.UsersOf(req.Shard))
+	if man.Users != shardUsers || man.Items != t.eng.Items() {
 		return HandoffResponse{}, &apiError{http.StatusUnprocessableEntity,
 			fmt.Sprintf("bundle geometry %dx%d does not match target shard %dx%d",
-				man.Users, man.Items, shardUsers, t.backend.Items())}
+				man.Users, man.Items, shardUsers, t.eng.Items())}
 	}
-	if g := t.shardGeneration(req.Shard); g != 0 {
+	if g, _ := t.eng.ShardGeneration(req.Shard); g != 0 {
 		return HandoffResponse{}, &apiError{http.StatusConflict,
 			fmt.Sprintf("target shard has local history at generation %d; adopting would fork", g)}
 	}
@@ -399,7 +369,7 @@ func (s *Server) handoffImport(req HandoffRequest) (HandoffResponse, error) {
 	// The fence stays up until the owner record publishes: before that
 	// instant this server does not own the shard, and a write accepted
 	// here would be lost if the commit never lands.
-	t.setShardFenced(req.Shard, true)
+	_ = t.eng.FenceShard(req.Shard, true)
 	if err := s.spliceShard(t, req.Shard, m, man); err != nil {
 		// The splice may have left adopted bytes behind; keep the shard
 		// fenced and the intent durable so a restart resolves the state
@@ -413,7 +383,7 @@ func (s *Server) handoffImport(req HandoffRequest) (HandoffResponse, error) {
 		return HandoffResponse{}, &apiError{http.StatusInternalServerError,
 			fmt.Sprintf("commit failed; shard %d stays fenced until a restart resolves its import intent: %v", req.Shard, err)}
 	}
-	t.setShardFenced(req.Shard, false)
+	_ = t.eng.FenceShard(req.Shard, false)
 	if err := handoff.RemoveImportIntent(dir, req.Shard); err != nil {
 		// The move is committed and served; a leftover intent only costs
 		// the next restart a benign resolve (committed → keep). Still loud:
@@ -429,21 +399,12 @@ func (s *Server) handoffImport(req HandoffRequest) (HandoffResponse, error) {
 	}, nil
 }
 
-// setShardFenced fences or unfences one shard of the tenant.
-func (t *tenant) setShardFenced(sh int, on bool) {
-	if t.sharded != nil {
-		_ = t.sharded.FenceShard(sh, on)
-	} else {
-		t.engine.SetFenced(on)
-	}
-}
-
 // spliceShard installs an imported matrix as one shard's durable state:
 // close the shard's log, seed its directory with the matrix as the
 // newest snapshot, reopen (recovery lands exactly on the imported
 // generation), and swap the engine matrix and write hook.
 func (s *Server) spliceShard(t *tenant, sh int, m *hitsndiffs.ResponseMatrix, man handoff.Manifest) error {
-	dir := shardLogDir(filepath.Join(s.cfg.DataDir, t.name), t.shards, sh)
+	dir := shardLogDir(filepath.Join(s.cfg.DataDir, t.name), t.eng.Shards(), sh)
 	old := t.dur.log(sh)
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("serve: close shard log: %w", err)
@@ -460,21 +421,13 @@ func (s *Server) spliceShard(t *tenant, sh int, m *hitsndiffs.ResponseMatrix, ma
 		l.Close()
 		return fmt.Errorf("serve: spliced shard recovered at generation %d, want %d", rs.RecoveredGeneration, man.FencedGeneration)
 	}
-	if t.sharded != nil {
-		if err := t.sharded.AdoptShard(sh, rec); err != nil {
-			l.Close()
-			return err
-		}
-		if err := t.sharded.SetShardDurability(sh, walHook(l)); err != nil {
-			l.Close()
-			return err
-		}
-	} else {
-		if err := t.engine.Adopt(rec); err != nil {
-			l.Close()
-			return err
-		}
-		t.engine.SetDurability(walHook(l))
+	if err := t.eng.AdoptShard(sh, rec); err != nil {
+		l.Close()
+		return err
+	}
+	if err := t.eng.SetShardDurability(sh, walHook(l)); err != nil {
+		l.Close()
+		return err
 	}
 	t.dur.setLog(sh, l)
 	return nil
@@ -535,18 +488,16 @@ func (s *Server) handleAdminPartition(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := PartitionResponse{
 		Tenant: t.name,
-		Users:  t.backend.Users(),
-		Shards: t.shards,
+		Users:  t.eng.Users(),
+		Shards: t.eng.Shards(),
 	}
-	for sh := 0; sh < t.shards; sh++ {
+	for sh := 0; sh < t.eng.Shards(); sh++ {
+		gen, _ := t.eng.ShardGeneration(sh)
 		row := ShardOwnershipInfo{
 			Shard:      sh,
-			Users:      t.backend.Users(),
-			Generation: t.shardGeneration(sh),
-			Fenced:     t.shardFenced(sh),
-		}
-		if t.sharded != nil {
-			row.Users = len(t.sharded.UsersOf(sh))
+			Users:      len(t.eng.UsersOf(sh)),
+			Generation: gen,
+			Fenced:     t.eng.ShardFenced(sh),
 		}
 		if owner, ok := t.own.movedTo(sh); ok {
 			row.MovedTo = owner
@@ -574,15 +525,15 @@ func (s *Server) resolveImportIntents(t *tenant) error {
 		return fmt.Errorf("serve: tenant %q: %w", t.name, err)
 	}
 	for _, in := range intents {
-		if in.Shard < 0 || in.Shard >= t.shards {
-			return fmt.Errorf("serve: tenant %q: import intent names shard %d of %d", t.name, in.Shard, t.shards)
+		if in.Shard < 0 || in.Shard >= t.eng.Shards() {
+			return fmt.Errorf("serve: tenant %q: import intent names shard %d of %d", t.name, in.Shard, t.eng.Shards())
 		}
 		owner, committed, err := handoff.Resolve(in.BundleDir)
 		if err != nil {
 			return fmt.Errorf("serve: tenant %q shard %d: %w", t.name, in.Shard, err)
 		}
 		if !committed || owner != in.Target {
-			if err := durable.DiscardState(shardLogDir(dir, t.shards, in.Shard)); err != nil {
+			if err := durable.DiscardState(shardLogDir(dir, t.eng.Shards(), in.Shard)); err != nil {
 				return fmt.Errorf("serve: tenant %q shard %d: %w", t.name, in.Shard, err)
 			}
 		}
@@ -605,15 +556,15 @@ func (s *Server) recoverHandoffState(t *tenant) error {
 		return fmt.Errorf("serve: tenant %q: %w", t.name, err)
 	}
 	for _, in := range intents {
-		if in.Shard < 0 || in.Shard >= t.shards {
-			return fmt.Errorf("serve: tenant %q: intent names shard %d of %d", t.name, in.Shard, t.shards)
+		if in.Shard < 0 || in.Shard >= t.eng.Shards() {
+			return fmt.Errorf("serve: tenant %q: intent names shard %d of %d", t.name, in.Shard, t.eng.Shards())
 		}
 		owner, committed, err := handoff.Resolve(in.BundleDir)
 		if err != nil {
 			return fmt.Errorf("serve: tenant %q shard %d: %w", t.name, in.Shard, err)
 		}
 		if committed {
-			t.setShardFenced(in.Shard, true)
+			_ = t.eng.FenceShard(in.Shard, true)
 			t.own.noteMoved(in.Shard, owner, in)
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"path/filepath"
 	"testing"
@@ -292,6 +293,50 @@ func TestServeShardHandoff(t *testing.T) {
 		BundleDir: filepath.Join(t.TempDir(), "again"), Target: cb.base,
 	}); code != http.StatusConflict {
 		t.Fatalf("re-export of a moved shard: HTTP %d, want 409", code)
+	}
+}
+
+// TestServeOneShardHandoff moves a whole one-shard tenant, as its shard
+// 0, between two durable servers over HTTP: the target commits at the
+// fenced generation and serves bitwise the rank the source served before
+// the fence, and the source redirects the next write to the target.
+func TestServeOneShardHandoff(t *testing.T) {
+	const tenant = "solo"
+	bundle := filepath.Join(t.TempDir(), "bundle")
+	_, ca := newTestServer(t, durableConfig(t.TempDir()))
+	_, cb := newTestServer(t, durableConfig(t.TempDir()))
+	ca.mustCreate(tenant, 20, 6, 3)
+	cb.mustCreate(tenant, 20, 6, 3)
+	for round := 0; round < 10; round++ {
+		ca.mustObserve(tenant, durabilityBatch(round))
+	}
+	want := rankScores(t, ca, tenant)
+
+	exp, code, body := postHandoff(t, ca, serve.HandoffRequest{
+		Tenant: tenant, Shard: 0, Action: "export", BundleDir: bundle, Target: cb.base,
+	})
+	if code != http.StatusOK {
+		t.Fatalf("export: HTTP %d: %s", code, body)
+	}
+	if _, code, body := postHandoff(t, cb, serve.HandoffRequest{
+		Tenant: tenant, Shard: 0, Action: "import", BundleDir: bundle, Owner: cb.base,
+	}); code != http.StatusOK {
+		t.Fatalf("import: HTTP %d: %s", code, body)
+	}
+	if got := partitionOf(t, cb, tenant).Partition[0].Generation; got != exp.FencedGeneration {
+		t.Fatalf("target at generation %d, fenced frontier %d", got, exp.FencedGeneration)
+	}
+	got := rankScores(t, cb, tenant)
+	if len(got) != len(want) {
+		t.Fatalf("target ranks %d users, source %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("target score[%d] = %v, source before the fence %v", i, got[i], want[i])
+		}
+	}
+	if code, loc := rawObserve(t, ca.base, tenant, 0); code != http.StatusTemporaryRedirect || loc != cb.base+"/v1/observe" {
+		t.Fatalf("source write after commit: HTTP %d Location %q, want 307 to %s/v1/observe", code, loc, cb.base)
 	}
 }
 

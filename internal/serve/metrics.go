@@ -117,8 +117,8 @@ func (s *Server) Snapshot() Snapshot {
 	for i, t := range tenants {
 		snap.Tenants[i] = TenantSnapshot{
 			Name:   t.name,
-			Shards: t.shards,
-			Engine: t.backend.Metrics(),
+			Shards: t.eng.Shards(),
+			Engine: t.eng.Metrics(),
 		}
 		if t.dur != nil {
 			snap.Tenants[i].Durability = &TenantDurabilitySnapshot{

@@ -1,8 +1,8 @@
 // Package serve is the network serving tier: it hosts named tenants —
-// each an independent response matrix behind a hitsndiffs.Engine or
-// ShardedEngine — and exposes Observe / ObserveBatch / Rank / RankBatch /
-// InferLabels over stdlib net/http JSON (no dependencies beyond the
-// standard library).
+// each an independent response matrix behind a hitsndiffs.ShardedEngine,
+// with one shard unless Config.Shards asks for more — and exposes
+// Observe / ObserveBatch / Rank / RankBatch / InferLabels over stdlib
+// net/http JSON (no dependencies beyond the standard library).
 //
 // The layer is more than a shim over the engines; it adds the three
 // behaviors a process boundary needs:
@@ -57,13 +57,14 @@ const maxBodyBytes = 64 << 20
 const DefaultMaxTenants = 1024
 
 // Config configures a Server. The zero value serves the default method
-// with unsharded tenants and no admission bounds.
+// with one-shard tenants and no admission bounds.
 type Config struct {
 	// Method is the registered ranking method every tenant serves
 	// (default "HnD-power"). Resolved at New, so a typo fails at startup.
 	Method string
-	// Shards > 1 backs every tenant with a ShardedEngine hashing its
-	// users across that many independent engine shards.
+	// Shards is the number of engine shards each new tenant's
+	// ShardedEngine hashes its users across; zero or one gives one shard,
+	// which serves exactly as a plain hitsndiffs.Engine.
 	Shards int
 	// RankOptions are the base solve options (tolerance, iteration budget,
 	// seed, ...) applied to every tenant engine.
@@ -144,31 +145,12 @@ type Server struct {
 	ctr      counters
 }
 
-// backend is the slice of Engine / ShardedEngine the serving tier needs;
-// both satisfy it.
-type backend interface {
-	Observe(user, item, option int) error
-	ObserveBatch(obs []hitsndiffs.Observation) error
-	Rank(ctx context.Context) (hitsndiffs.Result, error)
-	Refresh(ctx context.Context) (hitsndiffs.Result, error)
-	Generation() uint64
-	Users() int
-	Items() int
-	Method() string
-	Metrics() hitsndiffs.EngineMetrics
-}
-
 // tenant is one hosted response matrix with its serving state.
 type tenant struct {
-	name    string
-	shards  int
-	backend backend
-	// engine is the unsharded backend, nil for sharded tenants; label
-	// inference needs the full matrix on one engine.
-	engine *hitsndiffs.Engine
-	// sharded is the sharded backend, nil for unsharded tenants; the
-	// durability layer needs per-shard views and restore access.
-	sharded *hitsndiffs.ShardedEngine
+	name string
+	// eng serves the tenant. Its shards are the units the durability layer
+	// logs and snapshots and the handoff protocol moves.
+	eng *hitsndiffs.ShardedEngine
 	// dur is the tenant's persistence state, nil without Config.DataDir.
 	dur *tenantDurability
 	// own is the tenant's shard-migration state (in-flight exports,
@@ -180,7 +162,7 @@ type tenant struct {
 // lag reads the tenant's write generation and the highest generation a
 // rank was served at — the pair the admission lag bound compares.
 func (t *tenant) lag() (gen, served uint64) {
-	m := t.backend.Metrics()
+	m := t.eng.Metrics()
 	return m.Generation, m.ServedGeneration
 }
 
@@ -188,11 +170,11 @@ func (t *tenant) lag() (gen, served uint64) {
 func (t *tenant) info() TenantInfo {
 	return TenantInfo{
 		Name:       t.name,
-		Users:      t.backend.Users(),
-		Items:      t.backend.Items(),
-		Shards:     t.shards,
-		Method:     t.backend.Method(),
-		Generation: t.backend.Generation(),
+		Users:      t.eng.Users(),
+		Items:      t.eng.Items(),
+		Shards:     t.eng.Shards(),
+		Method:     t.eng.Method(),
+		Generation: t.eng.Generation(),
 	}
 }
 
@@ -278,13 +260,13 @@ func (s *Server) closeRefresher() {
 // no-op when ranks are exact and no scheduler runs).
 func (s *Server) registerRefresh(t *tenant) {
 	if s.refresher != nil {
-		s.refresher.Register(t.name, t.backend)
+		s.refresher.Register(t.name, t.eng)
 	}
 }
 
 // CreateTenant registers a new tenant with an empty response matrix of
-// the given geometry, backed by a plain Engine (Config.Shards <= 1) or a
-// ShardedEngine. It is the programmatic twin of POST /v1/tenants.
+// the given geometry, served by a ShardedEngine of Config.Shards shards
+// (one when Shards <= 1). It is the programmatic twin of POST /v1/tenants.
 func (s *Server) CreateTenant(req CreateTenantRequest) (TenantInfo, error) {
 	if req.Name == "" {
 		return TenantInfo{}, &apiError{http.StatusBadRequest, "tenant name must be non-empty"}
@@ -333,7 +315,7 @@ func (s *Server) CreateTenant(req CreateTenantRequest) (TenantInfo, error) {
 	}
 	if s.cfg.DataDir != "" {
 		man := manifest{Name: req.Name, Users: req.Users, Items: req.Items, Options: req.Options,
-			Shards: t.shards, Ring: s.cfg.RingPartition}
+			Shards: t.eng.Shards(), Ring: s.cfg.RingPartition}
 		if err := s.attachDurability(t, man); err != nil {
 			return TenantInfo{}, &apiError{http.StatusInternalServerError, err.Error()}
 		}
@@ -352,37 +334,26 @@ func (s *Server) CreateTenant(req CreateTenantRequest) (TenantInfo, error) {
 	return t.info(), nil
 }
 
-// buildTenant constructs the engine(s) of one tenant with an empty matrix
-// of the requested geometry — shared by CreateTenant and startup
-// recovery, which restores durable state into the engines afterwards.
+// buildTenant constructs the engine of one tenant with an empty matrix of
+// the requested geometry — shared by CreateTenant and startup recovery,
+// which restores durable state into the shards afterwards.
 func (s *Server) buildTenant(req CreateTenantRequest, shards int, ring bool) (*tenant, error) {
-	m := hitsndiffs.NewResponseMatrix(req.Users, req.Items, req.Options...)
 	opts := []hitsndiffs.EngineOption{
 		hitsndiffs.WithMethod(s.cfg.Method),
 		hitsndiffs.WithRankOptions(s.cfg.RankOptions...),
+		hitsndiffs.WithShards(shards),
 	}
 	if s.cfg.MaxStaleness > 0 {
 		opts = append(opts, hitsndiffs.WithMaxStaleness(s.cfg.MaxStaleness))
 	}
-	t := &tenant{name: req.Name, shards: 1, adm: newAdmission(s.cfg.MaxInflightWrites, s.cfg.MaxLag)}
-	if shards > 1 {
-		opts = append(opts, hitsndiffs.WithShards(shards))
-		if ring {
-			opts = append(opts, hitsndiffs.WithRingPartition(0))
-		}
-		se, err := hitsndiffs.NewShardedEngine(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		t.backend, t.sharded, t.shards = se, se, se.Shards()
-	} else {
-		eng, err := hitsndiffs.NewEngine(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		t.backend, t.engine = eng, eng
+	if ring {
+		opts = append(opts, hitsndiffs.WithRingPartition(0))
 	}
-	return t, nil
+	eng, err := hitsndiffs.NewShardedEngine(hitsndiffs.NewResponseMatrix(req.Users, req.Items, req.Options...), opts...)
+	if err != nil {
+		return nil, err
+	}
+	return &tenant{name: req.Name, eng: eng, adm: newAdmission(s.cfg.MaxInflightWrites, s.cfg.MaxLag)}, nil
 }
 
 // lookup resolves a tenant by name.
@@ -411,7 +382,7 @@ func (s *Server) observe(t *tenant, path string, obs []hitsndiffs.Observation) (
 		return ObserveResponse{}, &apiError{http.StatusTooManyRequests, err.Error()}
 	}
 	defer release()
-	if err := t.backend.ObserveBatch(obs); err != nil {
+	if err := t.eng.ObserveBatch(obs); err != nil {
 		// A fenced shard is mid-migration: 429 + Retry-After while the move
 		// is pending, 307 to the new owner once it committed.
 		if errors.Is(err, hitsndiffs.ErrFenced) {
@@ -426,7 +397,7 @@ func (s *Server) observe(t *tenant, path string, obs []hitsndiffs.Observation) (
 	}
 	s.ctr.observations.Add(uint64(len(obs)))
 	t.noteApplied(len(obs))
-	return ObserveResponse{Generation: t.backend.Generation(), Applied: len(obs)}, nil
+	return ObserveResponse{Generation: t.eng.Generation(), Applied: len(obs)}, nil
 }
 
 // solveContext derives the context a request's solve runs under: it ends
@@ -443,7 +414,7 @@ func (s *Server) solveContext(ctx context.Context) (context.Context, context.Can
 func (s *Server) rankTenant(ctx context.Context, t *tenant) (hitsndiffs.Result, error) {
 	ctx, cancel := s.solveContext(ctx)
 	defer cancel()
-	res, err := t.backend.Rank(ctx)
+	res, err := t.eng.Rank(ctx)
 	if err != nil {
 		return res, err
 	}
@@ -668,14 +639,9 @@ func (s *Server) handleInferLabels(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	if t.engine == nil {
-		s.writeError(w, &apiError{http.StatusUnprocessableEntity,
-			"label inference requires an unsharded tenant (server started with -shards=1)"})
-		return
-	}
 	ctx, cancel := s.solveContext(r.Context())
 	defer cancel()
-	labels, gen, err := t.engine.InferLabels(ctx)
+	labels, gen, err := t.eng.InferLabels(ctx)
 	if err != nil {
 		s.writeError(w, solveError(err))
 		return
@@ -695,8 +661,9 @@ func (e *apiError) Error() string { return e.msg }
 
 // solveError maps a solve failure to an API error: context cancellations
 // become 503 (the server or client gave up, not the request's fault),
-// anything else — method constraint violations, too-sparse matrices — is a
-// 422 the client must fix.
+// anything else — method constraint violations, too-sparse matrices,
+// label inference on a tenant with several shards — is a 422 the client
+// must fix.
 func solveError(err error) error {
 	var ae *apiError
 	if errors.As(err, &ae) {

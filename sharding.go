@@ -15,26 +15,32 @@ import (
 // the response matrix, and routes traffic so the shards never contend with
 // each other.
 //
-// Two effects make it the heavy-traffic configuration:
+// What the shards buy:
 //
-//   - Observe and ObserveBatch touch only the shard(s) owning the written
-//     users, so write locks, generation ticks and copy-on-write clones are
-//     confined to 1/N of the matrix. Under mixed read/write traffic the
-//     dominant write cost — the one-time clone after a snapshot — shrinks
-//     from O(m·n) to O(m·n/N) (see BenchmarkShardedObserve).
 //   - Rank fans out across shards concurrently and re-solves only shards
 //     whose generation changed since their last solve; a single-user write
 //     therefore re-ranks 1/N of the users while the other shards answer
 //     from their caches (see BenchmarkShardedRank). Each shard solve runs
 //     the serial kernels on its own goroutine, so the fan-out is what puts
 //     several cores to work on one Rank.
+//   - Observe and ObserveBatch lock and write only the shards owning the
+//     written users, and each shard is its own unit of durability and
+//     handoff: one write hook, snapshot series and fence per shard. The
+//     copy-on-write cost of a write does not shrink with N: matrices are
+//     paged, so a write under an outstanding view copies the one 64-user
+//     page it touches whatever the shard count (see
+//     BenchmarkShardedObserve).
 //
-// The price is score granularity: user scores are only directly comparable
-// within a shard, so the merged ranking min-max normalizes each shard to
-// [0, 1] — the same contract as RankPerComponent. Workloads that need
-// globally calibrated scores, or label inference over the full matrix,
-// should use a single Engine (or one ShardedEngine per tenant and
-// shard.OfString to route tenants).
+// With one shard (WithShards(1), or 0) the router hands construction,
+// ObserveBatch, Rank, Refresh and InferLabels to its one Engine, so it
+// serves exactly as a plain Engine does.
+//
+// The price of several shards is score granularity: user scores are only
+// directly comparable within a shard, so the merged ranking min-max
+// normalizes each shard to [0, 1] — the same contract as
+// RankPerComponent. Workloads that need globally calibrated scores, or
+// label inference over the full matrix, should use one shard (or one
+// ShardedEngine per tenant and shard.OfString to route tenants).
 //
 // Construct with NewShardedEngine; the zero value is not usable. All
 // methods are safe for concurrent use.
@@ -122,9 +128,14 @@ func NewShardedEngine(m *ResponseMatrix, opts ...EngineOption) (*ShardedEngine, 
 		shardOpts = append(append([]EngineOption(nil), opts...), WithMaxStaleness(0))
 	}
 	for sh := 0; sh < n; sh++ {
-		// shardMapFor guarantees every shard owns at least one user, so
-		// Subset's non-empty precondition always holds.
-		sub := m.Subset(users.GlobalsOf(sh))
+		// One shard owns every user at its global index, so it serves m
+		// itself, generation included. Otherwise shardMapFor guarantees
+		// every shard owns at least one user, so Subset's non-empty
+		// precondition always holds.
+		sub := m
+		if n > 1 {
+			sub = m.Subset(users.GlobalsOf(sh))
+		}
 		eng, err := NewEngine(sub, shardOpts...)
 		if err != nil {
 			return nil, err
@@ -346,15 +357,18 @@ func (s *ShardedEngine) Observe(user, item, option int) error {
 
 // ObserveBatch splits a batch of responses by owning shard and applies the
 // per-shard sub-batches concurrently, each under its shard's single lock
-// acquisition. The whole batch is validated up front
-// against the router's geometry, so an out-of-range observation leaves
-// every shard untouched; a fence on ANY touched shard likewise fails the
-// batch with ErrFenced before any sub-batch applies — every touched
-// shard's write lock is held across the fence check and the applies, so
-// a fence raised concurrently can never split the batch into an applied
-// half and a rejected half (which a client 429-retry would then
-// double-apply).
+// acquisition. The whole batch is validated up front against the router's
+// geometry, so an out-of-range observation leaves every shard untouched;
+// a fence on ANY touched shard likewise fails the batch with ErrFenced
+// before any sub-batch applies — every touched shard's write lock is held
+// across the fence check and the applies, so a fence raised concurrently
+// can never split the batch into an applied half and a rejected half
+// (which a client 429-retry would then double-apply). With one shard the
+// batch goes to Engine.ObserveBatch unsplit.
 func (s *ShardedEngine) ObserveBatch(obs []Observation) error {
+	if len(s.engines) == 1 {
+		return s.engines[0].ObserveBatch(obs)
+	}
 	if len(obs) == 0 {
 		return nil
 	}
@@ -564,13 +578,27 @@ func (s *ShardedEngine) rankShard(ctx context.Context, i int) (Result, *Response
 	return eng.rank(ctx, false, true)
 }
 
+// InferLabels serves the truth-discovery direction of a one-shard engine:
+// it is exactly Engine.InferLabels on the one shard, returning each item's
+// estimated correct option with the write generation the labels were
+// inferred at. Score-weighted voting needs scores comparable across every
+// user of the matrix, which the per-shard min-max merge does not give, so
+// with several shards it returns an error.
+func (s *ShardedEngine) InferLabels(ctx context.Context) ([]int, uint64, error) {
+	if len(s.engines) > 1 {
+		return nil, 0, fmt.Errorf("hitsndiffs: InferLabels needs the full matrix on one shard, engine has %d shards", len(s.engines))
+	}
+	return s.engines[0].InferLabels(ctx)
+}
+
 // Metrics returns the aggregate observability snapshot of the cluster: the
 // cluster generation (sum of shard generations, the key the merged-result
 // cache uses), the total user count, and every shard counter summed, with
-// the router's own merged-cache hits folded into CacheHits. Each shard's slice of the snapshot is internally consistent
-// (taken under that shard's locks); shards are visited in index order, so
-// a write racing the scrape can skew the cross-shard sums by at most the
-// writes in flight. Use ShardMetrics for the per-shard breakdown.
+// the router's own merged-cache hits folded into CacheHits. Each shard's
+// slice of the snapshot is internally consistent (taken under that
+// shard's locks); shards are visited in index order, so a write racing
+// the scrape can skew the cross-shard sums by at most the writes in
+// flight. Use ShardMetrics for the per-shard breakdown.
 func (s *ShardedEngine) Metrics() EngineMetrics {
 	agg := EngineMetrics{Users: s.Users(), Items: s.Items()}
 	for _, e := range s.engines {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -24,11 +25,28 @@ func shardTestMatrix(t testing.TB, users, items int) *ResponseMatrix {
 }
 
 // TestShardedEngineDegenerate checks the zero/one-shard configurations
-// collapse to plain Engine behaviour: same scores, bitwise, before and
-// after a write.
+// collapse to plain Engine behaviour on everything the serving tier reads,
+// before and after a write: scores bitwise, labels, generations, the whole
+// Metrics snapshot and the error text of an out-of-range batch. The matrix
+// carries one overwritten answer, so its generation exceeds its answer
+// count (the generation a Subset copy would report). With two shards,
+// InferLabels refuses.
 func TestShardedEngineDegenerate(t *testing.T) {
-	m := shardTestMatrix(t, 60, 30)
+	m := shardTestMatrix(t, 60, 30).Clone()
+	m.SetAnswer(0, 0, (m.Answer(0, 0)+1)%m.OptionCount(0))
+	answers := 0
+	for u := 0; u < m.Users(); u++ {
+		for i := 0; i < m.Items(); i++ {
+			if m.Answer(u, i) != Unanswered {
+				answers++
+			}
+		}
+	}
+	if m.Generation() <= uint64(answers) {
+		t.Fatalf("generation %d does not exceed the %d answers", m.Generation(), answers)
+	}
 	ctx := context.Background()
+	bad := []Observation{{User: m.Users(), Item: 0, Option: 0}}
 	for _, shards := range []int{0, 1} {
 		plain, err := NewEngine(m, WithRankOptions(WithSeed(3)))
 		if err != nil {
@@ -42,6 +60,9 @@ func TestShardedEngineDegenerate(t *testing.T) {
 			t.Fatalf("WithShards(%d): Shards() = %d, want 1", shards, got)
 		}
 		for round := 0; round < 2; round++ {
+			if got, want := sharded.Generation(), plain.Generation(); got != want {
+				t.Fatalf("WithShards(%d) round %d: Generation() = %d, plain engine %d", shards, round, got, want)
+			}
 			want, err := plain.Rank(ctx)
 			if err != nil {
 				t.Fatal(err)
@@ -59,6 +80,25 @@ func TestShardedEngineDegenerate(t *testing.T) {
 						shards, round, i, got.Scores[i], want.Scores[i])
 				}
 			}
+			wantLabels, wantGen, err := plain.InferLabels(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotLabels, gotGen, err := sharded.InferLabels(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotGen != wantGen || !slices.Equal(gotLabels, wantLabels) {
+				t.Fatalf("WithShards(%d) round %d: InferLabels = %v at %d, plain engine %v at %d",
+					shards, round, gotLabels, gotGen, wantLabels, wantGen)
+			}
+			if got, want := sharded.Metrics(), plain.Metrics(); got != want {
+				t.Fatalf("WithShards(%d) round %d: Metrics() = %+v, plain engine %+v", shards, round, got, want)
+			}
+			wantErr, gotErr := plain.ObserveBatch(bad), sharded.ObserveBatch(bad)
+			if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Fatalf("WithShards(%d): out-of-range ObserveBatch = %v, plain engine %v", shards, gotErr, wantErr)
+			}
 			if err := plain.Observe(0, 0, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -66,6 +106,13 @@ func TestShardedEngineDegenerate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+	two, err := NewShardedEngine(m, WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := two.InferLabels(ctx); err == nil {
+		t.Fatal("2-shard InferLabels succeeded, want an error")
 	}
 }
 
